@@ -36,9 +36,17 @@ from .taumetrics import tau2_of_table, tau_analytic, tau_empirical
 from .tuning import TargetKind, TuningTarget, solve
 
 
+def _read_input(path: str, what: str, reader=lambda p: Path(p).read_text(encoding="utf-8")):
+    """``reader(path)``, with a missing file reported as a typed error."""
+    try:
+        return reader(path)
+    except FileNotFoundError:
+        raise ValidationError(f"{what} file not found: {path}") from None
+
+
 def _load_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_input(path, "config").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -91,7 +99,7 @@ def _sidecar_path(table_path: Path) -> Path:
 
 def _load_synthetic(path: str):
     """A synthetic table plus its provenance sidecar when one sits next to it."""
-    table = read_table(path)
+    table = _read_input(path, "synthetic table", read_table)
     sidecar = _sidecar_path(Path(path))
     if sidecar.exists():
         prov = Provenance.from_json(sidecar.read_text(encoding="utf-8"))
@@ -128,7 +136,7 @@ def cmd_generate_escsub(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    table = read_table(args.table)
+    table = _read_input(args.table, "table", read_table)
     dist = tau2_of_table(table)
     kind = TargetKind.MATCH_ZEROS if args.target == "match-zeros" else TargetKind.TAU4_EQUALS
     target = TuningTarget(kind, sigma_star=args.sigma, p=args.p)
@@ -138,7 +146,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    table = read_table(args.table)
+    table = _read_input(args.table, "table", read_table)
     spec = CountModelSpec(args.family, sigma=args.sigma, alpha=args.alpha)
     job = SynthesisJob(spec, master_seed=args.seed, m=args.m)
     out_dir = Path(args.out_dir)
@@ -158,7 +166,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    table = read_table(args.table)
+    table = _read_input(args.table, "table", read_table)
     synthetics = [_load_synthetic(p) for p in args.synthetic]
     emp = tau_empirical(table, synthetics, k_report=args.k_max)
 
@@ -185,7 +193,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    table = read_table(args.table)
+    table = _read_input(args.table, "table", read_table)
     p_list = [float(p) for p in args.p_list.split(",") if p]
     synthetics = [_load_synthetic(p) for p in args.synthetic]
     rows = []
@@ -206,7 +214,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    table = read_table(args.table)
+    table = _read_input(args.table, "table", read_table)
     variables = args.variables.split(",") if args.variables else list(table.schema.names)
     proj = table.project(variables)
     terms = all_two_way_terms(proj.schema) if len(variables) > 1 else [(variables[0],)]
@@ -346,12 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv:
-        config_path = argv[argv.index("--config") + 1]
-        config = _load_config(config_path)
-        for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-            _apply_config(action, config)
     try:
+        if "--config" in argv:
+            pos = argv.index("--config") + 1
+            if pos == len(argv):
+                raise ValidationError("--config needs a file path")
+            config = _load_config(argv[pos])
+            for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
+                _apply_config(action, config)
         args = parser.parse_args(argv)
         return args.func(args)
     except SatsynthError as exc:

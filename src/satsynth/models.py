@@ -96,6 +96,32 @@ def _validate_pmf_args(k, mu, sigma):
     return k, mu
 
 
+def _log_rising_ratio(k, r):
+    """sum_{i<k} log1p(i / r) = log(Gamma(k + r) / (Gamma(r) * r**k)).
+
+    The NBI shape factor at r = 1/sigma.  The log-gamma difference cancels
+    as r grows, so from r = 100 on the two Stirling series are subtracted
+    term by term instead (truncation error below 1e-20).
+    """
+    if r < 100.0:
+        return special.gammaln(k + r) - special.gammaln(r) - k * np.log(r)
+    series = lambda x: (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x * x)) / (x * x)) / (x * x)) / x
+    t = k / r
+    return r * (np.log1p(t) - t) + (k - 0.5) * np.log1p(t) + (series(k + r) - series(r))
+
+
+def _pig_logpmf(k, mu, sigma, c, log_bessel):
+    """PIG log-mass at means mu > 0 from c = pig_c(mu, sigma) and log K_{k-1/2}(c)."""
+    return (
+        0.5 * (np.log(2.0) + np.log(c) - np.log(np.pi))
+        + k * np.log(mu)
+        + 1.0 / sigma
+        + log_bessel
+        - k * (np.log(c) + np.log(sigma))
+        - special.gammaln(k + 1.0)
+    )
+
+
 def logpmf(family: Family | str, k, mu, sigma: float = 0.0):
     """log p(count = k | mean mu) for the given family.
 
@@ -117,24 +143,16 @@ def logpmf(family: Family | str, k, mu, sigma: float = 0.0):
         if family is Family.POISSON or sigma == 0.0:
             out[live] = kk * np.log(mm) - mm - special.gammaln(kk + 1.0)
         elif family is Family.NBI:
-            inv = 1.0 / sigma
+            log1p_sm = np.log1p(sigma * mm)
             out[live] = (
-                special.gammaln(kk + inv)
+                _log_rising_ratio(kk, 1.0 / sigma)
+                + kk * (np.log(mm) - log1p_sm)
+                - log1p_sm / sigma
                 - special.gammaln(kk + 1.0)
-                - special.gammaln(inv)
-                + kk * (np.log(sigma) + np.log(mm))
-                - (kk + inv) * np.log1p(sigma * mm)
             )
         elif family is Family.PIG:
-            c = np.sqrt(1.0 / sigma**2 + 2.0 * mm / sigma)
-            out[live] = (
-                0.5 * (np.log(2.0) + np.log(c) - np.log(np.pi))
-                + kk * np.log(mm)
-                + 1.0 / sigma
-                + log_bessel_k_half(k_b[live], c)
-                - kk * (np.log(c) + np.log(sigma))
-                - special.gammaln(kk + 1.0)
-            )
+            c = pig_c(mm, sigma)
+            out[live] = _pig_logpmf(kk, mm, sigma, c, log_bessel_k_half(k_b[live], c))
     if out.ndim == 0:
         return float(out)
     return out
@@ -145,36 +163,33 @@ def pmf(family: Family | str, k, mu, sigma: float = 0.0):
     return np.exp(logpmf(family, k, mu, sigma))
 
 
-def pmf_range(family: Family | str, k_max: int, mu: float, sigma: float = 0.0) -> np.ndarray:
-    """pmf over k = 0..k_max at a single (mu, sigma).
+def pmf_range(family: Family | str, k_max: int, mu, sigma: float = 0.0) -> np.ndarray:
+    """pmf over k = 0..k_max at one or many means.
 
-    For PIG this shares one Bessel recurrence ladder across all orders,
-    making tail sums and normalization checks cheap.
+    A scalar ``mu`` gives a vector of length ``k_max + 1``.  An array of
+    means gives a ``(k_max + 1, len(mu))`` matrix whose column j is the
+    pmf at ``mu[j]``, so a mixture over means is one matrix-vector
+    product.  ``mu = 0`` is degenerate at zero.  For PIG one Bessel
+    recurrence ladder serves every order and every mean.
     """
     family = Family.coerce(family)
     if k_max < 0:
         raise ValidationError("k_max must be >= 0")
-    if mu < 0:
-        raise ValidationError("mu must be >= 0")
-    ks = np.arange(k_max + 1, dtype=np.int64)
-    if mu == 0.0:
-        out = np.zeros(k_max + 1)
-        out[0] = 1.0
-        return out
+    ks, mu = _validate_pmf_args(np.arange(k_max + 1), mu, sigma)
+    if mu.ndim > 1:
+        raise ValidationError("mu must be a scalar or a 1-D array of means")
+    means = np.atleast_1d(mu)
     if family is Family.PIG and sigma > 0.0:
-        c = float(pig_c(mu, sigma))
-        ladder = log_bessel_k_half_ladder(k_max, c)[:, 0]
-        kk = ks.astype(np.float64)
-        logs = (
-            0.5 * (np.log(2.0) + np.log(c) - np.log(np.pi))
-            + kk * np.log(mu)
-            + 1.0 / sigma
-            + ladder
-            - kk * (np.log(c) + np.log(sigma))
-            - special.gammaln(kk + 1.0)
-        )
-        return np.exp(logs)
-    return pmf(family, ks, mu, sigma)
+        out = np.zeros((k_max + 1, means.size))
+        live = means > 0.0
+        out[0, ~live] = 1.0
+        c = pig_c(means[live], sigma)
+        ladder = log_bessel_k_half_ladder(k_max, c)
+        kk = ks.astype(np.float64)[:, None]
+        out[:, live] = np.exp(_pig_logpmf(kk, means[live], sigma, c, ladder))
+    else:
+        out = pmf(family, ks[:, None], means, sigma)
+    return out[:, 0] if mu.ndim == 0 else out
 
 
 def moments(family: Family | str, mu, sigma: float = 0.0):
@@ -201,19 +216,26 @@ def truncation_for_mass(
     """Smallest precomputed K* with sum_{k<=K*} pmf(k) >= 1 - tail.
 
     Found by doubling a moment-based initial guess; intended for finite
-    normalization checks and tail-sum bounds.
+    normalization checks and tail-sum bounds.  A doubling that adds no
+    more than the float sum's rounding error means ``tail`` is finer than
+    the sum resolves: that raises :class:`ValidationError`.
     """
     family = Family.coerce(family)
+    if not tail > 0.0:
+        raise ValidationError("tail must be > 0")
     if mu == 0.0:
         return 0
     _, var = moments(family, mu, sigma)
     guess = int(mu + 10.0 * math.sqrt(var) + 20.0)
-    for _ in range(64):
+    previous = -math.inf
+    while True:
         total = float(pmf_range(family, guess, mu, sigma).sum())
         if total >= 1.0 - tail:
             return guess
+        if total - previous <= guess * np.finfo(np.float64).eps:
+            raise ValidationError(
+                f"mass stalls at {total!r} with K = {guess}, short of 1 - {tail}; "
+                "the tail is finer than the float sum resolves"
+            )
+        previous = total
         guess *= 2
-    raise ValidationError(
-        f"could not reach mass 1 - {tail} (last total {total}); "
-        "check parameters for validity"
-    )

@@ -65,7 +65,8 @@ def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     big = lam > _POISSON_LOOP_CUT
     if np.any(big):
-        out[big] = stats.poisson.ppf(u[big], lam[big]).astype(np.int64)
+        # ppf(0) is -1, one below the support
+        out[big] = np.maximum(stats.poisson.ppf(u[big], lam[big]), 0.0).astype(np.int64)
 
     small = (lam > 0.0) & ~big
     if np.any(small):

@@ -30,14 +30,17 @@ import numpy as np
 
 from .bessel import log_bessel_k_half
 from .errors import UndefinedResultError, ValidationError
-from .models import Family, logpmf, pig_c, pmf, pmf_range
+from .models import Family, pig_c, pmf, pmf_range
 from .synthesis import SyntheticTable
 from .table import CellSizeDistribution, SparseContingencyTable, cell_size_distribution
 
 
-def _zero_pmf_weights(family: Family, sigma: float, js: np.ndarray) -> np.ndarray:
-    """p(draw = 0 | mean j) for each j, the shrink-to-zero weights."""
-    return pmf(family, np.zeros(js.shape, dtype=np.int64), js.astype(np.float64), sigma)
+def _means_weights(dist: CellSizeDistribution, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``means = [alpha, sizes...]``, ``weights = [tau2(0), proportions...]``:
+    the synthesis mean of each original cell group and its share of cells."""
+    means = np.concatenate(([float(alpha)], dist.nonzero_sizes.astype(np.float64)))
+    weights = np.concatenate(([dist.proportion(0)], dist.nonzero_proportions))
+    return means, weights
 
 
 def tau1_expected(
@@ -54,16 +57,8 @@ def tau1_expected(
     occupied size j contributes pmf(k | j) * tau2(j).  The sum is over
     the finite support of the original table, hence exact.
     """
-    family = Family.coerce(family)
-    if k < 0:
-        raise ValidationError("k must be >= 0")
-    js = dist.nonzero_sizes.astype(np.float64)
-    ps = dist.nonzero_proportions
-    total = float(pmf(family, k, alpha, sigma)) * dist.proportion(0)
-    if js.size:
-        kk = np.full(js.shape, k, dtype=np.int64)
-        total += float(np.dot(pmf(family, kk, js, sigma), ps))
-    return total
+    means, weights = _means_weights(dist, alpha)
+    return float(pmf(family, k, means, sigma) @ weights)
 
 
 def tau1_expected_range(
@@ -75,15 +70,12 @@ def tau1_expected_range(
 ) -> np.ndarray:
     """tau1 for every k in 0..k_max in one pass.
 
-    Shares per-mean pmf ladders across all k, so summing the synthetic
-    size distribution to check its mass costs O(support * k_max) rather
-    than O(support * k_max^2).
+    One ``(k_max + 1) x (support + 1)`` pmf matrix times the weights, so
+    summing the synthetic size distribution to check its mass costs
+    O(support * k_max) rather than O(support * k_max^2).
     """
-    family = Family.coerce(family)
-    total = pmf_range(family, k_max, float(alpha), sigma) * dist.proportion(0)
-    for j, p in zip(dist.nonzero_sizes, dist.nonzero_proportions):
-        total = total + pmf_range(family, k_max, float(j), sigma) * float(p)
-    return total
+    means, weights = _means_weights(dist, alpha)
+    return pmf_range(family, k_max, means, sigma) @ weights
 
 
 def tau3_expected(family: Family | str, sigma: float, alpha: float, k: int) -> float:
@@ -92,12 +84,7 @@ def tau3_expected(family: Family | str, sigma: float, alpha: float, k: int) -> f
     Independent of the table's size distribution: pmf(0 | alpha) for
     k = 0 (a random zero must stay zero) and pmf(k | k) for k >= 1.
     """
-    family = Family.coerce(family)
-    if k < 0:
-        raise ValidationError("k must be >= 0")
-    if k == 0:
-        return float(pmf(family, 0, alpha, sigma))
-    return float(pmf(family, k, float(k), sigma))
+    return float(pmf(family, k, alpha if k == 0 else float(k), sigma))
 
 
 def tau4_expected(
@@ -110,11 +97,11 @@ def tau4_expected(
 ) -> float:
     """Expected proportion of synthetic size-k cells originating from size k.
 
-    ``method='bayes'`` evaluates tau3(k) * tau2(k) / tau1(k).
-    ``method='reduced'`` evaluates the algebraically reduced ratio in
-    which all k-only factors are cancelled; both must agree to near
-    machine precision and the reduced form is the cheaper route for
-    root-finding.
+    ``method='bayes'`` evaluates tau3(k) * tau2(k) / tau1(k) from the pmf,
+    as the solvers and reports do.  ``method='reduced'`` evaluates the
+    ratio with all k-only factors cancelled, written out per family apart
+    from the pmf; it is the cross-check, and both agree to near machine
+    precision.
     """
     family = Family.coerce(family)
     if method == "bayes":
@@ -141,9 +128,6 @@ def _tau4_reduced(
     """
     if k < 0:
         raise ValidationError("k must be >= 0")
-    t20 = dist.proportion(0)
-    js = dist.nonzero_sizes.astype(np.float64)
-    ps = dist.nonzero_proportions
 
     if family is Family.POISSON or sigma == 0.0:
         if k == 0:
@@ -167,23 +151,18 @@ def _tau4_reduced(
     else:  # pragma: no cover
         raise ValidationError(f"unhandled family {family}")
 
-    log_terms: list[float] = []
-    weights: list[float] = []
-    if k == 0 or alpha > 0.0:  # mean 0 cannot reach k >= 1
-        log_terms.append(float(logw(float(alpha))))
-        weights.append(t20)
-    for j, p in zip(js, ps):
-        log_terms.append(float(logw(float(j))))
-        weights.append(float(p))
+    means, weights = _means_weights(dist, alpha)
     if k == 0:
-        log_num = log_terms[0]
-        w_num = t20
+        log_num = float(logw(float(alpha)))
+        w_num = weights[0]
     else:
         log_num = float(logw(float(k)))
         w_num = dist.proportion(k)
-    terms = np.asarray(log_terms)
+        reach = means > 0.0  # mean 0 cannot reach k >= 1
+        means, weights = means[reach], weights[reach]
+    terms = logw(means)
     ref = terms.max() if terms.size else 0.0
-    den = float(np.dot(np.exp(terms - ref), np.asarray(weights)))
+    den = float(np.exp(terms - ref) @ weights)
     if den <= 0.0:
         raise UndefinedResultError(
             f"tau4({k}) undefined: no synthetic cells of size {k} are expected"
@@ -263,18 +242,15 @@ def tau_analytic(
     alpha: float,
     k_report: int = 3,
 ) -> TauReport:
-    """Analytic TauReport over k = 0..k_report."""
+    """Analytic TauReport over k = 0..k_report; tau4 is NaN where tau1 = 0."""
     family = Family.coerce(family)
     ks = np.arange(k_report + 1)
-    t1 = np.array([tau1_expected(dist, family, sigma, alpha, int(k)) for k in ks])
-    t2 = np.array([dist.proportion(int(k)) for k in ks])
-    t3 = np.array([tau3_expected(family, sigma, alpha, int(k)) for k in ks])
-    t4 = np.empty(ks.size)
-    for i, k in enumerate(ks):
-        try:
-            t4[i] = tau4_expected(dist, family, sigma, alpha, int(k))
-        except UndefinedResultError:
-            t4[i] = np.nan
+    t1 = tau1_expected_range(dist, family, sigma, alpha, k_report)
+    t2 = np.zeros(ks.size)
+    reported = dist.sizes <= k_report
+    t2[dist.sizes[reported]] = dist.proportions[reported]
+    t3 = pmf(family, ks, np.where(ks == 0, alpha, ks), sigma)
+    t4 = np.divide(t3 * t2, t1, out=np.full(ks.size, np.nan), where=t1 > 0.0)
     return TauReport("analytic", family.value, float(sigma), float(alpha), ks, t1, t2, t3, t4)
 
 

@@ -20,10 +20,8 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfeasibleError, ValidationError
-from .models import Family, pig_c
+from .models import Family, pmf
 from .table import CellSizeDistribution
 from .taumetrics import tau1_expected, tau4_expected
 
@@ -77,19 +75,7 @@ def _shrink_weight_sum(dist: CellSizeDistribution, family: Family, sigma: float)
     t20 = dist.proportion(0)
     if t20 <= 0.0:
         raise InfeasibleError("tau2(0) = 0: the original table has no random zeros to match")
-    js = dist.nonzero_sizes.astype(np.float64)
-    if js.size == 0:
-        return 0.0
-    ps = dist.nonzero_proportions
-    if family is Family.POISSON or sigma == 0.0:
-        w = np.exp(-js)
-    elif family is Family.NBI:
-        w = np.exp(-np.log1p(sigma * js) / sigma)
-    elif family is Family.PIG:
-        w = np.exp(1.0 / sigma - pig_c(js, sigma))
-    else:  # pragma: no cover
-        raise ValidationError(f"unhandled family {family}")
-    return float(np.dot(w, ps)) / t20
+    return float(pmf(family, 0, dist.nonzero_sizes, sigma) @ dist.nonzero_proportions) / t20
 
 
 def alpha_star_match_zeros(
@@ -141,7 +127,7 @@ def solve_alpha_for_tau4_target(
         raise ValidationError("sigma_star must be >= 0")
 
     def f(alpha: float) -> float:
-        return tau4_expected(dist, family, sigma_star, alpha, 1, method="reduced")
+        return tau4_expected(dist, family, sigma_star, alpha, 1)
 
     f0 = f(0.0)
     if p > f0 + 1e-12:

@@ -1,0 +1,75 @@
+"""Property tests: every analytic tau route agrees with the one pmf.
+
+Sizes stay below 60 so that no mass underflows; the PIG dispersion stays
+above 1e-3, where its 1/sigma - c cancellation costs less than 1e-12.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from satsynth.errors import UndefinedResultError
+from satsynth.models import pmf_range
+from satsynth.table import CellSizeDistribution
+from satsynth.taumetrics import tau1_expected, tau3_expected, tau4_expected, tau_analytic
+
+size_counts = st.dictionaries(
+    st.integers(0, 60), st.integers(1, 10_000), min_size=1, max_size=12
+)
+
+
+@st.composite
+def models(draw):
+    family = draw(st.sampled_from(["poisson", "nbi", "pig"]))
+    if family == "poisson":
+        sigma = 0.0
+    else:
+        low = 1e-9 if family == "nbi" else 1e-3
+        sigma = draw(st.one_of(st.just(0.0), st.floats(low, 20.0)))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(1e-6, 2.0)))
+    return family, sigma, alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.lists(st.floats(0.0, 80.0), min_size=1, max_size=8), st.integers(0, 40))
+def test_pmf_range_matrix_equals_its_columns(model, means, k_max):
+    family, sigma, _ = model
+    mat = pmf_range(family, k_max, np.array(means), sigma)
+    assert mat.shape == (k_max + 1, len(means))
+    for j, mu in enumerate(means):
+        np.testing.assert_allclose(mat[:, j], pmf_range(family, k_max, mu, sigma), rtol=1e-14, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(size_counts, models(), st.integers(0, 6))
+def test_tau_analytic_rows_equal_scalar_routes(counts, model, k_report):
+    family, sigma, alpha = model
+    dist = CellSizeDistribution.from_counts(counts)
+    rep = tau_analytic(dist, family, sigma, alpha, k_report=k_report)
+    for i, k in enumerate(rep.ks):
+        k = int(k)
+        assert rep.tau1[i] == pytest.approx(tau1_expected(dist, family, sigma, alpha, k), rel=1e-13, abs=1e-300)
+        assert rep.tau2[i] == dist.proportion(k)
+        assert rep.tau3[i] == tau3_expected(family, sigma, alpha, k)
+        try:
+            tau4 = tau4_expected(dist, family, sigma, alpha, k)
+        except UndefinedResultError:
+            assert np.isnan(rep.tau4[i])
+        else:
+            assert rep.tau4[i] == pytest.approx(tau4, rel=1e-13, abs=1e-300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(size_counts, models(), st.integers(0, 6))
+def test_bayes_and_reduced_tau4_agree(counts, model, k):
+    family, sigma, alpha = model
+    dist = CellSizeDistribution.from_counts(counts)
+    try:
+        bayes = tau4_expected(dist, family, sigma, alpha, k, method="bayes")
+    except UndefinedResultError:
+        with pytest.raises(UndefinedResultError):
+            tau4_expected(dist, family, sigma, alpha, k, method="reduced")
+        return
+    reduced = tau4_expected(dist, family, sigma, alpha, k, method="reduced")
+    assert reduced == pytest.approx(bayes, rel=1e-10, abs=0.0)

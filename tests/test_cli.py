@@ -184,3 +184,19 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     assert run("tune", "--config", cfg, "--family", "nbi", "--sigma", "1.0") == 0
     over = json.loads(capsys.readouterr().out)
     assert over["family"] == "nbi" and over["sigma"] == 1.0
+
+
+def test_config_flag_without_path_is_a_typed_error(capsys):
+    assert run("tune", "--config") == 1
+    assert "error: --config needs a file path" in capsys.readouterr().err
+
+
+def test_missing_config_and_table_files_are_typed_errors(tmp_path, capsys):
+    assert run("tune", "--config", tmp_path / "nope.cfg") == 1
+    assert "error: config file not found" in capsys.readouterr().err
+    assert run("tune", "--table", tmp_path / "nope.csv", "--family", "poisson",
+               "--target", "match-zeros") == 1
+    assert "error: table file not found" in capsys.readouterr().err
+    assert run("metrics", "--table", tmp_path / "nope.csv", "--synthetic", tmp_path / "x.csv",
+               "--out-prefix", tmp_path / "tau") == 1
+    assert "error: table file not found" in capsys.readouterr().err

@@ -118,3 +118,37 @@ def test_input_validation():
         Family.coerce("weibull")
     with pytest.raises(ValidationError):
         CountModelSpec("poisson", alpha=-0.1)
+
+
+@pytest.mark.parametrize("mu", [0.5, 5.0, 740.0])
+@pytest.mark.parametrize("sigma", [1e-12, 1e-9, 1e-7, 1e-5, 1e-2, 1.0])
+def test_nbi_mass_and_mean_stable_as_sigma_vanishes(sigma, mu):
+    # log-gamma differences at shape 1/sigma cancel; the mass drifted by
+    # +1.9e-6 at sigma=1e-9, mu=5 before the shape factor was rewritten
+    k_max = int(mu + 40.0 * math.sqrt(mu + sigma * mu**2) + 100.0)
+    probs = pmf_range("nbi", k_max, mu, sigma)
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    assert abs(np.arange(k_max + 1) @ probs - mu) <= 1e-10 * mu
+
+
+def test_pmf_range_array_of_means():
+    means = np.array([0.0, 0.3, 4.0, 60.0])
+    for fam, sigma in (("poisson", 0.0), ("nbi", 0.7), ("pig", 0.7), ("pig", 0.0)):
+        mat = pmf_range(fam, 80, means, sigma)
+        assert mat.shape == (81, means.size)
+        for j, mu in enumerate(means):
+            np.testing.assert_array_equal(mat[:, j], pmf_range(fam, 80, float(mu), sigma))
+        np.testing.assert_array_equal(mat[:, 0], np.eye(81)[0])
+    assert pmf_range("pig", 5, 2.0, 1.0).shape == (6,)
+    with pytest.raises(ValidationError):
+        pmf_range("poisson", 3, np.ones((2, 2)))
+
+
+def test_truncation_for_mass_rejects_unresolvable_tail():
+    # the Poisson(740) float sum levels off at 1 - 1.7e-13; doubling the
+    # truncation point used to run on until MemoryError
+    with pytest.raises(ValidationError, match="stalls"):
+        truncation_for_mass("poisson", 740.0, tail=1e-15)
+    with pytest.raises(ValidationError):
+        truncation_for_mass("nbi", 5.0, 1.0, tail=0.0)
+    assert truncation_for_mass("poisson", 740.0, tail=1e-12) < 2_000

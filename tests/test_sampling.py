@@ -60,6 +60,15 @@ def test_poisson_inverse_degenerate_and_extreme():
     assert hi >= 15  # far tail reached, no stall
 
 
+def test_poisson_inverse_zero_uniform_is_zero_at_large_means():
+    # scipy's ppf(0, lam) is -1, which leaked through above the loop cut
+    lam = np.array([0.5, 60.0, 61.0, 740.0, 1e6])
+    np.testing.assert_array_equal(poisson_inverse(np.zeros(lam.size), lam), 0)
+    u = np.array([2.0**-53, 0.5, 1.0 - 2.0**-53])
+    ours = poisson_inverse(np.repeat(u, lam.size), np.tile(lam, u.size))
+    np.testing.assert_array_equal(ours, stats.poisson.ppf(np.repeat(u, lam.size), np.tile(lam, u.size)))
+
+
 def test_zero_mean_always_zero():
     rng = np.random.default_rng(0)
     for fam in ("poisson", "nbi", "pig"):
