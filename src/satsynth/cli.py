@@ -111,8 +111,9 @@ def _load_synthetic(path: str):
 
 
 def cmd_aggregate(args) -> int:
-    schema = CategoricalSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
-    table = aggregate_microdata_csv(args.microdata, schema)
+    schema = CategoricalSchema.from_json(_read_input(args.schema, "schema"))
+    table = _read_input(args.microdata, "microdata",
+                        lambda path: aggregate_microdata_csv(path, schema))
     write_table(table, args.out)
     print(f"aggregated {table.n} records into {table.num_nonzero} nonzero cells "
           f"of {table.num_cells} ({args.out})")
@@ -121,7 +122,7 @@ def cmd_aggregate(args) -> int:
 
 def cmd_generate_escsub(args) -> int:
     if args.spec:
-        spec = HistogramSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
+        spec = HistogramSpec.from_json(_read_input(args.spec, "spec"))
     else:
         spec = esc_like_spec()
     if args.cells:

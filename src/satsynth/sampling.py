@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import Philox
-from scipy import special, stats
+from scipy import special
 
 from .errors import ValidationError
 from .models import Family
@@ -29,7 +29,7 @@ from .models import Family
 SLOTS_PER_DRAW = 4  # one Philox counter block of 4 raw 64-bit words
 
 _U64_MASK = (1 << 64) - 1
-_POISSON_LOOP_CUT = 60.0  # accumulate term-by-term below, scipy ppf above
+_POISSON_LOOP_CUT = 60.0  # accumulate term-by-term below, invert pdtrik above
 
 
 def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarray:
@@ -51,12 +51,23 @@ def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarr
     return u.reshape(n, SLOTS_PER_DRAW)
 
 
+def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``scipy.stats.poisson.ppf(u, lam)`` for u in (0, 1), bit for bit, and 0 at u = 0.
+
+    Built from the two special functions that ppf evaluates, so sampling
+    does not import :mod:`scipy.stats`, which alone doubles CLI start-up.
+    """
+    k = np.ceil(special.pdtrik(u, lam))
+    below = np.maximum(k - 1.0, 0.0)
+    return np.where(special.pdtr(below, lam) >= u, below, k)
+
+
 def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Exact Poisson quantile: smallest k with CDF(k) >= u, vectorised.
 
     Small means use term-by-term CDF accumulation (cheap: the expected
-    iteration count is lam + 1); large means fall back to scipy's
-    quantile.  lam = 0 maps to 0.
+    iteration count is lam + 1); large means invert the regularized
+    gamma function.  lam = 0 maps to 0.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
@@ -65,8 +76,7 @@ def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     big = lam > _POISSON_LOOP_CUT
     if np.any(big):
-        # ppf(0) is -1, one below the support
-        out[big] = np.maximum(stats.poisson.ppf(u[big], lam[big]), 0.0).astype(np.int64)
+        out[big] = _poisson_quantile(u[big], lam[big]).astype(np.int64)
 
     small = (lam > 0.0) & ~big
     if np.any(small):
@@ -86,7 +96,7 @@ def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
             cdf[idx] += term[idx]
             idx = idx[us[idx] >= cdf[idx]]
         if idx.size:  # u so extreme the accumulated CDF stalled
-            k[idx] = stats.poisson.ppf(us[idx], ls[idx]).astype(np.int64)
+            k[idx] = _poisson_quantile(us[idx], ls[idx]).astype(np.int64)
         out[small] = k
     return out
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -404,27 +403,118 @@ def mark_structural_zeros(
 # -- file I/O ----------------------------------------------------------------------
 
 
+_WRITE_BLOCK_ROWS = 1 << 16  # rows formatted per write; bounds the text held at once
+
+
+def _csv_field(label: str) -> str:
+    """``label`` as :mod:`csv` writes it inside a row, quoted only if needed.
+
+    A CRLF terminator makes csv quote a lone CR as well; with LF alone it
+    leaves the CR bare, and the row no longer reads back.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([label, ""])
+    return buf.getvalue()[:-3]
+
+
 def _write_table_stream(table: SparseContingencyTable, fh) -> None:
+    schema = table.schema
     fh.write(f"# {_FORMAT_TAG}\n")
-    fh.write(f"# schema: {table.schema.to_json()}\n")
+    fh.write(f"# schema: {schema.to_json()}\n")
     fh.write(f"# n: {table.n}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(list(table.schema.names) + ["count", "structural"])
+    csv.writer(fh, lineterminator="\n").writerow(list(schema.names) + ["count", "structural"])
     merged = np.concatenate([table.index, table.structural])
     counts = np.concatenate([table.count, np.zeros(table.structural.size, dtype=np.int64)])
     flags = np.concatenate(
-        [np.zeros(table.index.size, dtype=np.int64), np.ones(table.structural.size, dtype=np.int64)]
+        [np.zeros(table.index.size, dtype=bool), np.ones(table.structural.size, dtype=bool)]
     )
     order = np.argsort(merged, kind="stable")
-    coords = table.schema.coords_of_array(merged[order])
-    for row, c, s in zip(coords, counts[order], flags[order]):
-        writer.writerow(list(table.schema.labels_of(row)) + [int(c), int(s)])
+    merged, counts, flags = merged[order], counts[order], flags[order]
+    # each label quoted once, with its trailing comma, then gathered by ordinal
+    fields = [np.array([_csv_field(c) + "," for c in cats]) for _, cats in schema.variables]
+    for lo in range(0, merged.size, _WRITE_BLOCK_ROWS):
+        block = slice(lo, lo + _WRITE_BLOCK_ROWS)
+        coords = schema.coords_of_array(merged[block])
+        values, inverse = np.unique(counts[block], return_inverse=True)
+        tails = np.char.add(values.astype(str), ",0\n")[inverse]
+        tails[flags[block]] = "0,1\n"  # structural rows always hold count 0
+        lines = fields[0][coords[:, 0]]
+        for j in range(1, len(fields)):
+            lines = np.char.add(lines, fields[j][coords[:, j]])
+        fh.write("".join(np.char.add(lines, tails).tolist()))
 
 
 def write_table(table: SparseContingencyTable, path: str) -> None:
     """Write the canonical aggregated-CSV form (stable byte-for-byte)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_table_stream(table, fh)
+
+
+def _label_ordinals(labels: np.ndarray, cats: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinal of each label within ``cats``, and a mask of the labels found."""
+    cats_arr = np.array(cats)
+    order = np.argsort(cats_arr)
+    ranked = cats_arr[order]
+    pos = np.minimum(np.searchsorted(ranked, labels), len(cats) - 1)
+    return order.astype(np.uint64)[pos], ranked[pos] == labels
+
+
+def _decode_rows(fh, schema: CategoricalSchema) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat index, count and structural mask of every body row, in one pass.
+
+    Raises ValueError if any row is malformed; :func:`_check_rows` names it.
+    """
+    # one wider than the longest label, so a longer field cannot be
+    # truncated into a valid label; likewise for the 0/1 flag
+    dtype = [(f"label{j}", f"U{max(map(len, cats)) + 1}") for j, (_, cats) in enumerate(schema.variables)]
+    dtype += [("count", "i8"), ("structural", "U2")]
+    *labels, count, flag = np.loadtxt(
+        fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1, unpack=True
+    )
+    flat = np.zeros(count.size, dtype=np.uint64)
+    bad = np.zeros(count.size, dtype=bool)
+    for column, (_, cats) in zip(labels, schema.variables):
+        ordinals, found = _label_ordinals(column, cats)
+        flat = flat * np.uint64(len(cats)) + ordinals
+        bad |= ~found
+    structural = flag == "1"
+    bad |= ~(structural | (flag == "0")) | (count < 0) | (structural & (count != 0))
+    if bad.any():
+        raise ValueError(f"row {int(np.argmax(bad)) + 1} of the body fails a check")
+    return flat, count, structural
+
+
+def _check_rows(fh, schema: CategoricalSchema, lineno: int) -> None:
+    """Read the body row by row and raise the first offending row's FormatError.
+
+    ``lineno`` is the line number of the column header; rows are numbered
+    by CSV record, as :mod:`csv` reads them.
+    """
+    p = len(schema.names)
+    try:
+        for row in csv.reader(fh):
+            lineno += 1
+            if len(row) != p + 2:
+                raise FormatError(f"expected {p + 2} fields, got {len(row)}", line=lineno)
+            try:
+                schema.ordinals_of(row[:p])
+            except ValidationError as exc:
+                raise FormatError(str(exc), line=lineno) from None
+            text = row[p].strip()
+            digits = text[1:] if text[:1] in ("+", "-") else text
+            if not (digits.isascii() and digits.isdigit()):
+                raise FormatError(f"unreadable count {row[p]!r}", line=lineno)
+            count = int(text)
+            if count < 0:
+                raise FormatError(f"negative count {count}", line=lineno)
+            if count > _I64_MAX:
+                raise FormatError(f"count {count} overflows 64-bit storage", line=lineno)
+            if row[p + 1] not in ("0", "1"):
+                raise FormatError(f"structural flag must be 0 or 1, got {row[p + 1]!r}", line=lineno)
+            if row[p + 1] == "1" and count != 0:
+                raise FormatError("structural zero rows must have count 0", line=lineno)
+    except csv.Error as exc:
+        raise FormatError(str(exc), line=lineno + 1) from None
 
 
 def read_table(path: str, schema: CategoricalSchema | None = None) -> SparseContingencyTable:
@@ -459,46 +549,34 @@ def read_table(path: str, schema: CategoricalSchema | None = None) -> SparseCont
         expected = list(schema.names) + ["count", "structural"]
         if header != expected:
             raise FormatError(f"header {header!r}, expected {expected!r}", line=lineno)
-        p = len(schema.names)
-        idx: list[int] = []
-        cnt: list[int] = []
-        structural: list[int] = []
-        for row in csv.reader(fh):
-            lineno += 1
-            if len(row) != p + 2:
-                raise FormatError(f"expected {p + 2} fields, got {len(row)}", line=lineno)
+        if any("\x00" in c for _, cats in schema.variables for c in cats):
+            # numpy strings drop trailing NULs, so such labels would alias
+            raise FormatError("category labels containing NUL characters cannot be read")
+        start = fh.tell()
+        text = fh.read()
+        flat, count, structural = np.empty(0, np.uint64), np.empty(0, np.int64), np.empty(0, bool)
+        # loadtxt skips blank lines and numpy strings drop trailing NULs,
+        # where csv reads an empty row or a different field: check row-wise
+        if text.startswith(("\n", "\r")) or any(s in text for s in ("\n\n", "\n\r", "\r\r", "\x00")):
+            fh.seek(start)
+            _check_rows(fh, schema, lineno)
+        if text:  # loadtxt warns on an empty body
+            fh.seek(start)
             try:
-                flat = 0
-                for j in range(p):
-                    flat = flat * len(schema.variables[j][1]) + schema.ordinal(j, row[j])
-            except ValidationError as exc:
-                raise FormatError(str(exc), line=lineno) from None
-            try:
-                count = int(row[p])
-            except ValueError:
-                raise FormatError(f"unreadable count {row[p]!r}", line=lineno) from None
-            if count < 0:
-                raise FormatError(f"negative count {count}", line=lineno)
-            if count > _I64_MAX:
-                raise FormatError(f"count {count} overflows 64-bit storage", line=lineno)
-            if row[p + 1] not in ("0", "1"):
-                raise FormatError(f"structural flag must be 0 or 1, got {row[p + 1]!r}", line=lineno)
-            if row[p + 1] == "1":
-                if count != 0:
-                    raise FormatError("structural zero rows must have count 0", line=lineno)
-                structural.append(flat)
-            elif count > 0:
-                idx.append(flat)
-                cnt.append(count)
-            # count==0, structural==0: optional explicit random zero; ignore
-        seen = np.array(idx + structural, dtype=np.uint64)
-        if seen.size != np.unique(seen).size:
-            uniq, c = np.unique(seen, return_counts=True)
-            dup = int(uniq[c > 1][0])
+                flat, count, structural = _decode_rows(fh, schema)
+            except ValueError as exc:
+                fh.seek(start)
+                _check_rows(fh, schema, lineno)
+                raise FormatError(f"unreadable table body: {exc}") from None
+        # explicit zero-count rows are optional random zeros and may repeat
+        seen = np.sort(flat[structural | (count > 0)])
+        dup = seen[1:][seen[1:] == seen[:-1]]
+        if dup.size:
             raise FormatError(
-                f"duplicate cell {schema.labels_of(schema.coords_of(dup))}"
+                f"duplicate cell {schema.labels_of(schema.coords_of(int(dup[0])))}"
             )
-        table = SparseContingencyTable(schema, idx, cnt, structural)
+        live = count > 0
+        table = SparseContingencyTable(schema, flat[live], count[live], flat[structural])
         if header_n is not None and header_n != table.n:
             raise FormatError(f"header n={header_n} but counts sum to {table.n}")
         return table

@@ -2,15 +2,22 @@
 
 These deliberately avoid the package's own evaluation routes: Bessel
 values come from direct adaptive quadrature of the integral definition,
-and mixture pmfs from numerical integration over the mixing density.
+mixture pmfs from numerical integration over the mixing density, and the
+canonical table CSV from a row-at-a-time :mod:`csv` writer and reader.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
 from scipy import integrate, optimize
+
+from satsynth.errors import FormatError, ValidationError
+from satsynth.schema import CategoricalSchema
+from satsynth.table import SparseContingencyTable
 
 
 def _logcosh(x: float) -> float:
@@ -124,3 +131,104 @@ def chisq_pvalue_from_draws(draws: np.ndarray, pmf_vals: np.ndarray, min_expecte
     dof = obs_arr.size - 1
     pval = float(stats.chi2.sf(stat, dof))
     return stat, dof, pval
+
+
+# -- canonical table CSV, one row at a time ------------------------------------------
+
+
+def write_table_rowwise(table: SparseContingencyTable, fh) -> None:
+    """The canonical aggregated CSV, one ``csv.writer`` row per cell.
+
+    Unlike a plain ``csv.writer(fh, lineterminator="\\n")`` it quotes labels
+    holding a lone CR, which that writer leaves bare and its reader then
+    splits into two rows.
+    """
+    fh.write("# satsynth-table v1\n")
+    fh.write(f"# schema: {table.schema.to_json()}\n")
+    fh.write(f"# n: {table.n}\n")
+    csv.writer(fh, lineterminator="\n").writerow(list(table.schema.names) + ["count", "structural"])
+    row_text = io.StringIO()
+    # a "\r\n" terminator makes csv quote fields holding a lone CR
+    writer = csv.writer(row_text, lineterminator="\r\n")
+    merged = np.concatenate([table.index, table.structural])
+    counts = np.concatenate([table.count, np.zeros(table.structural.size, dtype=np.int64)])
+    flags = np.concatenate(
+        [np.zeros(table.index.size, dtype=np.int64), np.ones(table.structural.size, dtype=np.int64)]
+    )
+    order = np.argsort(merged, kind="stable")
+    coords = table.schema.coords_of_array(merged[order])
+    for row, c, s in zip(coords, counts[order], flags[order]):
+        row_text.seek(0)
+        row_text.truncate()
+        writer.writerow(list(table.schema.labels_of(row)) + [int(c), int(s)])
+        fh.write(row_text.getvalue()[:-2] + "\n")
+
+
+def read_table_rowwise(path: str, schema: CategoricalSchema | None = None) -> SparseContingencyTable:
+    """Aggregated-CSV reader that checks and decodes one ``csv.reader`` row at a time.
+
+    Counts are parsed with Python ``int``, which also accepts underscores
+    and non-ASCII digits that the table format rejects.
+    """
+    header_n = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        lineno = 0
+        line = fh.readline()
+        while line.startswith("#"):
+            lineno += 1
+            body = line[1:].strip()
+            if body.startswith("schema:"):
+                parsed = CategoricalSchema.from_json(body[len("schema:"):].strip())
+                if schema is None:
+                    schema = parsed
+            elif body.startswith("n:"):
+                try:
+                    header_n = int(body[len("n:"):].strip())
+                except ValueError:
+                    raise FormatError("unreadable n header", line=lineno) from None
+            line = fh.readline()
+        if schema is None:
+            raise FormatError("no schema header found and none supplied")
+        lineno += 1
+        header = next(csv.reader([line])) if line else []
+        expected = list(schema.names) + ["count", "structural"]
+        if header != expected:
+            raise FormatError(f"header {header!r}, expected {expected!r}", line=lineno)
+        p = len(schema.names)
+        idx, cnt, structural = [], [], []
+        for row in csv.reader(fh):
+            lineno += 1
+            if len(row) != p + 2:
+                raise FormatError(f"expected {p + 2} fields, got {len(row)}", line=lineno)
+            try:
+                flat = 0
+                for j in range(p):
+                    flat = flat * len(schema.variables[j][1]) + schema.ordinal(j, row[j])
+            except ValidationError as exc:
+                raise FormatError(str(exc), line=lineno) from None
+            try:
+                count = int(row[p])
+            except ValueError:
+                raise FormatError(f"unreadable count {row[p]!r}", line=lineno) from None
+            if count < 0:
+                raise FormatError(f"negative count {count}", line=lineno)
+            if count > 2**63 - 1:
+                raise FormatError(f"count {count} overflows 64-bit storage", line=lineno)
+            if row[p + 1] not in ("0", "1"):
+                raise FormatError(f"structural flag must be 0 or 1, got {row[p + 1]!r}", line=lineno)
+            if row[p + 1] == "1":
+                if count != 0:
+                    raise FormatError("structural zero rows must have count 0", line=lineno)
+                structural.append(flat)
+            elif count > 0:
+                idx.append(flat)
+                cnt.append(count)
+        seen = np.array(idx + structural, dtype=np.uint64)
+        if seen.size != np.unique(seen).size:
+            uniq, c = np.unique(seen, return_counts=True)
+            dup = int(uniq[c > 1][0])
+            raise FormatError(f"duplicate cell {schema.labels_of(schema.coords_of(dup))}")
+        table = SparseContingencyTable(schema, idx, cnt, structural)
+        if header_n is not None and header_n != table.n:
+            raise FormatError(f"header n={header_n} but counts sum to {table.n}")
+        return table

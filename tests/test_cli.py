@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import satsynth
 from satsynth.cli import main
 from satsynth.generator import HistogramSpec, TailSpec
 from satsynth.schema import CategoricalSchema
@@ -45,10 +49,30 @@ def test_aggregate_unknown_category_names_row(workdir, capsys):
     assert "record 2" in err and "a9" in err
 
 
-def test_aggregate_missing_schema_file(workdir):
-    with pytest.raises(FileNotFoundError):
-        run("aggregate", "--microdata", workdir / "micro.csv",
-            "--schema", workdir / "nope.json", "--out", workdir / "x.csv")
+def test_aggregate_missing_schema_file(workdir, capsys):
+    assert run("aggregate", "--microdata", workdir / "micro.csv",
+               "--schema", workdir / "nope.json", "--out", workdir / "x.csv") == 1
+    assert "error: schema file not found" in capsys.readouterr().err
+
+
+def test_aggregate_missing_microdata_file(workdir, capsys):
+    assert run("aggregate", "--microdata", workdir / "nope.csv",
+               "--schema", workdir / "schema.json", "--out", workdir / "x.csv") == 1
+    assert "error: microdata file not found" in capsys.readouterr().err
+
+
+def test_generate_escsub_missing_spec_file(tmp_path, capsys):
+    assert run("generate-escsub", "--spec", tmp_path / "nope.json", "--seed", 1,
+               "--out", tmp_path / "t.csv") == 1
+    assert "error: spec file not found" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(satsynth.__file__).resolve().parents[1]
+    code = "import sys, satsynth.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 def test_generate_spec_and_synthesize_determinism(tmp_path, capsys):

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from satsynth.errors import ValidationError
@@ -52,6 +54,12 @@ def test_poisson_inverse_matches_scipy_ppf():
     ours = poisson_inverse(u, lam)
     ref = stats.poisson.ppf(u, lam).astype(np.int64)
     assert np.array_equal(ours, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(60.0, 1e8, exclude_min=True))
+def test_poisson_inverse_equals_scipy_ppf_at_large_means(u, lam):
+    assert poisson_inverse(np.array([u]), np.array([lam]))[0] == max(stats.poisson.ppf(u, lam), 0.0)
 
 
 def test_poisson_inverse_degenerate_and_extreme():

@@ -1,0 +1,200 @@
+"""Canonical table CSV against the row-at-a-time reference writer and reader."""
+
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import read_table_rowwise, write_table_rowwise
+from satsynth.errors import FormatError
+from satsynth.schema import CategoricalSchema
+from satsynth.table import SparseContingencyTable, read_table, table_to_string
+
+# characters that need quoting or trip tokenisers, plus any non-NUL code point
+_LABEL_CHARS = st.one_of(
+    st.sampled_from([",", '"', "\r", "\n", " ", "a", "#"]),
+    st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+)
+_LABELS = st.lists(st.text(_LABEL_CHARS, max_size=4), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def _tables(draw):
+    """A small table whose cells are random zeros, structural zeros or counts."""
+    schema = CategoricalSchema(
+        [(f"v{j}", cats) for j, cats in enumerate(draw(st.lists(_LABELS, min_size=1, max_size=3)))]
+    )
+    kinds = draw(st.lists(st.sampled_from("0sc"), min_size=schema.num_cells, max_size=schema.num_cells))
+    counts = draw(st.lists(st.integers(1, 2**40), min_size=schema.num_cells, max_size=schema.num_cells))
+    index = [i for i, k in enumerate(kinds) if k == "c"]
+    structural = [i for i, k in enumerate(kinds) if k == "s"]
+    return SparseContingencyTable(schema, index, [counts[i] for i in index], structural)
+
+
+def _oracle_text(table) -> str:
+    buf = io.StringIO()
+    write_table_rowwise(table, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+def test_write_matches_rowwise_writer(table):
+    assert table_to_string(table) == _oracle_text(table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables(), st.data())
+def test_read_matches_rowwise_reader(tmp_path_factory, table, data):
+    """Rows in any order, with explicit zero-count rows mixed in, CRLF or all fields quoted."""
+    schema = table.schema
+    rows = [list(schema.labels_of(schema.coords_of(int(f)))) + [int(c), 0]
+            for f, c in zip(table.index, table.count)]
+    rows += [list(schema.labels_of(schema.coords_of(int(f)))) + [0, 1] for f in table.structural]
+    zeros = data.draw(st.lists(st.integers(0, schema.num_cells - 1), max_size=3))
+    rows += [list(schema.labels_of(schema.coords_of(f))) + [0, 0] for f in zeros]
+    rows = data.draw(st.permutations(rows))
+    buf = io.StringIO()
+    buf.write(f"# satsynth-table v1\n# schema: {schema.to_json()}\n# n: {table.n}\n")
+    # with LF rows csv leaves a lone CR bare unless it quotes every field
+    dialect = data.draw(st.sampled_from([{"lineterminator": "\r\n"},
+                                         {"lineterminator": "\n", "quoting": csv.QUOTE_ALL}]))
+    writer = csv.writer(buf, **dialect)
+    writer.writerow([*schema.names, "count", "structural"])
+    writer.writerows(rows)
+    path = tmp_path_factory.mktemp("io") / "t.csv"
+    path.write_text(buf.getvalue(), encoding="utf-8", newline="")
+    back = read_table(str(path))
+    assert back.same_contents(read_table_rowwise(str(path)))
+    assert back.same_contents(table)
+
+
+_FUZZ_SCHEMA = CategoricalSchema([("A", ["a", "b", ""]), ("B", ["x", 'y"', "z,", "w\n"])])
+_FUZZ_TOKENS = st.sampled_from(
+    ["a", "b", "x", "y", "z", "w", ",", '"', "\n", "\r", "\r\n", " ", "\t", "\x00", "0", "1", "2",
+     "-", "+", "5.0", str(2**63), "a,x,1,0\n", "b,y,0,1\n"]
+)
+
+
+def _outcome(reader, path):
+    try:
+        table = reader(path)
+    except FormatError as exc:
+        return str(exc), exc.line
+    return table.index.tolist(), table.count.tolist(), table.structural.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FUZZ_TOKENS, max_size=30))
+def test_any_body_reads_like_rowwise(tmp_path_factory, tokens):
+    """Well-formed or not, a body gives the row-wise reader's table or error."""
+    path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+    header = f"# satsynth-table v1\n# schema: {_FUZZ_SCHEMA.to_json()}\nA,B,count,structural\n"
+    path.write_text(header + "".join(tokens), encoding="utf-8", newline="")
+    assert _outcome(read_table, str(path)) == _outcome(read_table_rowwise, str(path))
+
+
+_SCHEMA = CategoricalSchema([("A", ["a001", "a002"]), ("B", ["x", "y"])])
+# lines 1-3 comments, 4 the column header, 5-7 the rows
+_BASE = (
+    "# satsynth-table v1\n"
+    f"# schema: {_SCHEMA.to_json()}\n"
+    "# n: 3\n"
+    "A,B,count,structural\n"
+    "a001,x,2,0\n"
+    "a002,x,1,0\n"
+    "a002,y,0,1\n"
+)
+
+_MALFORMED = {
+    "missing field": ("a001,x,2,0\n", "a001,x,2\n"),
+    "extra field": ("a001,x,2,0\n", "a001,x,2,0,0\n"),
+    "negative count": ("a001,x,2,0\n", "a001,x,-2,0\n"),
+    "overflowing count": ("a001,x,2,0\n", f"a001,x,{2**63},0\n"),
+    "duplicate nonzero row": ("a002,x,1,0\n", "a002,x,1,0\na002,x,1,0\n"),
+    "blank line": ("a002,x,1,0\n", "a002,x,1,0\n\n"),
+    "blank first row": ("a001,x,2,0\n", "\na001,x,2,0\n"),
+    "blank crlf line": ("a002,x,1,0\n", "a002,x,1,0\r\n\r\n"),
+    "whitespace-only line": ("a002,x,1,0\n", "a002,x,1,0\n   \n"),
+    "unknown label": ("a002,x,1,0\n", "a009,x,1,0\n"),
+    "label extending a valid one": ("a002,x,1,0\n", "a0011,x,1,0\n"),
+    "label longer than the field width": ("a002,x,1,0\n", "a00111,x,1,0\n"),
+    "count abc": ("a002,x,1,0\n", "a002,x,abc,0\n"),
+    "count 5.0": ("a002,x,1,0\n", "a002,x,5.0,0\n"),
+    "empty count": ("a002,x,1,0\n", "a002,x,,0\n"),
+    "structural flag 2": ("a002,x,1,0\n", "a002,x,1,2\n"),
+    "structural flag 10": ("a002,x,1,0\n", "a002,x,1,10\n"),
+    "padded structural flag": ("a002,x,1,0\n", "a002,x,1, 0\n"),
+    "NUL after the flag": ("a002,x,1,0\n", "a002,x,1,0\x00\n"),
+    "NUL after a label": ("a002,x,1,0\n", "a002,x\x00,1,0\n"),
+    "structural row with a count": ("a002,y,0,1\n", "a002,y,3,1\n"),
+    "duplicate across nonzero and structural": ("a002,y,0,1\n", "a002,y,0,1\na001,x,0,1\n"),
+    "header n mismatch": ("# n: 3\n", "# n: 4\n"),
+    "header n without rows": ("a001,x,2,0\na002,x,1,0\na002,y,0,1\n", ""),
+    "unterminated quote": ("a002,y,0,1\n", 'a002,y,0,1\n"a001,y,1,0\n'),
+}
+
+
+@pytest.mark.parametrize("old, new", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_file_raises_the_rowwise_error(tmp_path, old, new):
+    path = tmp_path / "t.csv"
+    path.write_text(_BASE.replace(old, new, 1), encoding="utf-8", newline="")
+    with pytest.raises(FormatError) as expected:
+        read_table_rowwise(str(path))
+    with pytest.raises(FormatError) as got:
+        read_table(str(path))
+    assert str(got.value) == str(expected.value)
+    assert got.value.line == expected.value.line
+
+
+_ACCEPTED = {
+    "crlf line ends": ("\n", "\r\n"),
+    "cr line ends": (",0\n", ",0\r"),
+    "padded and signed counts": ("a001,x,2,0\n", "a001,x, +2 ,0\n"),
+    "explicit zero row": ("a001,x,2,0\n", "a001,y,0,0\na001,x,2,0\n"),
+    "quoted labels": ("a001,x,2,0\n", '"a001","x",2,0\n'),
+    "no final newline": ("a002,y,0,1\n", "a002,y,0,1"),
+}
+
+
+@pytest.mark.parametrize("old, new", _ACCEPTED.values(), ids=_ACCEPTED.keys())
+def test_accepted_variants_read_like_rowwise(tmp_path, old, new):
+    path = tmp_path / "t.csv"
+    path.write_text(_BASE.replace(old, new), encoding="utf-8", newline="")
+    back = read_table(str(path))
+    assert back.same_contents(read_table_rowwise(str(path)))
+    assert back.n == 3 and back.num_structural_zeros == 1
+
+
+@pytest.mark.parametrize("count", ["1_000", "٥", "0x10"])
+def test_count_grammar_is_ascii_decimal(tmp_path, count):
+    path = tmp_path / "t.csv"
+    path.write_text(_BASE.replace("a001,x,2,0", f"a001,x,{count},0"), encoding="utf-8")
+    with pytest.raises(FormatError, match=r"line 5: unreadable count"):
+        read_table(str(path))
+
+
+def test_field_over_csv_size_limit_is_a_format_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(_BASE.replace("a002,x,1,0", "a" * 200_000 + ",x,1,0"), encoding="utf-8")
+    with pytest.raises(FormatError, match="line 6: field larger than field limit"):
+        read_table(str(path))
+
+
+def test_nul_in_labels_rejected(tmp_path):
+    schema = CategoricalSchema([("A", ["a", "a\x00"])])
+    path = tmp_path / "t.csv"
+    path.write_text(table_to_string(SparseContingencyTable(schema, [0], [1])), encoding="utf-8")
+    with pytest.raises(FormatError, match="NUL"):
+        read_table(str(path))
+
+
+def test_empty_body_reads_as_empty_table(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(table_to_string(SparseContingencyTable(_SCHEMA, [], [])), encoding="utf-8")
+    back = read_table(str(path))
+    assert back.num_nonzero == 0 and back.n == 0
+    assert np.array_equal(back.structural, np.empty(0, dtype=np.uint64))
