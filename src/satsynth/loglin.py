@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, special
 
 from .errors import ConvergenceError, ValidationError
 from .evaluation import Interval
@@ -190,9 +190,7 @@ class LoglinFit:
     terms: tuple[Term, ...] = field(default_factory=tuple)
 
     def intervals(self, level: float = 0.95) -> dict[str, Interval]:
-        from scipy import stats
-
-        z = float(stats.norm.ppf(0.5 + level / 2.0))
+        z = float(special.ndtri(0.5 + level / 2.0))  # what stats.norm.ppf evaluates
         out = {}
         for name, est in self.coefficients.items():
             se = self.standard_errors[name]

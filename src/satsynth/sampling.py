@@ -15,6 +15,13 @@ Construction mirrors the mixture definitions of the families:
                Michael-Schucany-Haas two-root transform (one normal via
                quantile, one uniform for root choice), then
                Poisson(lambda).
+
+Most cells of an administrative-scale table draw 0, so ``draw_counts``
+first rules out, from each cell's own mean and uniforms, the cells that
+certainly draw 0 and runs the mixing kernel and the Poisson quantile only
+on the rest.  The screen skips computation only: it never changes a
+value, and every cell's count is still a function of its own counter
+block.
 """
 
 from __future__ import annotations
@@ -30,6 +37,15 @@ SLOTS_PER_DRAW = 4  # one Philox counter block of 4 raw 64-bit words
 
 _U64_MASK = (1 << 64) - 1
 _POISSON_LOOP_CUT = 60.0  # accumulate term-by-term below, invert pdtrik above
+
+# Sure-zero screen of the mixing stage (see ``_lam_cap``): the first
+# uniform is bucketed into ``_SCREEN_STEPS`` equal steps; the bound on
+# lambda carries a relative margin of ``_SCREEN_MARGIN``, and the zero
+# threshold exp(-cap) is shrunk by 2**-48 (32 ulp) so that the rounding
+# of exp cannot turn cap >= lambda into exp(-cap) > exp(-lambda).
+_SCREEN_STEPS = 256
+_SCREEN_MARGIN = 1e-6
+_EXP_SLACK = 1.0 - 2.0**-48
 
 
 def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarray:
@@ -47,8 +63,8 @@ def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarr
     counter[1] = (start >> 64) & _U64_MASK
     bg = Philox(key=key, counter=counter)
     raw = bg.random_raw(n * SLOTS_PER_DRAW)
-    u = (raw >> np.uint64(11)) * (2.0**-53)
-    return u.reshape(n, SLOTS_PER_DRAW)
+    np.right_shift(raw, np.uint64(11), out=raw)
+    return np.multiply(raw, 2.0**-53).reshape(n, SLOTS_PER_DRAW)
 
 
 def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -56,36 +72,63 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     Built from the two special functions that ppf evaluates, so sampling
     does not import :mod:`scipy.stats`, which alone doubles CLI start-up.
+    Where ``pdtrik`` fails (NaN, e.g. for lam >= ~1e12) or the quantile
+    passes 2**63, the integer quantile is found by bisection on ``pdtr``.
     """
     k = np.ceil(special.pdtrik(u, lam))
     below = np.maximum(k - 1.0, 0.0)
-    return np.where(special.pdtr(below, lam) >= u, below, k)
+    k = np.where(special.pdtr(below, lam) >= u, below, k)
+    fits = k < 2.0**63  # False for NaN
+    out = np.zeros(k.shape, dtype=np.int64)
+    out[fits] = k[fits]
+    if not np.all(fits):
+        out[~fits] = _poisson_quantile_bisect(u[~fits], lam[~fits])
+    return out
+
+
+def _poisson_quantile_bisect(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Smallest k below 2**63 - 1 with ``pdtr(k, lam) >= u``; raises if there is none."""
+    hi = np.full(u.shape, np.iinfo(np.int64).max - 1, dtype=np.int64)  # hi - lo stays in int64
+    if np.any(~(special.pdtr(hi.astype(np.float64), lam) >= u)):
+        raise ValidationError(
+            f"a Poisson count with mean up to {np.max(lam):.6g} exceeds the int64 range"
+        )
+    lo = np.full(u.shape, -1, dtype=np.int64)  # pdtr(lo) < u holds for lo = -1
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        ok = special.pdtr(mid.astype(np.float64), lam) >= u
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return hi
 
 
 def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Exact Poisson quantile: smallest k with CDF(k) >= u, vectorised.
 
-    Small means use term-by-term CDF accumulation (cheap: the expected
-    iteration count is lam + 1); large means invert the regularized
-    gamma function.  lam = 0 maps to 0.
+    The count is 0 exactly when u < CDF(0) = exp(-lam); only the other
+    cells are inverted.  Small means use term-by-term CDF accumulation
+    (cheap: the expected iteration count is lam + 1); large means invert
+    the regularized gamma function.  lam = 0 maps to 0.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     u, lam = np.broadcast_arrays(u, lam)
     out = np.zeros(u.shape, dtype=np.int64)
 
-    big = lam > _POISSON_LOOP_CUT
+    p0 = np.exp(-lam)
+    live = (u >= p0) & (lam > 0.0)
+    big = live & (lam > _POISSON_LOOP_CUT)
     if np.any(big):
-        out[big] = _poisson_quantile(u[big], lam[big]).astype(np.int64)
+        out[big] = _poisson_quantile(u[big], lam[big])
 
-    small = (lam > 0.0) & ~big
+    small = live & ~big
     if np.any(small):
         ls = lam[small]
         us = u[small]
         k = np.zeros(ls.shape, dtype=np.int64)
-        term = np.exp(-ls)
+        term = p0[small]
         cdf = term.copy()
-        idx = np.flatnonzero(us >= cdf)
+        idx = np.arange(ls.size)  # us >= cdf everywhere: that made them live
         steps = 0
         # iteration count bounded well past the far tail of lam <= cut
         max_steps = int(_POISSON_LOOP_CUT + 12.0 * np.sqrt(_POISSON_LOOP_CUT) + 60)
@@ -96,7 +139,7 @@ def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
             cdf[idx] += term[idx]
             idx = idx[us[idx] >= cdf[idx]]
         if idx.size:  # u so extreme the accumulated CDF stalled
-            k[idx] = _poisson_quantile(us[idx], ls[idx]).astype(np.int64)
+            k[idx] = _poisson_quantile(us[idx], ls[idx])
         out[small] = k
     return out
 
@@ -118,6 +161,47 @@ def _inverse_gaussian_from_uniforms(mu, sigma, u_norm, u_pick):
     return np.where(take_small, small_root, large_root)
 
 
+def _lam_cap(family: Family, sigma: float, u: np.ndarray) -> np.ndarray:
+    """Per-draw factor b with lambda <= b * mu, from the draw's mixing uniforms.
+
+    ``j = ceil(u0 * S)`` puts u0 = ``u[:, 0]`` in ((j-1)/S, j/S] (u0 = 0 in
+    j = 0; NaN and values outside [0, 1] go to an end bucket).  Within a
+    bucket each family's lambda is monotone in u0, so its value at an edge
+    of the bucket bounds it:
+
+    * NBI: lambda = gammaincinv(1/sigma, u0) * sigma * mu rises with u0,
+      so b = gammaincinv(1/sigma, j/S) * sigma.
+    * PIG: with h = sigma * ndtri(u0)**2, the small root is mu / R(h) and
+      the large root mu * R(h), where R(h) = (2 + h + sqrt(h*(h + 4))) / 2
+      >= 1 rises with h.  So b = R(sigma * Z_j**2), Z_j the larger
+      |ndtri| at the bucket's two edges.  The small root x is taken
+      whenever u1 = ``u[:, 1]`` <= 1/2, since x <= mu makes its
+      probability mu / (mu + x) >= 1/2, also after rounding; then b = 1.
+
+    The relative margin covers the special functions' rounding: scipy's
+    gammaincinv exceeded its value at the upper bucket edge by at most
+    7e-12 relative over 1/sigma in [1e-9, 1e9], and ndtri and the root
+    arithmetic are good to a few ulp, against a margin of 1e-6.
+    """
+    steps = _SCREEN_STEPS
+    edges = np.arange(steps + 1) / steps
+    if family is Family.NBI:
+        table = special.gammaincinv(1.0 / sigma, edges) * sigma
+    else:
+        z = np.abs(special.ndtri(edges))
+        z = np.maximum(z, np.concatenate(([np.inf], z[:-1])))
+        h = sigma * z * z
+        table = (2.0 + h + np.sqrt(h * (h + 4.0))) / 2.0
+    table *= 1.0 + _SCREEN_MARGIN
+    j = np.ceil(u[:, 0] * steps)
+    np.fmax(j, 0.0, out=j)
+    np.fmin(j, steps, out=j)
+    cap = table[j.astype(np.intp)]
+    if family is Family.PIG:
+        np.copyto(cap, 1.0, where=u[:, 1] <= 0.5)
+    return cap
+
+
 def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.ndarray:
     """Synthetic counts from per-draw uniform blocks.
 
@@ -127,6 +211,10 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     mu : array of draw means (0 means a degenerate zero draw).
     u : ``(len(mu), SLOTS_PER_DRAW)`` uniforms, e.g. from
         :func:`uniform_block`.
+
+    A mixture draw is 0 when its count uniform lies below exp(-cap) for
+    an upper bound cap of its lambda (:func:`_lam_cap`); such draws skip
+    the mixing kernel, the others run it unchanged.
     """
     family = Family.coerce(family)
     mu = np.asarray(mu, dtype=np.float64)
@@ -140,24 +228,23 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
             f"expected uniforms of shape ({mu.size}, {SLOTS_PER_DRAW}), got {u.shape}"
         )
 
-    out = np.zeros(mu.shape, dtype=np.int64)
-    live = mu > 0.0
-    if not np.any(live):
-        return out
-    mm = mu[live]
-    uu = u[live]
-
+    flat = mu.reshape(-1)
     if family is Family.POISSON or sigma == 0.0:
-        lam = mm
-        u_count = uu[:, 0]
-    elif family is Family.NBI:
+        return poisson_inverse(u[:, 0], flat).reshape(mu.shape)
+
+    slot = 1 if family is Family.NBI else 2
+    with np.errstate(invalid="ignore"):  # inf * 0 at mu = 0: NaN, and mu > 0 drops it
+        threshold = np.exp(-_lam_cap(family, sigma, u) * flat) * _EXP_SLACK
+    cells = np.flatnonzero((flat > 0.0) & (u[:, slot] >= threshold))
+    mm = flat[cells]
+    uu = u[cells]
+    if family is Family.NBI:
         lam = special.gammaincinv(1.0 / sigma, uu[:, 0]) * (sigma * mm)
-        u_count = uu[:, 1]
-    elif family is Family.PIG:
+    else:
         lam = _inverse_gaussian_from_uniforms(mm, sigma, uu[:, 0], uu[:, 1])
-        u_count = uu[:, 2]
-    out[live] = poisson_inverse(u_count, lam)
-    return out
+    out = np.zeros(flat.size, dtype=np.int64)
+    out[cells] = poisson_inverse(uu[:, slot], lam)
+    return out.reshape(mu.shape)
 
 
 def sample(

@@ -48,6 +48,9 @@ class CategoricalSchema:
         for name, cats in vars_norm:
             if name in seen:
                 raise ValidationError(f"duplicate variable name {name!r}")
+            if "\r" in name or "\n" in name:
+                # the CSV column header is one line; such a name cannot be read back
+                raise ValidationError(f"variable name {name!r} contains a line break")
             seen.add(name)
             if not cats:
                 raise ValidationError(f"variable {name!r} has no categories")

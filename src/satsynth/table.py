@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -522,8 +523,23 @@ def read_table(path: str, schema: CategoricalSchema | None = None) -> SparseCont
 
     The schema is taken from the ``# schema:`` header comment unless one is
     passed explicitly.  Rejects malformed rows, duplicate cells, negative or
-    overflowing counts, and nonzero structural rows, naming the line.
+    overflowing counts, nonzero structural rows and bytes that are not
+    UTF-8, naming the line.
     """
+    try:
+        return _read_table_text(path, schema)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
+            raise FormatError(f"not valid UTF-8: {exc.reason}", line=line) from None
+        raise
+
+
+def _read_table_text(path: str, schema: CategoricalSchema | None) -> SparseContingencyTable:
     header_n: int | None = None
     with open(path, newline="", encoding="utf-8") as fh:
         lineno = 0

@@ -13,7 +13,7 @@ import io
 import math
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from satsynth.errors import FormatError, ValidationError
 from satsynth.schema import CategoricalSchema
@@ -232,3 +232,85 @@ def read_table_rowwise(path: str, schema: CategoricalSchema | None = None) -> Sp
         if header_n is not None and header_n != table.n:
             raise FormatError(f"header n={header_n} but counts sum to {table.n}")
         return table
+
+
+# -- the draw path before the sure-zero screen ----------------------------------------
+
+_ORACLE_LOOP_CUT = 60.0
+
+
+def _poisson_quantile_unscreened(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    k = np.ceil(special.pdtrik(u, lam))
+    below = np.maximum(k - 1.0, 0.0)
+    return np.where(special.pdtr(below, lam) >= u, below, k)
+
+
+def poisson_inverse_unscreened(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``sampling.poisson_inverse`` as it was before the screen: no early zero test."""
+    u = np.asarray(u, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    u, lam = np.broadcast_arrays(u, lam)
+    out = np.zeros(u.shape, dtype=np.int64)
+
+    big = lam > _ORACLE_LOOP_CUT
+    if np.any(big):
+        with np.errstate(invalid="ignore"):  # NaN quantiles cast to int64 here
+            out[big] = _poisson_quantile_unscreened(u[big], lam[big]).astype(np.int64)
+
+    small = (lam > 0.0) & ~big
+    if np.any(small):
+        ls = lam[small]
+        us = u[small]
+        k = np.zeros(ls.shape, dtype=np.int64)
+        term = np.exp(-ls)
+        cdf = term.copy()
+        idx = np.flatnonzero(us >= cdf)
+        steps = 0
+        max_steps = int(_ORACLE_LOOP_CUT + 12.0 * np.sqrt(_ORACLE_LOOP_CUT) + 60)
+        while idx.size and steps < max_steps:
+            steps += 1
+            k[idx] += 1
+            term[idx] *= ls[idx] / k[idx]
+            cdf[idx] += term[idx]
+            idx = idx[us[idx] >= cdf[idx]]
+        if idx.size:
+            with np.errstate(invalid="ignore"):
+                k[idx] = _poisson_quantile_unscreened(us[idx], ls[idx]).astype(np.int64)
+        out[small] = k
+    return out
+
+
+def _inverse_gaussian_unscreened(mu, sigma, u_norm, u_pick):
+    z = special.ndtri(u_norm)
+    h = sigma * z * z
+    small_root = 2.0 * mu / (2.0 + h + np.sqrt(h * (h + 4.0)))
+    with np.errstate(divide="ignore"):
+        large_root = np.where(small_root > 0.0, mu * mu / small_root, np.inf)
+    take_small = u_pick <= mu / (mu + small_root)
+    return np.where(take_small, small_root, large_root)
+
+
+def mixing_unscreened(family: str, mm: np.ndarray, sigma: float, uu: np.ndarray):
+    """(lambda, count uniform) of each live draw, as the draw path computed them."""
+    if family == "poisson" or sigma == 0.0:
+        return mm, uu[:, 0]
+    if family == "nbi":
+        return special.gammaincinv(1.0 / sigma, uu[:, 0]) * (sigma * mm), uu[:, 1]
+    if family == "pig":
+        return _inverse_gaussian_unscreened(mm, sigma, uu[:, 0], uu[:, 1]), uu[:, 2]
+    raise ValueError(family)
+
+
+def draw_counts_unscreened(family: str, mu, sigma: float, u: np.ndarray) -> np.ndarray:
+    """``sampling.draw_counts`` before the sure-zero screen: every live cell runs
+    the mixing kernel and the Poisson quantile.  NaN quantiles come out as
+    negative int64 counts, as they did then."""
+    mu = np.asarray(mu, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    out = np.zeros(mu.shape, dtype=np.int64)
+    live = mu > 0.0
+    if not np.any(live):
+        return out
+    lam, u_count = mixing_unscreened(family, mu[live], sigma, u[live])
+    out[live] = poisson_inverse_unscreened(u_count, lam)
+    return out

@@ -75,6 +75,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_table_that_is_not_utf8_prints_an_error(tmp_path, capsys):
+    schema = CategoricalSchema([("A", ["a1", "a2"])])
+    path = tmp_path / "t.csv"
+    write_table(SparseContingencyTable(schema, [0, 1], [3, 4]), path)
+    path.write_bytes(path.read_bytes().replace(b"a2,", b"a\xff2,"))
+    assert run("tune", "--table", path, "--family", "nbi", "--sigma", 1, "--target", "match-zeros") == 1
+    assert "error: line 6: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_generate_spec_and_synthesize_determinism(tmp_path, capsys):
     spec = HistogramSpec({1: 60, 2: 25, 3: 10}, TailSpec(4, 5, 30), num_cells=400)
     spec_path = tmp_path / "spec.json"

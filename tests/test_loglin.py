@@ -209,3 +209,38 @@ def test_fit_csv_layout():
     assert lines[0].startswith("#")
     assert lines[1] == "term,estimate,se,capped"
     assert len(lines) == 2 + 3  # intercept + one level each
+
+
+def test_intervals_use_the_normal_quantile_without_scipy_stats():
+    from scipy import stats
+
+    fit = fit_loglinear(random_table(np.random.default_rng(5), (3, 2)), [("v0",), ("v1",)])
+    for level in (0.5, 0.9, 0.95, 0.99):
+        z = float(stats.norm.ppf(0.5 + level / 2.0))
+        for name, iv in fit.intervals(level).items():
+            est, se = fit.coefficients[name], fit.standard_errors[name]
+            assert (iv.lower, iv.upper) == (est - z * se, est + z * se)
+
+
+def test_intervals_leave_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import satsynth
+
+    src = Path(satsynth.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from satsynth.loglin import fit_loglinear\n"
+        "from satsynth.schema import CategoricalSchema\n"
+        "from satsynth.table import SparseContingencyTable\n"
+        "s = CategoricalSchema([('A', ['a1', 'a2']), ('B', ['b1', 'b2'])])\n"
+        "t = SparseContingencyTable.from_dict(s, {(0, 0): 4, (0, 1): 3, (1, 0): 2, (1, 1): 6})\n"
+        "fit_loglinear(t, [('A',), ('B',)]).intervals()\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"

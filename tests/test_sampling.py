@@ -3,21 +3,28 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from numpy.random import Philox
+from scipy import special, stats
 
 from satsynth.errors import ValidationError
-from satsynth.models import moments, pmf_range, truncation_for_mass
+from satsynth.models import Family, moments, pmf_range, truncation_for_mass
 from satsynth.sampling import (
+    _EXP_SLACK,
+    _SCREEN_STEPS,
     SLOTS_PER_DRAW,
+    _inverse_gaussian_from_uniforms,
+    _lam_cap,
     draw_counts,
     poisson_inverse,
     sample,
     uniform_block,
 )
 
-from oracles import chisq_pvalue_from_draws
+from oracles import chisq_pvalue_from_draws, draw_counts_unscreened, mixing_unscreened
+
+TOP = 1.0 - 2.0**-53  # the largest uniform a counter block yields
 
 DRAWS = 1_000_000
 GRID = [
@@ -45,6 +52,14 @@ def test_uniform_block_range_and_shape():
     u = uniform_block(7, 3, 1000, 500)
     assert u.shape == (500, SLOTS_PER_DRAW)
     assert u.min() >= 0.0 and u.max() < 1.0
+
+
+def test_uniform_block_is_the_top_53_bits_of_philox():
+    raw = Philox(key=np.array([5, 2], dtype=np.uint64), counter=np.array([9, 0, 0, 0], dtype=np.uint64)).random_raw(
+        12 * SLOTS_PER_DRAW
+    )
+    expected = ((raw >> np.uint64(11)) * 2.0**-53).reshape(12, SLOTS_PER_DRAW)
+    np.testing.assert_array_equal(uniform_block(5, 2, 9, 12), expected)
 
 
 def test_poisson_inverse_matches_scipy_ppf():
@@ -140,3 +155,100 @@ def test_scalar_sample_is_int():
     rng = np.random.default_rng(1)
     val = sample("poisson", 2.0, 0.0, rng)
     assert isinstance(val, int)
+
+
+def _is_quantile(k: int, u: float, lam: float) -> bool:
+    return k >= 0 and special.pdtr(k, lam) >= u and (k == 0 or special.pdtr(k - 1, lam) < u)
+
+
+@pytest.mark.parametrize("u,lam", [(TOP, 1e12), (TOP, 1e13), (2.0**-53, 1e13), (0.5, 1e15), (0.5, 1e11)])
+def test_poisson_inverse_where_pdtrik_fails(u, lam):
+    # scipy's pdtrik is NaN at these points; the quantile used to come out as -2**63
+    k = int(poisson_inverse(np.array([u]), np.array([lam]))[0])
+    assert _is_quantile(k, u, lam), k
+
+
+@pytest.mark.parametrize("family", ["nbi", "pig"])
+@pytest.mark.parametrize("mu,sigma", [(1e5, 1e6), (740.0, 1e9)])
+def test_huge_mixture_means_draw_exact_quantiles(family, mu, sigma):
+    u = np.full((1, SLOTS_PER_DRAW), TOP)
+    k = int(draw_counts(family, [mu], sigma, u)[0])
+    if family == "nbi":
+        lam = special.gammaincinv(1.0 / sigma, TOP) * sigma * mu
+    else:
+        lam = _inverse_gaussian_from_uniforms(mu, sigma, TOP, TOP)
+    assert lam > 1e12
+    assert _is_quantile(k, TOP, lam), (k, lam)
+
+
+@pytest.mark.parametrize("lam", [1e19, np.inf])
+def test_poisson_count_beyond_int64_is_a_typed_error(lam):
+    with pytest.raises(ValidationError, match="int64"):
+        poisson_inverse(np.array([0.5]), np.array([lam]))
+
+
+# -- the sure-zero screen changes no value --------------------------------------------
+
+_MEANS = st.one_of(st.just(0.0), st.floats(1e-4, 0.1), st.floats(1.0, 1e4))
+_SIGMAS = st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+_EDGES = list(np.arange(_SCREEN_STEPS + 1) / _SCREEN_STEPS) + [0.5]
+
+
+def _uniform(draw, thresholds) -> float:
+    """Random, 0, the top uniform, or a threshold or one of its float neighbours."""
+    kind = draw(st.sampled_from(["random", "zero", "top"] + ["near"] * 5))
+    if kind == "random":
+        return draw(st.floats(0.0, 1.0, exclude_max=True))
+    if kind == "zero":
+        return 0.0
+    if kind == "top":
+        return TOP
+    t = float(draw(st.sampled_from(thresholds)))
+    t = float(np.nextafter(t, draw(st.sampled_from([0.0, t, 1.0]))))
+    return min(max(t, 0.0), TOP)
+
+
+@st.composite
+def _draw_inputs(draw):
+    family = draw(st.sampled_from(["poisson", "nbi", "pig"]))
+    sigma = draw(_SIGMAS)
+    n = draw(st.integers(1, 24))
+    mu = np.array(draw(st.lists(_MEANS, min_size=n, max_size=n)))
+    u = np.array([[_uniform(draw, _EDGES) for _ in range(SLOTS_PER_DRAW)] for _ in range(n)])
+    mixture = family != "poisson" and sigma > 0.0
+    slot = {"poisson": 0, "nbi": 1, "pig": 2}[family] if mixture else 0
+    with np.errstate(all="ignore"):  # mu = 0 gives 0/0 in the PIG roots; those draws are 0 anyway
+        if family == "pig" and mixture:  # root-choice uniforms next to mu / (mu + small root)
+            h = sigma * special.ndtri(u[:, 0]) ** 2
+            pick = mu / (mu + 2.0 * mu / (2.0 + h + np.sqrt(h * (h + 4.0))))
+            for i in range(n):
+                u[i, 1] = _uniform(draw, [0.5, pick[i]] if np.isfinite(pick[i]) else [0.5])
+        # count uniforms next to the thresholds the screen and the Poisson stage test
+        lam, _ = mixing_unscreened(family, mu, sigma, u)
+        exact = np.exp(-lam)
+        cap = np.exp(-_lam_cap(Family(family), sigma, u) * mu) * _EXP_SLACK if mixture else exact
+    for i in range(n):
+        u[i, slot] = _uniform(draw, [exact[i], cap[i]] if np.isfinite([exact[i], cap[i]]).all() else [0.5])
+    return family, mu, sigma, u
+
+
+def _large_root_just_above_half():
+    """PIG at small sigma: u1 = 0.55 takes the large root lam > mu; count uniform just above exp(-lam)."""
+    mu, sigma = np.array([5.0]), 1e-4
+    u = np.array([[0.55, 0.55, 0.0, 0.5]])
+    lam, _ = mixing_unscreened("pig", mu, sigma, u)
+    assert lam[0] > mu[0]
+    u[0, 2] = np.nextafter(np.exp(-lam[0]), 1.0)
+    return "pig", mu, sigma, u
+
+
+@settings(max_examples=400, deadline=None)
+@example(_large_root_just_above_half())
+@given(_draw_inputs())
+def test_screened_draws_equal_unscreened_bit_for_bit(case):
+    family, mu, sigma, u = case
+    got = draw_counts(family, mu, sigma, u)
+    want = draw_counts_unscreened(family, mu, sigma, u)
+    assert (got >= 0).all()
+    valid = want >= 0  # negative: the old NaN cast, fixed above
+    np.testing.assert_array_equal(got[valid], want[valid])

@@ -14,7 +14,12 @@ from satsynth.synthesis import (
     expected_grand_total,
     synthesize,
 )
+from satsynth.sampling import uniform_block
 from satsynth.table import SparseContingencyTable
+from satsynth.taumetrics import tau2_of_table
+from satsynth.tuning import alpha_star_match_zeros
+
+from oracles import draw_counts_unscreened
 
 
 def line_schema(k: int) -> CategoricalSchema:
@@ -148,3 +153,23 @@ def test_job_validation():
     job = SynthesisJob(CountModelSpec("poisson"), master_seed=0)
     with pytest.raises(ValidationError):
         synthesize(table, job, threads=0)
+
+
+@pytest.mark.parametrize("family,sigma,seed", [("poisson", 0.0, 11), ("nbi", 1.0, 12), ("pig", 1.0, 13)])
+def test_screened_synthesis_equals_unscreened_draws_at_alpha_star(family, sigma, seed):
+    k = 60_000
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(k, 6_100, replace=False)
+    idx, structural = np.sort(cells[:6_000]), np.sort(cells[6_000:])
+    table = SparseContingencyTable(line_schema(k), idx, rng.geometric(0.3, idx.size), structural)
+    alpha = alpha_star_match_zeros(tau2_of_table(table), family, sigma)
+    mu = np.full(k, alpha)
+    mu[structural] = 0.0
+    mu[idx] = table.count
+    want = draw_counts_unscreened(family, mu, sigma, uniform_block(seed, 0, 0, k))
+    job = SynthesisJob(CountModelSpec(family, sigma=sigma, alpha=alpha), master_seed=seed)
+    for threads in (1, 2):
+        syn = synthesize(table, job, threads=threads, chunk_cells=1 << 14)[0].table
+        got = np.zeros(k, dtype=np.int64)
+        got[syn.index.astype(np.int64)] = syn.count
+        np.testing.assert_array_equal(got, want)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import read_table_rowwise, write_table_rowwise
-from satsynth.errors import FormatError
+from satsynth.errors import FormatError, ValidationError
 from satsynth.schema import CategoricalSchema
 from satsynth.table import SparseContingencyTable, read_table, table_to_string
 
@@ -198,3 +198,23 @@ def test_empty_body_reads_as_empty_table(tmp_path):
     back = read_table(str(path))
     assert back.num_nonzero == 0 and back.n == 0
     assert np.array_equal(back.structural, np.empty(0, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+@pytest.mark.parametrize("line,good,bad", [(6, b"a002,x", b"a\xff02,x"), (2, b"# schema", b"# sch\xc3ema")])
+def test_non_utf8_bytes_are_a_format_error_naming_the_line(tmp_path, crlf, line, good, bad):
+    data = _BASE.encode().replace(good, bad, 1)
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"line {line}: not valid UTF-8") as info:
+        read_table(str(path))
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("name", ["A\n", "A\r", "x\r\ny"])
+def test_variable_names_with_line_breaks_are_rejected(name):
+    # write_table quotes such a name in the one-line column header, which read_table cannot read back
+    with pytest.raises(ValidationError, match="line break"):
+        CategoricalSchema([(name, ["a", "b"])])
