@@ -43,23 +43,14 @@ def within_p_percent(
         synthetic = synthetic.table
     if synthetic.schema != original.schema:
         raise ValidationError("synthetic table schema does not match the original")
-    if any(p <= 0 for p in p_list):
+    if not all(p > 0 for p in p_list):  # also refuses NaN
         raise ValidationError("p values must be positive percentages")
 
-    o_idx, o_cnt = original.index, original.count
-    s_idx, s_cnt = synthetic.index, synthetic.count
     k_eff = original.num_cells - original.num_structural_zeros
+    syn_at_orig = synthetic.counts_at(original.index)
+    pct = 100.0 * np.abs(syn_at_orig - original.count) / original.count
 
-    # counts of the synthetic table at the original's nonzero cells
-    if o_idx.size and s_idx.size:
-        pos = np.minimum(np.searchsorted(s_idx, o_idx), s_idx.size - 1)
-        syn_at_orig = np.where(s_idx[pos] == o_idx, s_cnt[pos], 0)
-    else:
-        syn_at_orig = np.zeros(o_idx.size, dtype=np.int64)
-
-    pct = 100.0 * np.abs(syn_at_orig - o_cnt) / o_cnt if o_cnt.size else np.zeros(0)
-
-    n_zero_to_nonzero = int(np.isin(s_idx, o_idx, invert=True).sum())
+    n_zero_to_nonzero = synthetic.num_nonzero - int(np.count_nonzero(syn_at_orig))
     n_zero_stay_zero = (k_eff - original.num_nonzero) - n_zero_to_nonzero
 
     out: dict[float, float] = {}

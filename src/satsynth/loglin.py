@@ -142,7 +142,11 @@ def build_design(
 
     Each variable's first category is the reference level, so a term over
     variables with l_1, ..., l_r categories contributes
-    (l_1 - 1) * ... * (l_r - 1) columns.
+    (l_1 - 1) * ... * (l_r - 1) columns.  Each column is a distinct
+    tensor product of the per-variable basis {1, 1[x = a] for a != ref},
+    so the design has full column rank; an empty term (a copy of the
+    intercept) or one that repeats a variable would break that and is
+    refused.
     """
     k = schema.num_cells
     if k > MAX_DENSE_CELLS:
@@ -153,6 +157,10 @@ def build_design(
     seen: set[frozenset] = set()
     for term in terms:
         term = tuple(term)
+        if not term:
+            raise ValidationError("model terms must be nonempty; the intercept is always included")
+        if len(set(term)) != len(term):
+            raise ValidationError(f"model term {term} repeats a variable")
         key = frozenset(term)
         if key in seen:
             continue
@@ -190,6 +198,8 @@ class LoglinFit:
     terms: tuple[Term, ...] = field(default_factory=tuple)
 
     def intervals(self, level: float = 0.95) -> dict[str, Interval]:
+        if not 0.0 < level < 1.0:
+            raise ValidationError(f"level must lie in (0, 1), got {level}")
         z = float(special.ndtri(0.5 + level / 2.0))  # what stats.norm.ppf evaluates
         out = {}
         for name, est in self.coefficients.items():
@@ -210,16 +220,6 @@ class LoglinFit:
             se = self.standard_errors[name]
             writer.writerow([name, repr(est), "inf" if math.isinf(se) else repr(se), int(name in self.cap_hit)])
         return buf.getvalue()
-
-
-def _check_rank(x: np.ndarray, labels: list[str]) -> None:
-    _, r, piv = linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    thresh = diag.max() * max(x.shape) * np.finfo(float).eps
-    rank = int((diag > thresh).sum())
-    if rank < x.shape[1]:
-        aliased = sorted(labels[i] for i in piv[rank:])
-        raise ValidationError(f"design is rank deficient; aliased terms: {aliased}")
 
 
 def fit_loglinear(
@@ -243,7 +243,6 @@ def fit_loglinear(
     if table.n == 0:
         raise ValidationError("cannot fit an empty table")
     x, labels = build_design(table.schema, terms)
-    _check_rank(x, labels)
     y = table.to_dense().astype(np.float64).ravel()
 
     # a zero observed margin sends the term's estimate to -infinity;

@@ -108,7 +108,10 @@ def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     The count is 0 exactly when u < CDF(0) = exp(-lam); only the other
     cells are inverted.  Small means use term-by-term CDF accumulation
     (cheap: the expected iteration count is lam + 1); large means invert
-    the regularized gamma function.  lam = 0 maps to 0.
+    the regularized gamma function.  lam = 0 maps to 0.  Above 2**53 the
+    CDF takes k as a double, so neighbouring integers share one value and
+    the quantile is only as exact as a double: ``poisson_inverse(0.5, 1e18)``
+    is 1,000,000,000,000,000,256, where CDF(k - 1) == CDF(k).
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)

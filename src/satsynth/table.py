@@ -122,12 +122,21 @@ class SparseContingencyTable:
     def num_random_zeros(self) -> int:
         return self.num_cells - self.num_nonzero - self.num_structural_zeros
 
+    def counts_at(self, flat) -> np.ndarray:
+        """This table's count at each flat index (int64), 0 where the cell is empty.
+
+        One ``searchsorted`` into the sorted nonzero index; ``flat`` may be
+        in any order.
+        """
+        flat = np.asarray(flat, dtype=np.uint64)
+        if not self.index.size:
+            return np.zeros(flat.shape, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.index, flat), self.index.size - 1)
+        return np.where(self.index[pos] == flat, self.count[pos], 0)
+
     def __getitem__(self, cell: Coords | int) -> int:
         flat = cell if isinstance(cell, (int, np.integer)) else self.schema.flat_of(cell)
-        pos = int(np.searchsorted(self.index, np.uint64(flat)))
-        if pos < self.index.size and int(self.index[pos]) == int(flat):
-            return int(self.count[pos])
-        return 0
+        return int(self.counts_at([flat])[0])
 
     def items(self) -> Iterator[tuple[Coords, int]]:
         """Nonzero cells as (coordinates, count), flat-index ascending."""
@@ -390,7 +399,7 @@ def mark_structural_zeros(
         return table
     matched = [_rule_flat_indices(table.schema, rule) for rule in rules]
     flat = np.unique(np.concatenate(matched))
-    hits = flat[np.isin(flat, table.index)]
+    hits = flat[table.counts_at(flat) > 0]
     if hits.size:
         offending = [table.schema.labels_of(table.schema.coords_of(int(f))) for f in hits[:10]]
         raise ValidationError(

@@ -257,36 +257,30 @@ def tau_analytic(
 # -- empirical ------------------------------------------------------------------
 
 
-def _counts_of_size(table: SparseContingencyTable, k: int) -> np.ndarray:
-    return table.index[table.count == k]
-
-
 def _empirical_one(
-    original: SparseContingencyTable, syn: SparseContingencyTable, ks: np.ndarray
+    original: SparseContingencyTable, syn: SparseContingencyTable, k_report: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """tau1..tau4 of one replicate for k = 0..k_report.
+
+    Sizes above k_report share one overflow bin, dropped from the report.
+    Size 0 counts the random zeros: the cells outside each table's
+    nonzero set, and for ``stayed`` outside both.
+    """
     k_eff = original.num_cells - original.num_structural_zeros
-    t1 = np.empty(ks.size)
-    t2 = np.empty(ks.size)
-    t3 = np.empty(ks.size)
-    t4 = np.empty(ks.size)
-    union_nonzero = np.union1d(original.index, syn.index).size
-    for i, k in enumerate(ks):
-        k = int(k)
-        if k == 0:
-            n_orig = k_eff - original.num_nonzero
-            n_syn = k_eff - syn.num_nonzero
-            stayed = k_eff - union_nonzero
-        else:
-            orig_k = _counts_of_size(original, k)
-            syn_k = _counts_of_size(syn, k)
-            n_orig = orig_k.size
-            n_syn = syn_k.size
-            stayed = np.intersect1d(orig_k, syn_k, assume_unique=True).size
-        t1[i] = n_syn / k_eff
-        t2[i] = n_orig / k_eff
-        t3[i] = stayed / n_orig if n_orig else np.nan
-        t4[i] = stayed / n_syn if n_syn else np.nan
-    return t1, t2, t3, t4
+    at_orig = syn.counts_at(original.index)
+
+    def by_size(counts: np.ndarray) -> np.ndarray:
+        return np.bincount(np.minimum(counts, k_report + 1), minlength=k_report + 2)[:-1]
+
+    n_orig = by_size(original.count)
+    n_syn = by_size(syn.count)
+    stayed = by_size(original.count[at_orig == original.count])
+    n_orig[0] = k_eff - original.num_nonzero
+    n_syn[0] = k_eff - syn.num_nonzero
+    stayed[0] = k_eff - original.num_nonzero - syn.num_nonzero + np.count_nonzero(at_orig)
+    t3 = np.divide(stayed, n_orig, out=np.full(k_report + 1, np.nan), where=n_orig != 0)
+    t4 = np.divide(stayed, n_syn, out=np.full(k_report + 1, np.nan), where=n_syn != 0)
+    return n_syn / k_eff, n_orig / k_eff, t3, t4
 
 
 def tau_empirical(
@@ -314,16 +308,15 @@ def tau_empirical(
     for t in tables:
         if t.schema != original.schema:
             raise ValidationError("synthetic table schema does not match the original")
-    ks = np.arange(k_report + 1)
-    acc = [np.zeros((len(tables), ks.size)) for _ in range(4)]
-    for r, t in enumerate(tables):
-        vals = _empirical_one(original, t, ks)
-        for a, v in zip(acc, vals):
-            a[r] = v
+    if k_report < 0:
+        raise ValidationError("k_report must be >= 0")
+    if original.num_cells == original.num_structural_zeros:
+        raise UndefinedResultError("every cell is a structural zero")
+    per_rep = np.array([_empirical_one(original, t, k_report) for t in tables])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN buckets stay NaN
-        t1, t2, t3, t4 = (np.nanmean(a, axis=0) for a in acc)
-    return TauReport("empirical", family, sigma, alpha, ks, t1, t2, t3, t4)
+        t1, t2, t3, t4 = np.nanmean(per_rep, axis=0)
+    return TauReport("empirical", family, sigma, alpha, np.arange(k_report + 1), t1, t2, t3, t4)
 
 
 def tau2_of_table(table: SparseContingencyTable) -> CellSizeDistribution:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own evaluation routes: Bessel
 values come from direct adaptive quadrature of the integral definition,
-mixture pmfs from numerical integration over the mixing density, and the
-canonical table CSV from a row-at-a-time :mod:`csv` writer and reader.
+mixture pmfs from numerical integration over the mixing density, the
+canonical table CSV from a row-at-a-time :mod:`csv` writer and reader,
+and empirical tau and within-p% from per-size set operations.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 from scipy import integrate, optimize, special
 
-from satsynth.errors import FormatError, ValidationError
+from satsynth.errors import FormatError, UndefinedResultError, ValidationError
 from satsynth.schema import CategoricalSchema
 from satsynth.table import SparseContingencyTable
 
@@ -313,4 +315,73 @@ def draw_counts_unscreened(family: str, mu, sigma: float, u: np.ndarray) -> np.n
         return out
     lam, u_count = mixing_unscreened(family, mu[live], sigma, u[live])
     out[live] = poisson_inverse_unscreened(u_count, lam)
+    return out
+
+
+# -- original against synthetic by per-size set operations ----------------------------
+
+
+def _empirical_one_setwise(original: SparseContingencyTable, syn: SparseContingencyTable, ks):
+    """One replicate's tau1..tau4 from a union and one intersection per size."""
+    k_eff = original.num_cells - original.num_structural_zeros
+    t1, t2, t3, t4 = (np.empty(ks.size) for _ in range(4))
+    union_nonzero = np.union1d(original.index, syn.index).size
+    for i, k in enumerate(ks):
+        k = int(k)
+        if k == 0:
+            n_orig = k_eff - original.num_nonzero
+            n_syn = k_eff - syn.num_nonzero
+            stayed = k_eff - union_nonzero
+        else:
+            orig_k = original.index[original.count == k]
+            syn_k = syn.index[syn.count == k]
+            n_orig, n_syn = orig_k.size, syn_k.size
+            stayed = np.intersect1d(orig_k, syn_k, assume_unique=True).size
+        t1[i] = n_syn / k_eff
+        t2[i] = n_orig / k_eff
+        t3[i] = stayed / n_orig if n_orig else np.nan
+        t4[i] = stayed / n_syn if n_syn else np.nan
+    return t1, t2, t3, t4
+
+
+def tau_empirical_setwise(original: SparseContingencyTable, synthetics, k_report: int):
+    """(tau1, tau2, tau3, tau4) averaged over replicates as ``tau_empirical`` does."""
+    ks = np.arange(k_report + 1)
+    per_rep = [_empirical_one_setwise(original, s, ks) for s in synthetics]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return tuple(np.nanmean([rep[j] for rep in per_rep], axis=0) for j in range(4))
+
+
+def within_p_percent_setwise(
+    original: SparseContingencyTable,
+    synthetic: SparseContingencyTable,
+    p_list,
+    nonzero_only: bool = False,
+    zero_to_nonzero_outside_all: bool = True,
+) -> dict[float, float]:
+    """``evaluation.within_p_percent`` with its own alignment and ``np.isin``."""
+    o_idx, o_cnt = original.index, original.count
+    s_idx, s_cnt = synthetic.index, synthetic.count
+    k_eff = original.num_cells - original.num_structural_zeros
+    if o_idx.size and s_idx.size:
+        pos = np.minimum(np.searchsorted(s_idx, o_idx), s_idx.size - 1)
+        syn_at_orig = np.where(s_idx[pos] == o_idx, s_cnt[pos], 0)
+    else:
+        syn_at_orig = np.zeros(o_idx.size, dtype=np.int64)
+    pct = 100.0 * np.abs(syn_at_orig - o_cnt) / o_cnt if o_cnt.size else np.zeros(0)
+    n_zero_to_nonzero = int(np.isin(s_idx, o_idx, invert=True).sum())
+    n_zero_stay_zero = (k_eff - original.num_nonzero) - n_zero_to_nonzero
+    out = {}
+    for p in p_list:
+        inside_nonzero = int((pct <= p).sum())
+        if nonzero_only:
+            denom, inside = original.num_nonzero, inside_nonzero
+        else:
+            denom, inside = k_eff, inside_nonzero + n_zero_stay_zero
+            if not zero_to_nonzero_outside_all and p > 50.0:
+                inside += n_zero_to_nonzero
+        if denom == 0:
+            raise UndefinedResultError("no cells qualify for the within-p computation")
+        out[float(p)] = inside / denom
     return out

@@ -203,6 +203,17 @@ def test_frontier_original_against_itself(tmp_path):
     assert sidecar["rows"][0]["privacy"] == 0.0
 
 
+def test_frontier_level_outside_unit_interval_is_a_typed_error(tmp_path, capsys):
+    schema = CategoricalSchema([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])
+    table = SparseContingencyTable.from_dict(schema, {(0, 0): 1, (0, 1): 5, (1, 0): 7, (1, 1): 3})
+    path = tmp_path / "orig.csv"
+    write_table(table, str(path))
+    for level in ("1", "0", "1.5"):
+        assert run("frontier", "--table", path, "--synthetic", path, "--level", level,
+                   "--out", tmp_path / "f.csv") == 1
+        assert "error: level must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     schema = CategoricalSchema([("cell", [f"c{i}" for i in range(100)])])
     table = SparseContingencyTable.from_dict(schema, {(i,): 1 for i in range(50)})

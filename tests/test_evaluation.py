@@ -89,6 +89,14 @@ def test_within_p_rejects_bad_inputs():
         within_p_percent(t, t, [0.0])
 
 
+def test_within_p_rejects_nan_percentage():
+    t = grid_table(3, {0: 1})
+    with pytest.raises(ValidationError, match="positive"):
+        within_p_percent(t, t, [math.nan])
+    with pytest.raises(ValidationError, match="positive"):
+        within_p_percent(t, t, [5.0, math.nan])
+
+
 # -- CI overlap ----------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satsynth.errors import ConvergenceError, ValidationError
 from satsynth.loglin import (
@@ -179,16 +181,40 @@ def test_divergent_terms_hit_cap_and_flagged():
     assert math.isinf(ivs["A=a2:B=b2"].length)
 
 
-def test_rank_deficiency_lists_aliased_terms():
-    # the treatment coding over a full lattice is structurally full rank,
-    # so exercise the guard directly with a duplicated column
-    from satsynth.loglin import _check_rank
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_design_has_full_column_rank(data):
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
+    names = [f"v{i}" for i in range(len(sizes))]
+    schema = CategoricalSchema([(n, [f"c{j}" for j in range(s)]) for n, s in zip(names, sizes)])
+    terms = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True).flatmap(st.permutations),
+            max_size=8,
+        ),
+        label="terms",
+    )
+    x, labels = build_design(schema, terms)
+    assert x.shape == (schema.num_cells, len(labels))
+    assert np.linalg.matrix_rank(x) == x.shape[1]
 
+
+def test_design_rejects_terms_that_alias_columns():
     schema = CategoricalSchema([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])
-    x, labels = build_design(schema, [("A",), ("B",)])
-    x2 = np.column_stack([x, x[:, 1]])
-    with pytest.raises(ValidationError, match="aliased"):
-        _check_rank(x2, labels + ["A=a2-copy"])
+    with pytest.raises(ValidationError, match="nonempty"):
+        build_design(schema, [("A",), ()])
+    with pytest.raises(ValidationError, match="repeats a variable"):
+        build_design(schema, [("A",), ("A", "A")])
+    with pytest.raises(ValidationError, match="repeats a variable"):
+        fit_loglinear(two_by_two(1, 2, 3, 4), [("B", "A", "B")])
+
+
+def test_intervals_require_level_strictly_inside_unit_interval():
+    fit = fit_loglinear(two_by_two(10, 20, 30, 40), [("A",), ("B",)])
+    for level in (0.0, 1.0, 1.5, -0.5, math.nan):
+        with pytest.raises(ValidationError, match="level"):
+            fit.intervals(level)
+    assert all(math.isfinite(iv.length) and iv.length > 0 for iv in fit.intervals(0.999).values())
 
 
 def test_margin_spec_closure_and_validation():

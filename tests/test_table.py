@@ -190,6 +190,31 @@ def test_table_invariants_rejected():
         SparseContingencyTable(schema, [5], [1])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.data())
+def test_counts_at_matches_getitem_and_dense_view(cells, data):
+    schema = CategoricalSchema([("V", [f"c{i}" for i in range(len(cells))])])
+    table = SparseContingencyTable(schema, [i for i, c in enumerate(cells) if c], [c for c in cells if c])
+    k = len(cells)
+    # every cell, the stored index's own ends and their neighbours, in a drawn order
+    probes = list(range(k))
+    if table.index.size:
+        lo, hi = int(table.index[0]), int(table.index[-1])
+        probes += [lo, hi] + [i for i in (lo - 1, hi + 1) if 0 <= i < k]
+    probes = data.draw(st.permutations(probes))
+    got = table.counts_at(np.array(probes, dtype=np.uint64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [table[i] for i in probes] == [cells[i] for i in probes]
+    assert np.array_equal(table.counts_at(np.arange(k)), table.to_dense())
+    assert table.counts_at([]).shape == (0,)
+
+
+def test_counts_at_on_an_empty_table_is_zero(ab_schema):
+    table = SparseContingencyTable(ab_schema, [], [])
+    assert table.counts_at(np.arange(4)).tolist() == [0, 0, 0, 0]
+    assert table[(1, 1)] == 0
+
+
 def test_write_read_roundtrip(tmp_path, ab_schema):
     table = SparseContingencyTable.from_dict(
         ab_schema, {(0, 0): 2, (1, 0): 1}, structural=[(1, 1)]

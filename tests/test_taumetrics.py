@@ -182,6 +182,19 @@ def test_empirical_absent_bucket_is_nan():
     assert math.isnan(rep.tau4[1])
 
 
+def test_empirical_rejects_negative_k_report():
+    table = grid_table(10, {0: 5, 1: 1})
+    with pytest.raises(ValidationError, match="k_report"):
+        tau_empirical(table, table, k_report=-1)
+
+
+def test_empirical_undefined_when_every_cell_is_structural():
+    schema = CategoricalSchema([("cell", ["c0", "c1"])])
+    table = SparseContingencyTable.from_dict(schema, {}, structural=[(0,), (1,)])
+    with pytest.raises(UndefinedResultError, match="structural"):
+        tau_empirical(table, table)
+
+
 def test_empirical_rejects_schema_mismatch():
     a = grid_table(10, {0: 1})
     b = grid_table(11, {0: 1})
