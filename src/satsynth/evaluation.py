@@ -41,8 +41,7 @@ def within_p_percent(
     """
     if isinstance(synthetic, SyntheticTable):
         synthetic = synthetic.table
-    if synthetic.schema != original.schema:
-        raise ValidationError("synthetic table schema does not match the original")
+    original.check_replicate(synthetic)
     if not all(p > 0 for p in p_list):  # also refuses NaN
         raise ValidationError("p values must be positive percentages")
 

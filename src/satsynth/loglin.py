@@ -6,14 +6,17 @@ Two routes to fitted counts under a margin/interaction specification:
   margin of the fitted table matches the observed margin; fast, no
   coefficients.
 * :func:`fit_loglinear` — Poisson maximum likelihood by iteratively
-  reweighted least squares on a treatment-coded dense design, yielding
+  reweighted least squares on a treatment-coded design, yielding
   coefficients and standard errors for confidence-interval work.
 
-Both are deliberately dense and small-scale: the package's synthesis
-mechanism never needs them, they exist to score specific utility of
-synthetic tables on low-dimensional margins.  Terms whose maximum
-likelihood estimate diverges to -infinity (zero fitted margins) are
-frozen at a large negative cap and flagged.
+Both work on the dense table and are capped at desk scale: the
+package's synthesis mechanism never needs them, they exist to score
+specific utility of synthetic tables on low-dimensional margins.
+:func:`fit_loglinear` never forms the design matrix; each cell switches
+on at most one column per term, and its products run over those
+columns alone.  Terms whose maximum likelihood estimate diverges to
+-infinity (zero fitted margins) are frozen at a large negative cap and
+flagged.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .table import SparseContingencyTable
 
 MAX_DENSE_CELLS = 100_000
 MAX_TERMS = 2_000
+MAX_HALVINGS = 60
 
 Term = tuple[str, ...]
 
@@ -87,7 +91,10 @@ def ipf_fit(
 ) -> np.ndarray:
     """Fitted counts matching every margin in ``spec`` within ``tol``.
 
-    Returns a dense array shaped like the schema.  Structural zeros are
+    ``tol`` is relative: each fitted margin cell must lie within
+    ``tol * max(1, observed)`` of the observed one, so a table and its
+    multiple by any factor converge at the same ``tol``.  Returns a dense
+    array shaped like the schema.  Structural zeros are
     pinned at zero by a zero start value.  A specification naming all
     variables at once reproduces the observed counts exactly.
     """
@@ -122,17 +129,56 @@ def ipf_fit(
                 ratio = np.where(current > 0.0, target / np.where(current > 0, current, 1.0), 1.0)
             fitted *= ratio
         worst = max(
-            float(np.abs(fitted.sum(axis=ax, keepdims=True) - target).max())
+            float((np.abs(fitted.sum(axis=ax, keepdims=True) - target) / np.maximum(1.0, target)).max())
             for ax, target in zip(axes_per_term, obs_margins)
         )
         if worst <= tol:
             return fitted
     raise ConvergenceError(
-        f"margins not matched after {max_iter} sweeps; worst discrepancy {worst:.3g}"
+        f"margins not matched after {max_iter} sweeps; worst relative discrepancy {worst:.3g}"
     )
 
 
 # -- design construction -----------------------------------------------------------
+
+
+def _design_slots(schema: CategoricalSchema, terms: Sequence[Sequence[str]]) -> tuple[np.ndarray, list[str]]:
+    """Each cell's nonzero design columns, and the column labels.
+
+    Slot 0 is the intercept and slot ``j`` the one column term ``j`` can
+    switch on, or -1 where one of the term's variables sits at its
+    reference level; every nonzero of the design is a 1.
+    """
+    k = schema.num_cells
+    if k > MAX_DENSE_CELLS:
+        raise ValidationError(f"{k} cells exceeds the dense design cap {MAX_DENSE_CELLS}")
+    coords = schema.coords_of_array(np.arange(k, dtype=np.uint64))
+    slots: list[np.ndarray] = [np.zeros(k, dtype=np.int64)]
+    labels: list[str] = ["(Intercept)"]
+    seen: set[frozenset] = set()
+    for term in terms:
+        term = tuple(term)
+        if not term:
+            raise ValidationError("model terms must be nonempty; the intercept is always included")
+        if len(set(term)) != len(term):
+            raise ValidationError(f"model term {term} repeats a variable")
+        key = frozenset(term)
+        if key in seen:
+            continue
+        seen.add(key)
+        var_pos = [schema.variable_index(v) for v in term]
+        cats = [schema.variables[i][1] for i in var_pos]
+        nonref = coords[:, var_pos] - 1  # ordinal among the non-reference levels
+        on = (nonref >= 0).all(axis=1)
+        slot = np.full(k, -1, dtype=np.int64)
+        if on.any():
+            slot[on] = len(labels) + np.ravel_multi_index(tuple(nonref[on].T), [len(c) - 1 for c in cats])
+        slots.append(slot)
+        for combo in itertools.product(*(range(1, len(c)) for c in cats)):
+            labels.append(":".join(f"{name}={c[o]}" for name, c, o in zip(term, cats, combo)))
+    if len(labels) > MAX_TERMS:
+        raise ValidationError(f"{len(labels)} parameters exceeds the dense cap {MAX_TERMS}")
+    return np.column_stack(slots), labels
 
 
 def build_design(
@@ -148,37 +194,11 @@ def build_design(
     intercept) or one that repeats a variable would break that and is
     refused.
     """
-    k = schema.num_cells
-    if k > MAX_DENSE_CELLS:
-        raise ValidationError(f"{k} cells exceeds the dense design cap {MAX_DENSE_CELLS}")
-    coords = schema.coords_of_array(np.arange(k, dtype=np.uint64))
-    cols: list[np.ndarray] = [np.ones(k, dtype=np.float64)]
-    labels: list[str] = ["(Intercept)"]
-    seen: set[frozenset] = set()
-    for term in terms:
-        term = tuple(term)
-        if not term:
-            raise ValidationError("model terms must be nonempty; the intercept is always included")
-        if len(set(term)) != len(term):
-            raise ValidationError(f"model term {term} repeats a variable")
-        key = frozenset(term)
-        if key in seen:
-            continue
-        seen.add(key)
-        var_pos = [schema.variable_index(v) for v in term]
-        cats = [schema.variables[i][1] for i in var_pos]
-        nonref = [range(1, len(c)) for c in cats]
-        for combo in itertools.product(*nonref):
-            col = np.ones(k, dtype=np.float64)
-            parts = []
-            for pos, ordinal, cat_list, name in zip(var_pos, combo, cats, term):
-                col *= coords[:, pos] == ordinal
-                parts.append(f"{name}={cat_list[ordinal]}")
-            cols.append(col)
-            labels.append(":".join(parts))
-    if len(labels) > MAX_TERMS:
-        raise ValidationError(f"{len(labels)} parameters exceeds the dense cap {MAX_TERMS}")
-    return np.column_stack(cols), labels
+    slots, labels = _design_slots(schema, terms)
+    rows, which = np.nonzero(slots >= 0)
+    x = np.zeros((slots.shape[0], len(labels)))
+    x[rows, slots[rows, which]] = 1.0
+    return x, labels
 
 
 @dataclass(frozen=True)
@@ -231,10 +251,20 @@ def fit_loglinear(
 ) -> LoglinFit:
     """Poisson ML fit of an intercept-plus-terms model by IRLS.
 
-    ``terms`` are variable-name tuples (mains and interactions).  The
-    score at the optimum is driven below ``tol`` componentwise for all
-    unfrozen terms; standard errors come from the inverse observed
-    information.
+    ``terms`` are variable-name tuples (mains and interactions).  Each row
+    of the treatment-coded design holds at most one 1 per term, so
+    ``X beta``, ``X' v`` and ``X' W X`` are sums over every cell's active
+    columns, and ``X' W X`` is Cholesky-factored once per step.  A step
+    that raises the Poisson deviance beyond rounding is halved until it
+    does not (Marschner 2011, glm2).  The fit maximises the likelihood
+    over coefficients no lower than ``-cap``: a term with a zero observed
+    margin starts there, one that a step takes past it is held there, and
+    a held term whose score points back up is let go again.  The terms
+    left at ``-cap`` form ``cap_hit``.  The fit has converged when every
+    other term's score is at most ``tol * max(1, margin)``, with
+    ``margin`` the term's observed total; ``tol`` is thus relative, and
+    the test holds at any table total.  Standard errors come from the
+    Cholesky factor of the information at the fit.
     """
     if cap <= 0:
         raise ValidationError("cap must be positive")
@@ -242,63 +272,96 @@ def fit_loglinear(
         raise ValidationError("max_iter must be >= 1")
     if table.n == 0:
         raise ValidationError("cannot fit an empty table")
-    x, labels = build_design(table.schema, terms)
     y = table.to_dense().astype(np.float64).ravel()
+    slots, labels = _design_slots(table.schema, terms)
+    k, p = slots.shape[0], len(labels)
+    rows, which = np.nonzero(slots >= 0)
+    cols = slots[rows, which]
+    left, right = slots[:, :, None], slots[:, None, :]
+    pairs = (left >= 0) & (right >= 0)
+    pair_rows, pair_keys = np.nonzero(pairs)[0], (left * p + right)[pairs]
 
+    def x_dot(beta):
+        return np.bincount(rows, beta[cols], k)
+
+    def xt_dot(v):
+        return np.bincount(cols, v[rows], p)
+
+    def information(w, free):
+        return np.bincount(pair_keys, w[pair_rows], p * p).reshape(p, p)[np.ix_(free, free)]
+
+    def evaluate(beta):  # eta, mu, the Poisson deviance up to a constant, and its rounding slack
+        eta = np.clip(x_dot(beta), -700.0, 700.0)
+        mu = np.exp(eta)
+        return eta, mu, float(np.sum(mu - y * eta)), 1e-11 * float(np.sum(mu + y * np.abs(eta)))
+
+    margin = xt_dot(y)
     # a zero observed margin sends the term's estimate to -infinity;
     # freeze such terms at -cap immediately and fit the rest around them
-    frozen = (x.T @ y) == 0.0
-    beta = np.zeros(x.shape[1])
+    frozen = margin == 0.0
+    beta = np.zeros(p)
     beta[frozen] = -cap
-    free = ~frozen
+    bound = tol * np.maximum(1.0, margin)
 
-    converged = False
-    grad_norm = math.inf
-    eta = np.log(y + 0.5)  # warm start near the saturated predictor
+    # warm start near the saturated predictor; it is no X beta, so the first
+    # step has nothing to be halved towards and is taken whole
+    eta = np.log(y + 0.5)
     mu = y + 0.5
-    for _ in range(max_iter):
-        w = mu
-        offset = x[:, frozen] @ beta[frozen] if frozen.any() else 0.0
-        z = eta + (y - mu) / mu - offset
-        xf = x[:, free]
-        xtw = xf.T * w
-        lhs, rhs = xtw @ xf, xtw @ z
+    loss, slack = math.inf, math.inf
+    # each pass steps, lets go of held terms (whose scores then exceed their
+    # bounds, so the next pass steps or raises), or ends the fit
+    for step in itertools.count():
+        free = ~frozen
+        info = information(mu, free)
         try:
-            beta[free] = linalg.solve(lhs, rhs, assume_a="pos")
-        except linalg.LinAlgError:
-            # weighted design collapsed (e.g. a separated pattern on its
-            # way to the cap); take the minimum-norm step instead
-            beta[free] = linalg.lstsq(lhs, rhs)[0]
+            chol = linalg.cho_factor(info)
+        except linalg.LinAlgError:  # near-singular on the way to a cap
+            chol = None  # so the step below is the minimum-norm one
+        score = xt_dot(y - mu)
+        worst = float(np.max(np.abs(score[free]) / bound[free], initial=0.0))
+        if step and worst <= 1.0:
+            # a term held at -cap whose score points back up was held after an
+            # overshoot, not on its way to -infinity: let it go and fit on
+            release = frozen & (score > bound)
+            if not release.any():
+                break
+            frozen &= ~release
+            continue
+        if step >= max_iter:
+            raise ConvergenceError(
+                f"IRLS did not converge in {max_iter} iterations; worst score/bound {worst:.3g}"
+            )
+        offset = x_dot(np.where(frozen, beta, 0.0))
+        rhs = xt_dot(mu * (eta - offset) + (y - mu))[free]
+        target = linalg.lstsq(info, rhs)[0] if chol is None else linalg.cho_solve(chol, rhs)
+        delta = target - beta[free]
+        for _ in range(MAX_HALVINGS):
+            trial = beta.copy()
+            trial[free] += delta
+            eta, mu, trial_loss, trial_slack = evaluate(trial)
+            if trial_loss <= loss + slack:
+                break
+            delta *= 0.5
+        else:
+            raise ConvergenceError(f"step-halving could not lower the deviance at iteration {step + 1}")
+        beta, loss, slack = trial, trial_loss, trial_slack
         sank = free & (beta < -cap)
-        if sank.any():  # heading for -infinity despite a nonzero margin
+        if sank.any():  # past -cap, perhaps on the way to -infinity: hold at the cap
             beta[sank] = -cap
             frozen |= sank
-            free = ~frozen
-        eta = np.clip(x @ beta, -700.0, 700.0)
-        mu = np.exp(eta)
-        score = x.T @ (y - mu)
-        grad_norm = float(np.abs(score[free]).max()) if free.any() else 0.0
-        if grad_norm < tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"IRLS did not converge in {max_iter} iterations; last score norm {grad_norm:.3g}"
-        )
+            eta, mu, loss, slack = evaluate(beta)
 
-    se = np.full(beta.size, math.inf)
-    if free.any():
-        info = (x[:, free].T * mu) @ x[:, free]
-        cov = linalg.inv(info)
-        se[free] = np.sqrt(np.diag(cov))
-    loglik = poisson_loglik(y, mu)
+    if chol is None:  # some combination of estimates runs off to infinity
+        raise ConvergenceError("information matrix is singular at the fit; no standard errors")
+    se = np.full(p, math.inf)
+    se[free] = np.sqrt(np.diag(linalg.cho_solve(chol, np.eye(int(free.sum())))))
     return LoglinFit(
         coefficients=dict(zip(labels, beta.tolist())),
         standard_errors=dict(zip(labels, se.tolist())),
         fitted=mu.reshape(table.schema.shape),
-        converged=converged,
+        converged=True,
         cap_hit=frozenset(l for l, f in zip(labels, frozen) if f),
-        loglik=loglik,
+        loglik=poisson_loglik(y, mu),
         terms=tuple(tuple(t) for t in terms),
     )
 

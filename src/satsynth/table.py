@@ -135,8 +135,21 @@ class SparseContingencyTable:
         return np.where(self.index[pos] == flat, self.count[pos], 0)
 
     def __getitem__(self, cell: Coords | int) -> int:
-        flat = cell if isinstance(cell, (int, np.integer)) else self.schema.flat_of(cell)
+        if isinstance(cell, (int, np.integer)):
+            if not 0 <= cell < self.num_cells:
+                raise ValidationError(f"flat index {cell} out of range [0, {self.num_cells})")
+            flat = cell
+        else:
+            flat = self.schema.flat_of(cell)
         return int(self.counts_at([flat])[0])
+
+    def check_replicate(self, synthetic: "SparseContingencyTable") -> None:
+        """Refuse a synthetic table that cannot come from this one: another
+        schema, or a count on one of this table's structural zeros."""
+        if synthetic.schema != self.schema:
+            raise ValidationError("synthetic table schema does not match the original")
+        if synthetic.counts_at(self.structural).any():
+            raise ValidationError("synthetic table has counts on structural zeros of the original")
 
     def items(self) -> Iterator[tuple[Coords, int]]:
         """Nonzero cells as (coordinates, count), flat-index ascending."""

@@ -306,8 +306,7 @@ def tau_empirical(
         else:
             tables.append(s)
     for t in tables:
-        if t.schema != original.schema:
-            raise ValidationError("synthetic table schema does not match the original")
+        original.check_replicate(t)
     if k_report < 0:
         raise ValidationError("k_report must be >= 0")
     if original.num_cells == original.num_structural_zeros:

@@ -4,7 +4,8 @@ These deliberately avoid the package's own evaluation routes: Bessel
 values come from direct adaptive quadrature of the integral definition,
 mixture pmfs from numerical integration over the mixing density, the
 canonical table CSV from a row-at-a-time :mod:`csv` writer and reader,
-and empirical tau and within-p% from per-size set operations.
+empirical tau and within-p% from per-size set operations, and log-linear
+fits from IRLS on the dense design matrix.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, linalg, optimize, special
 
-from satsynth.errors import FormatError, UndefinedResultError, ValidationError
+from satsynth.errors import ConvergenceError, FormatError, UndefinedResultError, ValidationError
+from satsynth.loglin import LoglinFit, build_design, poisson_loglik
 from satsynth.schema import CategoricalSchema
 from satsynth.table import SparseContingencyTable
 
@@ -385,3 +387,70 @@ def within_p_percent_setwise(
             raise UndefinedResultError("no cells qualify for the within-p computation")
         out[float(p)] = inside / denom
     return out
+
+
+# -- log-linear fit on the dense design --------------------------------------------
+
+
+def fit_loglinear_dense(
+    table: SparseContingencyTable,
+    terms,
+    cap: float = 20.0,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+) -> LoglinFit:
+    """``loglin.fit_loglinear`` as dense IRLS: ``XᵀWX`` from the full design
+    each iteration, no step-halving, and an absolute score test."""
+    if table.n == 0:
+        raise ValidationError("cannot fit an empty table")
+    x, labels = build_design(table.schema, terms)
+    y = table.to_dense().astype(np.float64).ravel()
+
+    frozen = (x.T @ y) == 0.0
+    beta = np.zeros(x.shape[1])
+    beta[frozen] = -cap
+    free = ~frozen
+
+    converged = False
+    grad_norm = math.inf
+    eta = np.log(y + 0.5)
+    mu = y + 0.5
+    for _ in range(max_iter):
+        w = mu
+        offset = x[:, frozen] @ beta[frozen] if frozen.any() else 0.0
+        z = eta + (y - mu) / mu - offset
+        xf = x[:, free]
+        xtw = xf.T * w
+        lhs, rhs = xtw @ xf, xtw @ z
+        try:
+            beta[free] = linalg.solve(lhs, rhs, assume_a="pos")
+        except linalg.LinAlgError:
+            beta[free] = linalg.lstsq(lhs, rhs)[0]
+        sank = free & (beta < -cap)
+        if sank.any():
+            beta[sank] = -cap
+            frozen |= sank
+            free = ~frozen
+        eta = np.clip(x @ beta, -700.0, 700.0)
+        mu = np.exp(eta)
+        score = x.T @ (y - mu)
+        grad_norm = float(np.abs(score[free]).max()) if free.any() else 0.0
+        if grad_norm < tol:
+            converged = True
+            break
+    if not converged:
+        raise ConvergenceError(f"dense IRLS did not converge; last score norm {grad_norm:.3g}")
+
+    se = np.full(beta.size, math.inf)
+    if free.any():
+        info = (x[:, free].T * mu) @ x[:, free]
+        se[free] = np.sqrt(np.diag(linalg.inv(info)))
+    return LoglinFit(
+        coefficients=dict(zip(labels, beta.tolist())),
+        standard_errors=dict(zip(labels, se.tolist())),
+        fitted=mu.reshape(table.schema.shape),
+        converged=converged,
+        cap_hit=frozenset(l for l, f in zip(labels, frozen) if f),
+        loglik=poisson_loglik(y, mu),
+        terms=tuple(tuple(t) for t in terms),
+    )

@@ -32,6 +32,15 @@ def grid_table(num_cells, counts, structural=()):
 # -- within p% ---------------------------------------------------------------
 
 
+def test_within_p_rejects_counts_on_structural_zeros():
+    # the same pair reported a proportion of -1.0
+    schema = CategoricalSchema([("V", ["a", "b", "c"])])
+    original = SparseContingencyTable.from_dict(schema, {(0,): 1}, structural=[(1,), (2,)])
+    synthetic = SparseContingencyTable.from_dict(schema, {(0,): 1, (1,): 1, (2,): 1})
+    with pytest.raises(ValidationError, match="structural zeros"):
+        within_p_percent(original, synthetic, [5.0])
+
+
 def test_within_p_identity_is_one_everywhere():
     table = grid_table(30, {0: 10, 1: 3, 5: 1})
     res = within_p_percent(table, table, P_LIST)

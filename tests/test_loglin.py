@@ -1,11 +1,16 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgWarning
 
+from oracles import fit_loglinear_dense
 from satsynth.errors import ConvergenceError, ValidationError
+from satsynth.generator import esc_like_spec, generate_table
 from satsynth.loglin import (
     LoglinFit,
     MarginSpec,
@@ -15,8 +20,14 @@ from satsynth.loglin import (
     ipf_fit,
     poisson_loglik,
 )
+from satsynth.models import CountModelSpec
 from satsynth.schema import CategoricalSchema
+from satsynth.synthesis import SynthesisJob, synthesize
 from satsynth.table import SparseContingencyTable
+from satsynth.taumetrics import tau2_of_table
+from satsynth.tuning import alpha_star_match_zeros
+
+pytestmark = pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 
 
 def two_by_two(a, b, c, d):
@@ -68,6 +79,17 @@ def test_ipf_nonconvergence_reports_discrepancy():
     spec = MarginSpec([("v0", "v1"), ("v0", "v2"), ("v1", "v2")])
     with pytest.raises(ConvergenceError, match="discrepancy"):
         ipf_fit(table, spec, tol=1e-13, max_iter=1)
+
+
+def test_ipf_tolerance_is_relative_to_the_margins():
+    # an absolute tol below the rounding floor of margins near 1e7 never converged
+    rng = np.random.default_rng(21)
+    table = random_table(rng, (3, 4, 2), zero_frac=0.2)
+    scaled = SparseContingencyTable(table.schema, table.index, table.count * 10**6)
+    spec = MarginSpec([("v0", "v1"), ("v0", "v2"), ("v1", "v2")])
+    small = ipf_fit(table, spec, tol=1e-12, max_iter=5000)
+    big = ipf_fit(scaled, spec, tol=1e-12, max_iter=5000)
+    np.testing.assert_allclose(big, small * 1e6, rtol=1e-10)
 
 
 def test_design_column_counts():
@@ -270,3 +292,113 @@ def test_intervals_leave_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
     assert proc.stdout.strip() == "False"
+
+
+@st.composite
+def sparse_tables_and_terms(draw):
+    """A 1-3-variable table with sampling zeros and often a zero margin,
+    and a hierarchical model: every main effect plus some interactions."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="sizes")
+    names = [f"v{i}" for i in range(len(sizes))]
+    schema = CategoricalSchema([(n, [f"c{j}" for j in range(s)]) for n, s in zip(names, sizes)])
+    k = schema.num_cells
+    cell = st.one_of(st.just(0), st.integers(1, 5), st.integers(1, 60))
+    counts = draw(st.lists(cell, min_size=k, max_size=k), label="counts")
+    if sum(counts) == 0:
+        counts[draw(st.integers(0, k - 1))] = draw(st.integers(1, 60))
+    flat = {schema.coords_of(i): c for i, c in enumerate(counts) if c}
+    pairs = [tuple(p) for p in itertools.combinations(names, 2)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True), label="interactions") if pairs else []
+    return SparseContingencyTable.from_dict(schema, flat), [(n,) for n in names] + chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_tables_and_terms())
+def test_fit_matches_the_dense_irls_oracle(case):
+    table, terms = case
+
+    def dense(tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)  # the oracle's solve warns near the boundary
+            return fit_loglinear_dense(table, terms, tol=tol)
+
+    fit = fit_loglinear(table, terms)
+    try:
+        ref = dense(1e-8)
+    except (ConvergenceError, np.linalg.LinAlgError):
+        return  # the oracle itself fails; the fit above converged
+    # where an estimate runs off to infinity, each fit stops once the cell means on
+    # that ray fall below its score bound, which leaves up to about tol * n of loglik
+    assert fit.loglik >= ref.loglik - 1e-9 * abs(ref.loglik) - 1e-8 * table.n
+
+    x, labels = build_design(table.schema, terms)
+    zero_margin = {l for l, m in zip(labels, x.T @ table.to_dense().ravel()) if m == 0}
+    if not ref.cap_hit <= zero_margin:
+        return  # the oracle capped a term whose estimate it only chased towards -inf
+    if max(se for se in ref.standard_errors.values() if se < math.inf) > 1e3:
+        # no finite MLE: both fits stopped on a ray to infinity, at different points,
+        # once a cell's mean fell to about tol, where the standard error is about 1e4
+        return
+    # an interior MLE: at tol = 1e-10 both fits lie within about 1e-9 of it
+    fit, ref = fit_loglinear(table, terms, tol=1e-10), dense(1e-10)
+    assert fit.cap_hit == ref.cap_hit
+    for name in labels:
+        assert abs(fit.coefficients[name] - ref.coefficients[name]) <= 1e-8, name
+        se, ref_se = fit.standard_errors[name], ref.standard_errors[name]
+        assert se == ref_se or abs(se - ref_se) <= 1e-8 * ref_se, name
+
+
+def demo_frontier_table():
+    """The three-variable table of ``demos/04_risk_utility_frontier.py``."""
+    rng = np.random.default_rng(41)
+    schema = CategoricalSchema(
+        [
+            ("ethnicity", [f"e{i}" for i in range(6)]),
+            ("age", [f"y{i}" for i in range(5)]),
+            ("language", [f"l{i}" for i in range(4)]),
+        ]
+    )
+    counts = rng.poisson(np.exp(rng.normal(0.6, 1.1, schema.num_cells)))
+    return SparseContingencyTable(
+        schema, np.flatnonzero(counts).astype(np.uint64), counts[counts > 0].astype(np.int64)
+    )
+
+
+@pytest.mark.parametrize(
+    "sigma, replicate, best_loglik, n_capped",
+    # the maximum over coefficients >= -cap, which L-BFGS-B with those bounds
+    # also reaches.  Dense IRLS stopped at -1143.9993 (15 terms capped) and
+    # -439.7960 (27 capped): wild steps sank finite estimates past -cap and it
+    # held them there.  Step-halving alone reaches -149.3439 and -211.6107.
+    [(2.0, 2, -149.3439, 6), (10.0, 1, -161.6203, 15)],
+)
+def test_boundary_fits_reach_the_better_likelihood(sigma, replicate, best_loglik, n_capped):
+    table = demo_frontier_table()
+    job = SynthesisJob(CountModelSpec("nbi", sigma=sigma, alpha=0.0), master_seed=13, m=3)
+    syn = synthesize(table, job)[replicate].table
+    fit = fit_loglinear(syn, all_two_way_terms(syn.schema), cap=20.0)
+    assert abs(fit.loglik - best_loglik) <= 1e-3
+    assert len(fit.cap_hit) == n_capped
+    for name in fit.cap_hit:
+        assert fit.coefficients[name] == -20.0
+        assert math.isinf(fit.standard_errors[name])
+
+
+def test_full_scale_projection_fits_in_few_steps_like_the_dense_oracle():
+    """The ``frontier`` command's fits on the full-scale table: the original's
+    three-variable projection and an NBI match-zeros replicate's."""
+    table = generate_table(esc_like_spec(), 1)
+    alpha = alpha_star_match_zeros(tau2_of_table(table), "nbi", 1.0)
+    job = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=alpha), master_seed=1)
+    variables = ["ethnicity", "age", "language"]
+    terms = all_two_way_terms(table.project(variables).schema)
+    for source in (table, synthesize(table, job)[0].table):
+        proj = source.project(variables)
+        fit = fit_loglinear(proj, terms, max_iter=5)
+        ref = fit_loglinear_dense(proj, terms)
+        assert fit.cap_hit == ref.cap_hit
+        for name, est in fit.coefficients.items():
+            assert abs(est - ref.coefficients[name]) <= 1e-8, name
+        # the margins run to 1e6, where an absolute tol of 1e-11 was below rounding
+        spec = MarginSpec([t for t in terms if len(t) == 2])
+        np.testing.assert_allclose(ipf_fit(proj, spec, tol=1e-11), fit.fitted, rtol=1e-6)

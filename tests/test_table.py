@@ -209,6 +209,16 @@ def test_counts_at_matches_getitem_and_dense_view(cells, data):
     assert table.counts_at([]).shape == (0,)
 
 
+def test_getitem_range_checks_a_flat_index():
+    schema = CategoricalSchema([("V", ["a", "b", "c"])])
+    table = SparseContingencyTable.from_dict(schema, {(0,): 1, (2,): 4})
+    assert [table[i] for i in range(3)] == [1, 0, 4]
+    assert table[np.uint64(2)] == 4
+    for flat in (3, 7, -1, np.int64(-1), 2**64):
+        with pytest.raises(ValidationError, match="out of range"):
+            table[flat]
+
+
 def test_counts_at_on_an_empty_table_is_zero(ab_schema):
     table = SparseContingencyTable(ab_schema, [], [])
     assert table.counts_at(np.arange(4)).tolist() == [0, 0, 0, 0]

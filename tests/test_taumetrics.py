@@ -202,6 +202,18 @@ def test_empirical_rejects_schema_mismatch():
         tau_empirical(a, b)
 
 
+def test_empirical_rejects_counts_on_structural_zeros():
+    # a table of the same schema whose counts fill the original's structural zeros
+    # reported tau1(0) = -2 and tau1(1) = 3
+    schema = CategoricalSchema([("V", ["a", "b", "c"])])
+    original = SparseContingencyTable.from_dict(schema, {(0,): 1}, structural=[(1,), (2,)])
+    synthetic = SparseContingencyTable.from_dict(schema, {(0,): 1, (1,): 1, (2,): 1})
+    with pytest.raises(ValidationError, match="structural zeros"):
+        tau_empirical(original, synthetic, k_report=1)
+    with pytest.raises(ValidationError, match="structural zeros"):
+        tau_empirical(original, [original, synthetic], k_report=1)
+
+
 def test_structural_zeros_outside_every_bucket():
     schema = CategoricalSchema([("cell", [f"c{i}" for i in range(10)])])
     table = SparseContingencyTable.from_dict(schema, {(0,): 2}, structural=[(9,)])
