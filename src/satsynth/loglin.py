@@ -12,11 +12,12 @@ Two routes to fitted counts under a margin/interaction specification:
 Both work on the dense table and are capped at desk scale: the
 package's synthesis mechanism never needs them, they exist to score
 specific utility of synthetic tables on low-dimensional margins.
-:func:`fit_loglinear` never forms the design matrix; each cell switches
-on at most one column per term, and its products run over those
-columns alone.  Terms whose maximum likelihood estimate diverges to
--infinity (zero fitted margins) are frozen at a large negative cap and
-flagged.
+Each cell switches on at most one design column per term, and
+:func:`fit_loglinear` runs its products over those active columns
+alone; it forms the dense design only where the cells' pairs of active
+columns outnumber its entries.  Terms whose maximum likelihood estimate
+diverges to -infinity (zero fitted margins) are frozen at a large
+negative cap and flagged.
 """
 
 from __future__ import annotations
@@ -253,8 +254,10 @@ def fit_loglinear(
 
     ``terms`` are variable-name tuples (mains and interactions).  Each row
     of the treatment-coded design holds at most one 1 per term, so
-    ``X beta``, ``X' v`` and ``X' W X`` are sums over every cell's active
-    columns, and ``X' W X`` is Cholesky-factored once per step.  A step
+    ``X beta`` and ``X' v`` are sums over every cell's active columns, and
+    so is ``X' W X`` over their pairs unless those outnumber the entries
+    of the dense design, which is then formed for ``X' W X`` alone.
+    ``X' W X`` is Cholesky-factored once per step.  A step
     that raises the Poisson deviance beyond rounding is halved until it
     does not (Marschner 2011, glm2).  The fit maximises the likelihood
     over coefficients no lower than ``-cap``: a term with a zero observed
@@ -275,11 +278,9 @@ def fit_loglinear(
     y = table.to_dense().astype(np.float64).ravel()
     slots, labels = _design_slots(table.schema, terms)
     k, p = slots.shape[0], len(labels)
-    rows, which = np.nonzero(slots >= 0)
+    on = slots >= 0
+    rows, which = np.nonzero(on)
     cols = slots[rows, which]
-    left, right = slots[:, :, None], slots[:, None, :]
-    pairs = (left >= 0) & (right >= 0)
-    pair_rows, pair_keys = np.nonzero(pairs)[0], (left * p + right)[pairs]
 
     def x_dot(beta):
         return np.bincount(rows, beta[cols], k)
@@ -287,8 +288,29 @@ def fit_loglinear(
     def xt_dot(v):
         return np.bincount(cols, v[rows], p)
 
-    def information(w, free):
-        return np.bincount(pair_keys, w[pair_rows], p * p).reshape(p, p)[np.ix_(free, free)]
+    # X' W X off its diagonal sums w over each cell's pairs of active columns.
+    # Where the cells' pairs outnumber the k * p entries of the dense design
+    # (many terms, few levels), the dense product takes no more memory and is
+    # faster, so the design is formed instead.
+    active = on.sum(axis=1)
+    if int(np.sum(active * (active - 1) // 2)) <= k * p:
+        pair_rows, pair_keys = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for a, b in itertools.combinations(range(slots.shape[1]), 2):
+            r = np.flatnonzero(on[:, a] & on[:, b])
+            pair_rows.append(r)
+            pair_keys.append(slots[r, a] * p + slots[r, b])
+        pair_rows, pair_keys = np.concatenate(pair_rows), np.concatenate(pair_keys)
+
+        def information(w, free):
+            upper = np.bincount(pair_keys, w[pair_rows], p * p).reshape(p, p)
+            return (upper + upper.T + np.diag(xt_dot(w)))[np.ix_(free, free)]
+
+    else:
+        x = np.zeros((k, p))
+        x[rows, cols] = 1.0
+
+        def information(w, free):
+            return ((x.T * w) @ x)[np.ix_(free, free)]
 
     def evaluate(beta):  # eta, mu, the Poisson deviance up to a constant, and its rounding slack
         eta = np.clip(x_dot(beta), -700.0, 700.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -402,3 +403,25 @@ def test_full_scale_projection_fits_in_few_steps_like_the_dense_oracle():
         # the margins run to 1e6, where an absolute tol of 1e-11 was below rounding
         spec = MarginSpec([t for t in terms if len(t) == 2])
         np.testing.assert_allclose(ipf_fit(proj, spec, tol=1e-11), fit.fitted, rtol=1e-6)
+
+
+def test_many_binary_variables_fit_like_the_dense_oracle_in_design_sized_memory():
+    """All two-way terms over 12 binary variables: a cell switches on about 24
+    columns, whose pairs outnumber the dense design's entries, so X' W X comes
+    from the design.  Peak memory stays within a few copies of the design; a
+    grid of pair keys over cells x slots x slots alone would take 79."""
+    table = random_table(np.random.default_rng(5), [2] * 12)
+    terms = all_two_way_terms(table.schema)
+    design_bytes = table.num_cells * (1 + 12 + 66) * 8
+    tracemalloc.start()
+    try:
+        fit = fit_loglinear(table, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * design_bytes
+    ref = fit_loglinear_dense(table, terms)
+    assert fit.cap_hit == ref.cap_hit == frozenset()
+    for name, est in fit.coefficients.items():
+        assert abs(est - ref.coefficients[name]) <= 1e-8, name
+        assert abs(fit.standard_errors[name] - ref.standard_errors[name]) <= 1e-8 * ref.standard_errors[name], name
