@@ -12,9 +12,10 @@ and higher orders follow from the three-term upward recurrence
 
 which is numerically stable for K because magnitudes grow with the
 order.  Values span hundreds of orders of magnitude across the package's
-working range, so the recurrence is carried in log space with
-``logaddexp`` (every term is positive) and callers are given both the
-log-scaled and the plain variant.
+working range, so the recurrence carries a power-of-two exponent beside
+each value and returns logs; it runs on ``K * exp(t)``, so the seed's
+``-t`` never enters the sums.  Callers are given both the log and the
+plain variant.
 """
 
 from __future__ import annotations
@@ -24,6 +25,46 @@ import numpy as np
 from .errors import ValidationError
 
 _LOG_SQRT_PI_OVER_2 = 0.5 * np.log(np.pi / 2.0)
+_LN2 = np.log(2.0)
+
+
+def _log_k_half_scaled(n, t):
+    """log K_{n - 1/2}(t) + t for integer array ``n`` and array ``t >= 1e-300``.
+
+    K is carried as ``exp(seed) * mantissa * 2**exponent``; the exact
+    ``frexp`` rescaling leaves each step one rounding, so log K_{n-1/2} is
+    off by about n ulps of 1, not n ulps of its own size as on logs.  One
+    pass over ``t``'s own elements fills a buffer of ladder rows no larger
+    than the output, read out whenever it is full: memory is
+    O(t.size + output size), never orders x arguments.
+    """
+    m = np.where(n >= 1, n, 1 - n)  # K is even in its order
+    # each output element's place in the (order, argument) ladder
+    key = (m - 1) * t.size + np.arange(t.size).reshape(t.shape)
+    shape, key = key.shape, key.ravel()
+    if key.size == 0:
+        return np.zeros(shape)
+    m_max = int(key.max()) // t.size + 1
+    ladder = np.empty((min(m_max, max(1, key.size // t.size)), t.size))
+
+    t = t.ravel()
+    seed = _LOG_SQRT_PI_OVER_2 - 0.5 * np.log(t)  # orders -1/2 and 1/2
+    prev = cur = np.ones(t.size)
+    exponent = np.zeros(t.size, dtype=np.int64)
+    out = np.empty(key.size)
+    first = 1  # order held in the buffer's first row
+    for j in range(1, m_max + 1):
+        if j >= 2:  # K_{j-1/2} = K_{j-5/2} + (2j - 3) / t * K_{j-3/2}
+            mantissa, shift = np.frexp(prev + (2 * j - 3) / t * cur)
+            prev, cur = np.ldexp(cur, -shift), mantissa
+            exponent += shift
+        ladder[j - first] = seed + (exponent * _LN2 + np.log(cur))
+        if j - first + 1 == len(ladder) or j == m_max:
+            lo, hi = (first - 1) * t.size, j * t.size
+            at = np.flatnonzero((key >= lo) & (key < hi))
+            out[at] = ladder.ravel()[key[at] - lo]
+            first = j + 1
+    return out.reshape(shape)
 
 
 def log_bessel_k_half(n, t):
@@ -35,42 +76,23 @@ def log_bessel_k_half(n, t):
         Order index; the Bessel order is ``n - 1/2``.  Negative indices are
         folded by the symmetry of K in its order.
     t : float or array of float
-        Argument, strictly positive.
+        Argument, at least 1e-300, below which a recurrence step can
+        overflow.  NaN is refused.
 
     Returns
     -------
     float or ndarray
         Natural log of K.  Broadcasts ``n`` against ``t``.
     """
-    t_arr = np.asarray(t, dtype=np.float64)
-    n_arr = np.asarray(n)
-    if not np.issubdtype(n_arr.dtype, np.integer):
-        if np.any(n_arr != np.floor(n_arr)):
-            raise ValidationError("order index must be an integer")
-        n_arr = n_arr.astype(np.int64)
-    if t_arr.size == 0:
-        return np.zeros(np.broadcast_shapes(n_arr.shape, t_arr.shape))
-    if np.any(t_arr <= 0.0):
-        raise ValidationError("Bessel argument t must be positive")
-
-    n_b, t_b = np.broadcast_arrays(n_arr, t_arr)
-    m = np.where(n_b >= 1, n_b, 1 - n_b)  # canonical index >= 1
-    m_max = int(m.max())
-
-    log_seed = _LOG_SQRT_PI_OVER_2 - 0.5 * np.log(t_b) - t_b  # log K_{1/2}
-
-    # ladder: prev = log K_{(j-1) - 1/2}, cur = log K_{j - 1/2}
-    out = np.where(m == 1, log_seed, 0.0)
-    prev = log_seed.copy()  # j=1 body: K_{-1/2} = K_{1/2}
-    cur = log_seed.copy()
-    log_t = np.log(t_b)
-    for j in range(2, m_max + 1):
-        nxt = np.logaddexp(prev, np.log(2.0 * j - 3.0) - log_t + cur)
-        prev, cur = cur, nxt
-        out = np.where(m == j, cur, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    t = np.asarray(t, dtype=np.float64)
+    n = np.asarray(n)
+    if not np.issubdtype(n.dtype, np.integer) and np.any(n != np.floor(n)):
+        raise ValidationError("order index must be an integer")
+    n = n.astype(np.int64)  # ladder keys reach orders x arguments
+    if not np.all(t >= 1e-300):
+        raise ValidationError("Bessel argument t must be >= 1e-300")
+    out = _log_k_half_scaled(n, t) - t
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_k_half(n, t):
@@ -80,26 +102,3 @@ def bessel_k_half(n, t):
     log variant in that regime.
     """
     return np.exp(log_bessel_k_half(n, t))
-
-
-def log_bessel_k_half_ladder(n_max: int, t) -> np.ndarray:
-    """log K_{n - 1/2}(t) for every n in 0..n_max at fixed argument(s).
-
-    Returns an array with a leading axis of length ``n_max + 1``; row n is
-    the order ``n - 1/2``.  One recurrence pass serves all orders, which
-    is what probability-mass evaluations over a range of counts need.
-    """
-    if n_max < 0:
-        raise ValidationError("n_max must be nonnegative")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if np.any(t_arr <= 0.0):
-        raise ValidationError("Bessel argument t must be positive")
-    log_seed = _LOG_SQRT_PI_OVER_2 - 0.5 * np.log(t_arr) - t_arr
-    out = np.empty((n_max + 1,) + t_arr.shape, dtype=np.float64)
-    out[0] = log_seed  # order -1/2 equals order 1/2
-    if n_max >= 1:
-        out[1] = log_seed
-    log_t = np.log(t_arr)
-    for j in range(2, n_max + 1):
-        out[j] = np.logaddexp(out[j - 2], np.log(2.0 * j - 3.0) - log_t + out[j - 1])
-    return out

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SatsynthError, ValidationError
+from .errors import FormatError, SatsynthError, ValidationError
 from .evaluation import (
     frontier_point,
     mean_ci_overlap,
@@ -102,7 +102,10 @@ def _load_synthetic(path: str):
     table = _read_input(path, "synthetic table", read_table)
     sidecar = _sidecar_path(Path(path))
     if sidecar.exists():
-        prov = Provenance.from_json(sidecar.read_text(encoding="utf-8"))
+        try:
+            prov = Provenance.from_json(sidecar.read_text(encoding="utf-8"))
+        except (FormatError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{sidecar}: {exc}") from None
         return SyntheticTable(table, prov)
     return table
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .models import CountModelSpec, Family
 from .sampling import draw_counts, uniform_block
 from .table import SparseContingencyTable
@@ -55,8 +55,10 @@ class Provenance:
 
     @classmethod
     def from_json(cls, text: str) -> "Provenance":
-        data = json.loads(text)
-        return cls(**data)
+        try:
+            return cls(**json.loads(text))
+        except (ValueError, TypeError) as exc:  # not JSON, not an object, or a field missing
+            raise FormatError(f"malformed provenance sidecar: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
-from satsynth.bessel import bessel_k_half, log_bessel_k_half, log_bessel_k_half_ladder
+from satsynth.bessel import bessel_k_half, log_bessel_k_half
 from satsynth.errors import ValidationError
 
 from oracles import log_bessel_k_quadrature
@@ -50,9 +51,28 @@ def test_matches_scipy_kv():
 
 def test_ladder_matches_pointwise():
     t = np.array([0.5, 2.0, 9.0])
-    ladder = log_bessel_k_half_ladder(12, t)
+    grid = log_bessel_k_half(np.arange(13)[:, None], t)
+    assert grid.shape == (13, 3)
     for n in range(13):
-        np.testing.assert_allclose(ladder[n], log_bessel_k_half(n, t), rtol=1e-13)
+        for j, tj in enumerate(t):
+            assert grid[n, j] == log_bessel_k_half(n, tj), (n, tj)
+
+
+def test_elementwise_high_orders_stay_within_a_few_megabytes():
+    # 20,000 (order, argument) pairs with orders up to 2,000: a ladder of
+    # every order at every argument would hold about 320 MB
+    rng = np.random.default_rng(7)
+    n = rng.integers(0, 2001, 20_000)
+    t = rng.uniform(0.1, 50.0, 20_000)
+    tracemalloc.start()
+    try:
+        vals = log_bessel_k_half(n, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    for i in (0, 1, 4_321, 19_999):
+        assert vals[i] == log_bessel_k_half(int(n[i]), float(t[i]))
 
 
 def test_log_form_survives_large_order_small_argument():
@@ -67,3 +87,18 @@ def test_rejects_nonpositive_argument():
         bessel_k_half(1, 0.0)
     with pytest.raises(ValidationError):
         bessel_k_half(1, -2.0)
+
+
+def test_rejects_nan_argument():
+    # NaN used to pass the t <= 0 screen and come back as NaN with a RuntimeWarning
+    with pytest.raises(ValidationError):
+        log_bessel_k_half(1, math.nan)
+    with pytest.raises(ValidationError):
+        log_bessel_k_half(np.arange(3), np.array([2.0, math.nan, 1.0]))
+
+
+def test_rejects_arguments_below_the_overflow_floor():
+    # a recurrence step multiplies by (2n - 3) / t, which must stay finite
+    assert np.isfinite(log_bessel_k_half(400, 1e-300))
+    with pytest.raises(ValidationError):
+        log_bessel_k_half(2, 1e-301)

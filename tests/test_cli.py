@@ -244,3 +244,24 @@ def test_missing_config_and_table_files_are_typed_errors(tmp_path, capsys):
     assert run("metrics", "--table", tmp_path / "nope.csv", "--synthetic", tmp_path / "x.csv",
                "--out-prefix", tmp_path / "tau") == 1
     assert "error: table file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    ["{not json", json.dumps({"family": "nbi", "sigma": 1.0, "alpha": 0.0, "m": 1, "master_seed": 3})],
+    ids=["not-json", "field-missing"],
+)
+def test_malformed_provenance_sidecar_is_a_typed_error(tmp_path, capsys, sidecar):
+    schema = CategoricalSchema([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])
+    table = SparseContingencyTable.from_dict(schema, {(0, 0): 1, (0, 1): 5, (1, 0): 7, (1, 1): 3})
+    orig, syn = tmp_path / "orig.csv", tmp_path / "syn.csv"
+    write_table(table, str(orig))
+    write_table(table, str(syn))
+    (tmp_path / "syn.csv.provenance.json").write_text(sidecar)
+    for argv in (("metrics", "--out-prefix", tmp_path / "tau"),
+                 ("evaluate", "--out", tmp_path / "within.csv"),
+                 ("frontier", "--out", tmp_path / "frontier.csv")):
+        assert run(*argv, "--table", orig, "--synthetic", syn) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "syn.csv.provenance.json" in err, err
+        assert "malformed provenance sidecar" in err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from satsynth.errors import ValidationError
 from satsynth.models import (
@@ -105,6 +107,18 @@ def test_pig_c_definition_and_bounds():
         assert pig_c(mu, sigma) >= 1.0 / sigma
 
 
+def test_pig_c_refuses_nan_mean():
+    # returned NaN, which the Bessel ladder then carried into the pmf
+    with pytest.raises(ValidationError):
+        pig_c(math.nan, 1.0)
+
+
+def test_pig_c_refuses_infinite_mean():
+    # returned inf
+    with pytest.raises(ValidationError):
+        pig_c(np.array([1.0, math.inf]), 1.0)
+
+
 def test_input_validation():
     with pytest.raises(ValidationError):
         pmf("poisson", -1, 1.0)
@@ -152,3 +166,59 @@ def test_truncation_for_mass_rejects_unresolvable_tail():
     with pytest.raises(ValidationError):
         truncation_for_mass("nbi", 5.0, 1.0, tail=0.0)
     assert truncation_for_mass("poisson", 740.0, tail=1e-12) < 2_000
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1e-5, 1e-7, 1e-9, 1e-12])
+def test_pig_mass_and_mean_exact_as_sigma_vanishes(sigma):
+    # 1/sigma used to be added to a log K_{k-1/2}(c) carrying -c, c ~ 1/sigma,
+    # which lost c * eps: the mass was off by -6.8e-10 at sigma = 1e-7 and
+    # by -1.05e-4 at sigma = 1e-12
+    mu = 5.0
+    k_max = int(mu + 40.0 * math.sqrt(mu + sigma * mu**2) + 100.0)
+    probs = pmf_range("pig", k_max, mu, sigma)
+    assert abs(probs.sum() - 1.0) <= 1e-14
+    assert abs(np.arange(k_max + 1) @ probs - mu) <= 1e-13 * mu
+
+
+@pytest.mark.parametrize("sigma", [1e-12, 1e-9])
+def test_pig_truncation_resolves_as_sigma_vanishes(sigma):
+    # each of these used to stall short of 1 - 1e-12
+    for mu in (1e-4, 0.01, 1.0, 5.0, 740.0):
+        k_max = truncation_for_mass("pig", mu, sigma, tail=1e-12)
+        assert k_max == truncation_for_mass("poisson", mu, tail=1e-12), mu
+
+
+def test_pig_logpmf_and_pmf_range_agree_bit_for_bit():
+    means = np.array([0.0, 0.02, 1.0, 7.5, 740.0])
+    for sigma in (1e-9, 0.5, 30.0):
+        log_grid = logpmf("pig", np.arange(61)[:, None], means, sigma)
+        np.testing.assert_array_equal(pmf_range("pig", 60, means, sigma), np.exp(log_grid))
+        for k in (0, 1, 2, 13, 60):
+            for j, mu in enumerate(means):
+                assert log_grid[k, j] == logpmf("pig", k, float(mu), sigma), (sigma, k, mu)
+
+
+_SIGMAS = st.one_of(st.just(0.0), st.floats(-12.0, 6.0).map(lambda e: 10.0**e))
+_MEANS = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(list(Family)), sigma=_SIGMAS, mu=_MEANS)
+def test_pmf_normalises_and_keeps_its_mean(family, sigma, mu):
+    # truncation_for_mass doubles from this guess, but the NBI and PIG tails
+    # decay like exp(-k / (sigma mu)) and exp(-k / (2 sigma mu)), so the search
+    # runs on to about 50 sigma mu; both bounds keep an example under a second
+    guess = mu + 10.0 * math.sqrt(moments(family, mu, sigma)[1]) + 20.0
+    if guess > 2e4 or (family is not Family.POISSON and 60.0 * sigma * mu > 2e4):
+        reject()
+    try:
+        k_max = truncation_for_mass(family, mu, sigma, tail=1e-12)
+    except ValidationError as exc:
+        if "stalls" not in str(exc):
+            raise
+        reject()
+    probs = pmf_range(family, k_max, mu, sigma)
+    assert abs(probs.sum() - 1.0) <= 1e-12 + 4e-15 * mu
+    if sigma * mu <= 1.0:
+        # the tail past k_max holds up to 1e-12 of mass at counts near k_max
+        assert abs(np.arange(k_max + 1) @ probs - mu) <= 1e-10 * mu + 2e-12 * k_max
