@@ -19,15 +19,18 @@ Construction mirrors the mixture definitions of the families:
 Most cells of an administrative-scale table draw 0, so ``draw_counts``
 first rules out, from each cell's own mean and uniforms, the cells that
 certainly draw 0 and runs the mixing kernel and the Poisson quantile only
-on the rest.  The screen skips computation only: it never changes a
-value, and every cell's count is still a function of its own counter
-block.
+on the rest.  Synthesis goes one step further for the random zeros, which
+all share the mean alpha: :func:`may_draw_nonzero` sets aside the ones
+that certainly draw 0 with one threshold per screen bucket, so they never
+reach ``draw_counts``.  Both screens skip computation only: they never
+change a value, and every cell's count is still a function of its own
+counter block.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy import special
 
 from .errors import ValidationError
@@ -46,6 +49,10 @@ _POISSON_LOOP_CUT = 60.0  # accumulate term-by-term below, invert pdtrik above
 _SCREEN_STEPS = 256
 _SCREEN_MARGIN = 1e-6
 _EXP_SLACK = 1.0 - 2.0**-48
+# The zero-cell pre-screen's thresholds sit 2**-40 (8192 ulp) below
+# draw_counts' own, so that it passes every draw draw_counts would run
+# even if exp rounded differently on the two calls.
+_PRESCREEN_SLACK = 1.0 - 2.0**-40
 
 
 def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarray:
@@ -53,18 +60,30 @@ def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarr
 
     Returns an ``(n, SLOTS_PER_DRAW)`` array in [0, 1).  Draw i always
     occupies counter block ``start + i`` of the Philox stream keyed by
-    (master_seed, stream), independent of how calls are chunked.
+    (master_seed, stream), independent of how calls are chunked.  Both
+    key words must lie in [0, 2**64), so that distinct seeds never share
+    a stream.
     """
     if n < 0:
         raise ValidationError("block length must be >= 0")
-    key = np.array([master_seed & _U64_MASK, stream & _U64_MASK], dtype=np.uint64)
+    return fill_uniform_block(master_seed, stream, start, np.empty((n, SLOTS_PER_DRAW)))
+
+
+def fill_uniform_block(master_seed: int, stream: int, start: int, out: np.ndarray) -> np.ndarray:
+    """:func:`uniform_block` written into the C-contiguous float64 ``out`` of
+    shape ``(n, SLOTS_PER_DRAW)``; returns ``out``.
+
+    Each uniform is the top 53 bits of one raw Philox word times 2**-53,
+    the same bits as ``random_raw`` shifted and scaled.
+    """
+    for name, word in (("master seed", master_seed), ("stream", stream)):
+        if not 0 <= word <= _U64_MASK:
+            raise ValidationError(f"{name} must be in [0, 2**64), got {word}")
+    key = np.array([master_seed, stream], dtype=np.uint64)
     counter = np.zeros(4, dtype=np.uint64)
     counter[0] = start & _U64_MASK
     counter[1] = (start >> 64) & _U64_MASK
-    bg = Philox(key=key, counter=counter)
-    raw = bg.random_raw(n * SLOTS_PER_DRAW)
-    np.right_shift(raw, np.uint64(11), out=raw)
-    return np.multiply(raw, 2.0**-53).reshape(n, SLOTS_PER_DRAW)
+    return Generator(Philox(key=key, counter=counter)).random(out=out)
 
 
 def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -124,26 +143,26 @@ def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     if np.any(big):
         out[big] = _poisson_quantile(u[big], lam[big])
 
-    small = live & ~big
-    if np.any(small):
-        ls = lam[small]
-        us = u[small]
-        k = np.zeros(ls.shape, dtype=np.int64)
-        term = p0[small]
-        cdf = term.copy()
-        idx = np.arange(ls.size)  # us >= cdf everywhere: that made them live
-        steps = 0
+    # the small means run the CDF recurrence on arrays compacted as draws finish
+    small = np.flatnonzero(live & ~big)
+    if small.size:
+        ls = lam.take(small)
+        us = u.take(small)
+        term = p0.take(small)
+        cdf = term.copy()  # us >= cdf everywhere: that made them live
+        k = 0
         # iteration count bounded well past the far tail of lam <= cut
         max_steps = int(_POISSON_LOOP_CUT + 12.0 * np.sqrt(_POISSON_LOOP_CUT) + 60)
-        while idx.size and steps < max_steps:
-            steps += 1
-            k[idx] += 1
-            term[idx] *= ls[idx] / k[idx]
-            cdf[idx] += term[idx]
-            idx = idx[us[idx] >= cdf[idx]]
-        if idx.size:  # u so extreme the accumulated CDF stalled
-            k[idx] = _poisson_quantile(us[idx], ls[idx])
-        out[small] = k
+        while small.size and k < max_steps:
+            k += 1
+            term *= ls / k
+            cdf += term
+            go = us >= cdf
+            out[small[~go]] = k
+            keep = np.flatnonzero(go)
+            small, ls, us, term, cdf = (a.take(keep) for a in (small, ls, us, term, cdf))
+        if small.size:  # u so extreme the accumulated CDF stalled
+            out[small] = _poisson_quantile(us, ls)
     return out
 
 
@@ -186,23 +205,58 @@ def _lam_cap(family: Family, sigma: float, u: np.ndarray) -> np.ndarray:
     7e-12 relative over 1/sigma in [1e-9, 1e9], and ndtri and the root
     arithmetic are good to a few ulp, against a margin of 1e-6.
     """
-    steps = _SCREEN_STEPS
-    edges = np.arange(steps + 1) / steps
+    return _cap_table(family, sigma).take(_screen_bucket(family, u))
+
+
+def _cap_table(family: Family, sigma: float) -> np.ndarray:
+    """The bound b of each screen bucket (see :func:`_lam_cap`), margin included.
+
+    Entries 0 .. S hold bucket j's bound.  For PIG, entries S+1 .. 2S+1
+    hold the bound 1 of the small root, which every bucket takes when
+    u1 <= 1/2.
+    """
+    edges = np.arange(_SCREEN_STEPS + 1) / _SCREEN_STEPS
     if family is Family.NBI:
-        table = special.gammaincinv(1.0 / sigma, edges) * sigma
-    else:
-        z = np.abs(special.ndtri(edges))
-        z = np.maximum(z, np.concatenate(([np.inf], z[:-1])))
-        h = sigma * z * z
-        table = (2.0 + h + np.sqrt(h * (h + 4.0))) / 2.0
-    table *= 1.0 + _SCREEN_MARGIN
-    j = np.ceil(u[:, 0] * steps)
+        return special.gammaincinv(1.0 / sigma, edges) * sigma * (1.0 + _SCREEN_MARGIN)
+    z = np.abs(special.ndtri(edges))
+    z = np.maximum(z, np.concatenate(([np.inf], z[:-1])))
+    h = sigma * z * z
+    table = (2.0 + h + np.sqrt(h * (h + 4.0))) / 2.0 * (1.0 + _SCREEN_MARGIN)
+    return np.concatenate((table, np.ones(edges.size)))
+
+
+def _screen_bucket(family: Family, u: np.ndarray) -> np.ndarray:
+    """Each draw's entry of :func:`_cap_table`: ``j = ceil(u0 * S)``, clipped
+    to 0 .. S (NaN goes to 0), plus S + 1 for PIG when u1 <= 1/2."""
+    j = u[:, 0] * _SCREEN_STEPS
+    np.ceil(j, out=j)
     np.fmax(j, 0.0, out=j)
-    np.fmin(j, steps, out=j)
-    cap = table[j.astype(np.intp)]
+    np.fmin(j, _SCREEN_STEPS, out=j)
     if family is Family.PIG:
-        np.copyto(cap, 1.0, where=u[:, 1] <= 0.5)
-    return cap
+        j += (u[:, 1] <= 0.5) * (_SCREEN_STEPS + 1.0)
+    return j.astype(np.intp)
+
+
+def may_draw_nonzero(family: Family, sigma: float, alpha: float, u: np.ndarray) -> np.ndarray:
+    """Which draws at the common mean ``alpha`` may be nonzero: a boolean mask over ``u``'s rows.
+
+    False only where :func:`draw_counts` at mean alpha certainly gives
+    0: True wherever draw_counts' own screen would run the draw, so
+    screening a block of random zeros with this mask first changes no
+    count.  A mixture draw at alpha passes when its count uniform reaches
+    draw_counts' threshold ``exp(-b * alpha) * _EXP_SLACK`` for the bound
+    b of its :func:`_cap_table` entry, so the table's entries are the
+    only exponentials.  A Poisson draw
+    passes when u0 reaches exp(-alpha).  Every threshold is loosened by
+    ``_PRESCREEN_SLACK``.  At alpha = 0 every draw is 0 and nothing passes.
+    """
+    if alpha == 0.0:
+        return np.zeros(len(u), dtype=bool)
+    if family is Family.POISSON or sigma == 0.0:
+        return u[:, 0] >= np.exp(-alpha) * _PRESCREEN_SLACK
+    threshold = np.exp(-_cap_table(family, sigma) * alpha) * (_EXP_SLACK * _PRESCREEN_SLACK)
+    slot = 1 if family is Family.NBI else 2
+    return u[:, slot] >= threshold.take(_screen_bucket(family, u))
 
 
 def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.ndarray:
@@ -211,8 +265,8 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     Parameters
     ----------
     family, sigma : model family and dispersion (sigma=0 is Poisson).
-    mu : array of draw means (0 means a degenerate zero draw).
-    u : ``(len(mu), SLOTS_PER_DRAW)`` uniforms, e.g. from
+    mu : array of finite draw means (0 means a degenerate zero draw).
+    u : ``(len(mu), SLOTS_PER_DRAW)`` uniforms in [0, 1), e.g. from
         :func:`uniform_block`.
 
     A mixture draw is 0 when its count uniform lies below exp(-cap) for
@@ -221,15 +275,17 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     """
     family = Family.coerce(family)
     mu = np.asarray(mu, dtype=np.float64)
-    if np.any(mu < 0):
-        raise ValidationError("mu must be >= 0")
-    if sigma < 0:
-        raise ValidationError("sigma must be >= 0")
+    if not np.all((mu >= 0.0) & (mu < np.inf)):  # False for NaN
+        raise ValidationError("mu must be finite and >= 0")
+    if not 0.0 <= sigma < np.inf:
+        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape != (mu.size, SLOTS_PER_DRAW):
         raise ValidationError(
             f"expected uniforms of shape ({mu.size}, {SLOTS_PER_DRAW}), got {u.shape}"
         )
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails both
+        raise ValidationError("uniforms must lie in [0, 1)")
 
     flat = mu.reshape(-1)
     if family is Family.POISSON or sigma == 0.0:
@@ -239,8 +295,8 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     with np.errstate(invalid="ignore"):  # inf * 0 at mu = 0: NaN, and mu > 0 drops it
         threshold = np.exp(-_lam_cap(family, sigma, u) * flat) * _EXP_SLACK
     cells = np.flatnonzero((flat > 0.0) & (u[:, slot] >= threshold))
-    mm = flat[cells]
-    uu = u[cells]
+    mm = flat.take(cells)
+    uu = u.take(cells, axis=0)
     if family is Family.NBI:
         lam = special.gammaincinv(1.0 / sigma, uu[:, 0]) * (sigma * mm)
     else:

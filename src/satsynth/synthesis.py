@@ -6,19 +6,25 @@ structural zeros stay zero.  Replicates are independent.  A cell's draw
 depends only on (master seed, replicate index, cell flat index) — never
 on chunking or worker count — because each cell owns a fixed counter
 block of the keyed Philox stream (see :mod:`satsynth.sampling`).
+
+Only the occupied cells and the random zeros whose uniforms pass
+:func:`~satsynth.sampling.may_draw_nonzero` at ``alpha`` reach the
+sampler; every other cell certainly draws 0.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
 from .models import CountModelSpec, Family
-from .sampling import draw_counts, uniform_block
+from .sampling import SLOTS_PER_DRAW, draw_counts, fill_uniform_block, may_draw_nonzero
 from .table import SparseContingencyTable
 
 DEFAULT_CHUNK_CELLS = 1 << 20
@@ -37,6 +43,8 @@ class SynthesisJob:
             raise ValidationError("replicate count m must be >= 1")
         if not isinstance(self.master_seed, int):
             raise ValidationError("master_seed must be an integer")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValidationError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -91,33 +99,30 @@ def _chunk_draw(
     replicate: int,
     start: int,
     stop: int,
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw cells [start, stop); returns (flat indices, counts) of nonzero draws."""
+    """Draw cells [start, stop); returns (flat indices, counts) of nonzero draws.
+
+    The chunk's uniforms are written into ``scratch`` (at least
+    ``stop - start`` rows); nothing returned is a view of it.
+    """
     lo = int(np.searchsorted(table.index, np.uint64(start)))
     hi = int(np.searchsorted(table.index, np.uint64(stop))) if stop < 2**64 else table.index.size
     # subtract in uint64 first: chunk-relative offsets are small, raw indices may not be
     nz_pos = (table.index[lo:hi] - np.uint64(start)).astype(np.int64)
-    nz_cnt = table.count[lo:hi]
-
-    if alpha == 0.0:
-        # only originally nonzero cells can produce nonzero draws
-        if nz_pos.size == 0:
-            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        u = uniform_block(master_seed, replicate, start, stop - start)
-        counts = draw_counts(family, nz_cnt.astype(np.float64), sigma, u[nz_pos])
-        keep = counts > 0
-        return (nz_pos[keep] + start).astype(np.uint64), counts[keep]
-
-    mu = np.full(stop - start, alpha, dtype=np.float64)
     s_lo = int(np.searchsorted(table.structural, np.uint64(start)))
     s_hi = int(np.searchsorted(table.structural, np.uint64(stop))) if stop < 2**64 else table.structural.size
-    if s_hi > s_lo:
-        mu[(table.structural[s_lo:s_hi] - np.uint64(start)).astype(np.int64)] = 0.0
-    mu[nz_pos] = nz_cnt
-    u = uniform_block(master_seed, replicate, start, stop - start)
-    counts = draw_counts(family, mu, sigma, u)
+
+    u = fill_uniform_block(master_seed, replicate, start, scratch[: stop - start])
+    draw = may_draw_nonzero(family, sigma, alpha, u)
+    draw[nz_pos] = True
+    draw[(table.structural[s_lo:s_hi] - np.uint64(start)).astype(np.int64)] = False
+    cand = np.flatnonzero(draw)
+    mu = np.full(cand.size, alpha)
+    mu[np.searchsorted(cand, nz_pos)] = table.count[lo:hi]
+    counts = draw_counts(family, mu, sigma, u.take(cand, axis=0))
     keep = counts > 0
-    return (np.flatnonzero(keep) + start).astype(np.uint64), counts[keep]
+    return (cand[keep] + start).astype(np.uint64), counts[keep]
 
 
 def synthesize(
@@ -130,7 +135,8 @@ def synthesize(
 
     Cells are processed in fixed flat-index chunks; with ``threads > 1``
     chunks are dispatched to a thread pool.  Output is identical for any
-    thread count and chunk size.
+    thread count and chunk size.  Each worker thread reuses one block of
+    ``chunk_cells`` uniforms, freed when the call returns.
     """
     if threads < 1:
         raise ValidationError("threads must be >= 1")
@@ -141,29 +147,32 @@ def synthesize(
     sigma = spec.sigma if family is not Family.POISSON else 0.0
     k = table.num_cells
     starts = list(range(0, k, chunk_cells))
-    out: list[SyntheticTable] = []
-    for rep in range(job.m):
-        def work(start: int, rep: int = rep):
-            return _chunk_draw(
-                table, family, sigma, spec.alpha,
-                job.master_seed, rep, start, min(start + chunk_cells, k),
-            )
+    local = threading.local()
 
-        if threads == 1 or len(starts) == 1:
-            pieces = [work(s) for s in starts]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                pieces = list(pool.map(work, starts))
-        idx = np.concatenate([p[0] for p in pieces]) if pieces else np.empty(0, np.uint64)
-        cnt = np.concatenate([p[1] for p in pieces]) if pieces else np.empty(0, np.int64)
-        syn = SparseContingencyTable(table.schema, idx, cnt, table.structural)
-        prov = Provenance(
-            family=spec.family.value,
-            sigma=float(spec.sigma),
-            alpha=float(spec.alpha),
-            m=job.m,
-            master_seed=job.master_seed,
-            replicate=rep,
+    def work(rep: int, start: int):
+        scratch = getattr(local, "scratch", None)
+        if scratch is None:
+            scratch = local.scratch = np.empty((min(chunk_cells, k), SLOTS_PER_DRAW))
+        return _chunk_draw(
+            table, family, sigma, spec.alpha,
+            job.master_seed, rep, start, min(start + chunk_cells, k), scratch,
         )
-        out.append(SyntheticTable(syn, prov))
+
+    out: list[SyntheticTable] = []
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 and len(starts) > 1 else map
+        for rep in range(job.m):
+            pieces = list(run(partial(work, rep), starts))
+            idx = np.concatenate([p[0] for p in pieces]) if pieces else np.empty(0, np.uint64)
+            cnt = np.concatenate([p[1] for p in pieces]) if pieces else np.empty(0, np.int64)
+            syn = SparseContingencyTable(table.schema, idx, cnt, table.structural)
+            prov = Provenance(
+                family=spec.family.value,
+                sigma=float(spec.sigma),
+                alpha=float(spec.alpha),
+                m=job.m,
+                master_seed=job.master_seed,
+                replicate=rep,
+            )
+            out.append(SyntheticTable(syn, prov))
     return out

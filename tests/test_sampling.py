@@ -17,6 +17,7 @@ from satsynth.sampling import (
     _inverse_gaussian_from_uniforms,
     _lam_cap,
     draw_counts,
+    may_draw_nonzero,
     poisson_inverse,
     sample,
     uniform_block,
@@ -151,6 +152,47 @@ def test_draw_counts_validates_shapes():
         draw_counts("poisson", -np.ones(3), 0.0, np.zeros((3, SLOTS_PER_DRAW)))
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_draw_counts_refuses_non_finite_sigma(sigma):
+    # these used to draw [0 0 0]
+    with pytest.raises(ValidationError, match="sigma must be finite"):
+        draw_counts("nbi", [1.0, 2.0, 3.0], sigma, np.full((3, SLOTS_PER_DRAW), 0.7))
+
+
+@pytest.mark.parametrize("family", ["poisson", "nbi", "pig"])
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
+def test_draw_counts_refuses_means_outside_its_domain(family, mu):
+    # a NaN mean used to draw 0 in every family
+    with pytest.raises(ValidationError, match="mu must be finite"):
+        draw_counts(family, [1.0, mu], 1.0, np.full((2, SLOTS_PER_DRAW), 0.7))
+
+
+@pytest.mark.parametrize("family", ["poisson", "nbi", "pig"])
+@pytest.mark.parametrize("slot", range(SLOTS_PER_DRAW))
+@pytest.mark.parametrize("bad", [np.nan, -2.0**-1074, 1.0, 1.5])
+def test_draw_counts_refuses_uniforms_outside_the_unit_interval(family, slot, bad):
+    # a NaN uniform used to draw 0
+    u = np.full((2, SLOTS_PER_DRAW), 0.7)
+    u[1, slot] = bad
+    with pytest.raises(ValidationError, match=r"uniforms must lie in \[0, 1\)"):
+        draw_counts(family, [1.0, 2.0], 1.0, u)
+
+
+def test_count_uniform_above_one_is_not_reported_as_an_int64_overflow():
+    with pytest.raises(ValidationError, match="uniforms"):
+        draw_counts("nbi", [1.0], 1.0, [[0.5, 1.5, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_uniform_block_refuses_seeds_outside_64_bits(seed):
+    # these used to alias seed mod 2**64
+    with pytest.raises(ValidationError, match="master seed must be in"):
+        uniform_block(seed, 0, 0, 4)
+    with pytest.raises(ValidationError, match="stream must be in"):
+        uniform_block(0, seed, 0, 4)
+    assert uniform_block(2**64 - 1, 2**64 - 1, 0, 4).shape == (4, SLOTS_PER_DRAW)
+
+
 def test_scalar_sample_is_int():
     rng = np.random.default_rng(1)
     val = sample("poisson", 2.0, 0.0, rng)
@@ -208,12 +250,10 @@ def _uniform(draw, thresholds) -> float:
     return min(max(t, 0.0), TOP)
 
 
-@st.composite
-def _draw_inputs(draw):
-    family = draw(st.sampled_from(["poisson", "nbi", "pig"]))
-    sigma = draw(_SIGMAS)
-    n = draw(st.integers(1, 24))
-    mu = np.array(draw(st.lists(_MEANS, min_size=n, max_size=n)))
+def _uniforms_near_thresholds(draw, family: str, mu: np.ndarray, sigma: float) -> np.ndarray:
+    """Uniform blocks whose mixing, root-choice and count uniforms often sit at or next
+    to the values where the draw path's decisions flip."""
+    n = mu.size
     u = np.array([[_uniform(draw, _EDGES) for _ in range(SLOTS_PER_DRAW)] for _ in range(n)])
     mixture = family != "poisson" and sigma > 0.0
     slot = {"poisson": 0, "nbi": 1, "pig": 2}[family] if mixture else 0
@@ -229,7 +269,16 @@ def _draw_inputs(draw):
         cap = np.exp(-_lam_cap(Family(family), sigma, u) * mu) * _EXP_SLACK if mixture else exact
     for i in range(n):
         u[i, slot] = _uniform(draw, [exact[i], cap[i]] if np.isfinite([exact[i], cap[i]]).all() else [0.5])
-    return family, mu, sigma, u
+    return u
+
+
+@st.composite
+def _draw_inputs(draw):
+    family = draw(st.sampled_from(["poisson", "nbi", "pig"]))
+    sigma = draw(_SIGMAS)
+    n = draw(st.integers(1, 24))
+    mu = np.array(draw(st.lists(_MEANS, min_size=n, max_size=n)))
+    return family, mu, sigma, _uniforms_near_thresholds(draw, family, mu, sigma)
 
 
 def _large_root_just_above_half():
@@ -252,3 +301,37 @@ def test_screened_draws_equal_unscreened_bit_for_bit(case):
     assert (got >= 0).all()
     valid = want >= 0  # negative: the old NaN cast, fixed above
     np.testing.assert_array_equal(got[valid], want[valid])
+
+
+# -- the zero-cell pre-screen passes every draw that may be nonzero --------------------
+
+
+@st.composite
+def _prescreen_inputs(draw):
+    family = draw(st.sampled_from(["poisson", "nbi", "pig"]))
+    sigma = draw(_SIGMAS)
+    alpha = draw(st.floats(-12.0, 3.0).map(lambda e: 10.0**e))
+    mu = np.full(draw(st.integers(1, 24)), alpha)
+    return family, alpha, sigma, _uniforms_near_thresholds(draw, family, mu, sigma)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_prescreen_inputs())
+def test_zero_prescreen_passes_every_draw_that_may_be_nonzero(case):
+    family, alpha, sigma, u = case
+    passed = may_draw_nonzero(Family(family), sigma, alpha, u)
+    mu = np.full(len(u), alpha)
+    assert passed[draw_counts_unscreened(family, mu, sigma, u) != 0].all()
+    # and every draw that draw_counts' own screen lets through
+    if family != "poisson" and sigma > 0.0:
+        slot = 1 if family == "nbi" else 2
+        live = u[:, slot] >= np.exp(-_lam_cap(Family(family), sigma, u) * mu) * _EXP_SLACK
+    else:
+        live = u[:, 0] >= np.exp(-mu)
+    assert passed[live].all()
+
+
+def test_zero_prescreen_is_empty_at_alpha_zero():
+    u = np.full((3, SLOTS_PER_DRAW), TOP)
+    for family in Family:
+        assert not may_draw_nonzero(family, 1.0, 0.0, u).any()
