@@ -31,15 +31,16 @@ from .loglin import all_two_way_terms, fit_loglinear
 from .models import CountModelSpec, Family
 from .schema import CategoricalSchema
 from .synthesis import Provenance, SynthesisJob, SyntheticTable, synthesize
-from .table import aggregate_microdata_csv, read_table, write_table
+from .table import aggregate_microdata_csv, read_table, utf8_errors, write_table
 from .taumetrics import tau2_of_table, tau_analytic, tau_empirical
 from .tuning import TargetKind, TuningTarget, solve
 
 
 def _read_input(path: str, what: str, reader=lambda p: Path(p).read_text(encoding="utf-8")):
-    """``reader(path)``, with a missing file reported as a typed error."""
+    """``reader(path)``, with a missing or non-UTF-8 file reported as a typed error."""
     try:
-        return reader(path)
+        with utf8_errors(path):
+            return reader(path)
     except FileNotFoundError:
         raise ValidationError(f"{what} file not found: {path}") from None
 
@@ -64,7 +65,11 @@ def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> No
             if isinstance(action, argparse._StoreTrueAction):
                 action.default = raw.lower() in ("1", "true", "yes", "on")
             else:
-                action.default = action.type(raw) if action.type else raw
+                try:
+                    action.default = action.type(raw) if action.type else raw
+                except ValueError:
+                    kind = action.type.__name__
+                    raise ValidationError(f"config {action.dest}={raw!r} is not a valid {kind}") from None
             action.required = False
 
 
@@ -128,7 +133,7 @@ def cmd_generate_escsub(args) -> int:
         spec = HistogramSpec.from_json(_read_input(args.spec, "spec"))
     else:
         spec = esc_like_spec()
-    if args.cells:
+    if args.cells is not None:
         spec = scaled_spec(spec, args.cells)
     t0 = time.perf_counter()
     table = generate_table(spec, args.seed)
@@ -198,7 +203,10 @@ def cmd_metrics(args) -> int:
 
 def cmd_evaluate(args) -> int:
     table = _read_input(args.table, "table", read_table)
-    p_list = [float(p) for p in args.p_list.split(",") if p]
+    try:
+        p_list = [float(p) for p in args.p_list.split(",") if p]
+    except ValueError:
+        raise ValidationError(f"--p-list must be comma-separated numbers, got {args.p_list!r}") from None
     synthetics = [_load_synthetic(p) for p in args.synthetic]
     rows = []
     for block, nonzero_only in (("all", False), ("nonzero", True)):

@@ -85,6 +85,9 @@ class HistogramSpec:
                 raise ValidationError("sizes and cell counts must be nonnegative")
         if self.schema is None and self.num_cells is None:
             raise ValidationError("spec needs a schema or num_cells")
+        n = self.num_cells
+        if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer))):
+            raise ValidationError(f"num_cells must be an integer, got {n!r}")
         k = self.schema.num_cells if self.schema is not None else self.num_cells
         if self.num_cells is not None and self.schema is not None and self.schema.num_cells != self.num_cells:
             raise ValidationError("num_cells disagrees with the schema's cell count")
@@ -136,18 +139,15 @@ class HistogramSpec:
     def from_json(cls, text: str) -> "HistogramSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed histogram spec: {exc}") from exc
-        try:
             cells = {int(k): int(v) for k, v in data["cells_per_size"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed cells_per_size: {exc}") from exc
-        tail = None
-        if data.get("tail"):
-            tail = TailSpec(**{k: int(v) for k, v in data["tail"].items()})
-        schema = None
-        if data.get("schema"):
-            schema = CategoricalSchema([(n, c) for n, c in data["schema"]["variables"]])
+            tail = None
+            if data.get("tail"):
+                tail = TailSpec(**{k: int(v) for k, v in data["tail"].items()})
+            schema = None
+            if data.get("schema"):
+                schema = CategoricalSchema([(n, c) for n, c in data["schema"]["variables"]])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            raise ValidationError(f"malformed histogram spec: {exc!r}") from exc
         return cls(cells, tail, schema, data.get("num_cells"))
 
 
@@ -236,10 +236,12 @@ def _tail_counts(tail: TailSpec) -> np.ndarray:
 def generate_table(spec: HistogramSpec, seed: int) -> SparseContingencyTable:
     """Random table realizing the spec's histogram exactly.
 
-    Deterministic given (spec, seed).  Nonzero cells are placed uniformly
+    Deterministic given (spec, seed in [0, 2**64)).  Nonzero cells are placed uniformly
     at random; bucket sizes are met exactly, and the tail's grand total
     is exact.
     """
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     schema = spec.resolved_schema()
     k = spec.total_cells
     pieces = [

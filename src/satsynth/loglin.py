@@ -269,8 +269,8 @@ def fit_loglinear(
     the test holds at any table total.  Standard errors come from the
     Cholesky factor of the information at the fit.
     """
-    if cap <= 0:
-        raise ValidationError("cap must be positive")
+    if not 0.0 < cap < math.inf:  # False for NaN
+        raise ValidationError(f"cap must be positive and finite, got {cap}")
     if max_iter < 1:
         raise ValidationError("max_iter must be >= 1")
     if table.n == 0:

@@ -16,15 +16,14 @@ Construction mirrors the mixture definitions of the families:
                quantile, one uniform for root choice), then
                Poisson(lambda).
 
-Most cells of an administrative-scale table draw 0, so ``draw_counts``
-first rules out, from each cell's own mean and uniforms, the cells that
-certainly draw 0 and runs the mixing kernel and the Poisson quantile only
-on the rest.  Synthesis goes one step further for the random zeros, which
-all share the mean alpha: :func:`may_draw_nonzero` sets aside the ones
-that certainly draw 0 with one threshold per screen bucket, so they never
-reach ``draw_counts``.  Both screens skip computation only: they never
-change a value, and every cell's count is still a function of its own
-counter block.
+Most cells of an administrative-scale table draw 0, so one screen,
+:func:`may_draw_nonzero`, rules out from each draw's mean and uniforms the
+draws that certainly give 0.  ``draw_counts`` runs the mixing kernel and
+the Poisson quantile only on the rest, and synthesis uses the same screen
+at the random zeros' common mean alpha, so most of them never reach
+``draw_counts``.  The screen skips computation only: it never changes a
+value, and every cell's count is still a function of its own counter
+block.
 """
 
 from __future__ import annotations
@@ -41,18 +40,14 @@ SLOTS_PER_DRAW = 4  # one Philox counter block of 4 raw 64-bit words
 _U64_MASK = (1 << 64) - 1
 _POISSON_LOOP_CUT = 60.0  # accumulate term-by-term below, invert pdtrik above
 
-# Sure-zero screen of the mixing stage (see ``_lam_cap``): the first
-# uniform is bucketed into ``_SCREEN_STEPS`` equal steps; the bound on
-# lambda carries a relative margin of ``_SCREEN_MARGIN``, and the zero
-# threshold exp(-cap) is shrunk by 2**-48 (32 ulp) so that the rounding
-# of exp cannot turn cap >= lambda into exp(-cap) > exp(-lambda).
+# Sure-zero screen (see ``may_draw_nonzero``): the first uniform is
+# bucketed into ``_SCREEN_STEPS`` equal steps; the bound on lambda carries
+# a relative margin of ``_SCREEN_MARGIN``, and the zero threshold
+# exp(-b * mu) is shrunk by 2**-48 (32 ulp) so that the rounding of exp
+# cannot turn b * mu >= lambda into exp(-b * mu) > exp(-lambda).
 _SCREEN_STEPS = 256
 _SCREEN_MARGIN = 1e-6
 _EXP_SLACK = 1.0 - 2.0**-48
-# The zero-cell pre-screen's thresholds sit 2**-40 (8192 ulp) below
-# draw_counts' own, so that it passes every draw draw_counts would run
-# even if exp rounded differently on the two calls.
-_PRESCREEN_SLACK = 1.0 - 2.0**-40
 
 
 def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarray:
@@ -183,33 +178,8 @@ def _inverse_gaussian_from_uniforms(mu, sigma, u_norm, u_pick):
     return np.where(take_small, small_root, large_root)
 
 
-def _lam_cap(family: Family, sigma: float, u: np.ndarray) -> np.ndarray:
-    """Per-draw factor b with lambda <= b * mu, from the draw's mixing uniforms.
-
-    ``j = ceil(u0 * S)`` puts u0 = ``u[:, 0]`` in ((j-1)/S, j/S] (u0 = 0 in
-    j = 0; NaN and values outside [0, 1] go to an end bucket).  Within a
-    bucket each family's lambda is monotone in u0, so its value at an edge
-    of the bucket bounds it:
-
-    * NBI: lambda = gammaincinv(1/sigma, u0) * sigma * mu rises with u0,
-      so b = gammaincinv(1/sigma, j/S) * sigma.
-    * PIG: with h = sigma * ndtri(u0)**2, the small root is mu / R(h) and
-      the large root mu * R(h), where R(h) = (2 + h + sqrt(h*(h + 4))) / 2
-      >= 1 rises with h.  So b = R(sigma * Z_j**2), Z_j the larger
-      |ndtri| at the bucket's two edges.  The small root x is taken
-      whenever u1 = ``u[:, 1]`` <= 1/2, since x <= mu makes its
-      probability mu / (mu + x) >= 1/2, also after rounding; then b = 1.
-
-    The relative margin covers the special functions' rounding: scipy's
-    gammaincinv exceeded its value at the upper bucket edge by at most
-    7e-12 relative over 1/sigma in [1e-9, 1e9], and ndtri and the root
-    arithmetic are good to a few ulp, against a margin of 1e-6.
-    """
-    return _cap_table(family, sigma).take(_screen_bucket(family, u))
-
-
 def _cap_table(family: Family, sigma: float) -> np.ndarray:
-    """The bound b of each screen bucket (see :func:`_lam_cap`), margin included.
+    """The bound b of each screen bucket (see :func:`may_draw_nonzero`), margin included.
 
     Entries 0 .. S hold bucket j's bound.  For PIG, entries S+1 .. 2S+1
     hold the bound 1 of the small root, which every bucket takes when
@@ -226,37 +196,55 @@ def _cap_table(family: Family, sigma: float) -> np.ndarray:
 
 
 def _screen_bucket(family: Family, u: np.ndarray) -> np.ndarray:
-    """Each draw's entry of :func:`_cap_table`: ``j = ceil(u0 * S)``, clipped
-    to 0 .. S (NaN goes to 0), plus S + 1 for PIG when u1 <= 1/2."""
+    """Each draw's entry of :func:`_cap_table`, for uniforms ``u`` in [0, 1):
+    ``j = ceil(u0 * S)`` in 0 .. S, plus S + 1 for PIG when u1 <= 1/2."""
     j = u[:, 0] * _SCREEN_STEPS
     np.ceil(j, out=j)
-    np.fmax(j, 0.0, out=j)
-    np.fmin(j, _SCREEN_STEPS, out=j)
     if family is Family.PIG:
         j += (u[:, 1] <= 0.5) * (_SCREEN_STEPS + 1.0)
     return j.astype(np.intp)
 
 
-def may_draw_nonzero(family: Family, sigma: float, alpha: float, u: np.ndarray) -> np.ndarray:
-    """Which draws at the common mean ``alpha`` may be nonzero: a boolean mask over ``u``'s rows.
+def may_draw_nonzero(family: Family, sigma: float, mu, u: np.ndarray) -> np.ndarray:
+    """Which draws may be nonzero: a boolean mask over the rows of ``u``.
 
-    False only where :func:`draw_counts` at mean alpha certainly gives
-    0: True wherever draw_counts' own screen would run the draw, so
-    screening a block of random zeros with this mask first changes no
-    count.  A mixture draw at alpha passes when its count uniform reaches
-    draw_counts' threshold ``exp(-b * alpha) * _EXP_SLACK`` for the bound
-    b of its :func:`_cap_table` entry, so the table's entries are the
-    only exponentials.  A Poisson draw
-    passes when u0 reaches exp(-alpha).  Every threshold is loosened by
-    ``_PRESCREEN_SLACK``.  At alpha = 0 every draw is 0 and nothing passes.
+    ``mu`` is one mean per row, or one mean for every row (the random
+    zeros' alpha); ``u`` holds uniforms in [0, 1).  A draw is False only
+    where it is certainly 0: its mean is 0, or its count uniform lies
+    below ``exp(-b * mu) * _EXP_SLACK`` for a factor b with
+    lambda <= b * mu, hence below exp(-lambda), where Poisson(lambda) is 0.
+
+    ``j = ceil(u0 * S)`` puts u0 = ``u[:, 0]`` in ((j-1)/S, j/S] (u0 = 0 in
+    j = 0).  Within a bucket each family's lambda is monotone in u0, so
+    its value at an edge of the bucket bounds it:
+
+    * NBI: lambda = gammaincinv(1/sigma, u0) * sigma * mu rises with u0,
+      so b = gammaincinv(1/sigma, j/S) * sigma.
+    * PIG: with h = sigma * ndtri(u0)**2, the small root is mu / R(h) and
+      the large root mu * R(h), where R(h) = (2 + h + sqrt(h*(h + 4))) / 2
+      >= 1 rises with h.  So b = R(sigma * Z_j**2), Z_j the larger
+      |ndtri| at the bucket's two edges.  The small root x is taken
+      whenever u1 = ``u[:, 1]`` <= 1/2, since x <= mu makes its
+      probability mu / (mu + x) >= 1/2, also after rounding; then b = 1.
+    * Poisson (and sigma = 0): lambda = mu, so b = 1 in every bucket.
+
+    The relative margin covers the special functions' rounding: scipy's
+    gammaincinv exceeded its value at the upper bucket edge by at most
+    7e-12 relative over 1/sigma in [1e-9, 1e9], and ndtri and the root
+    arithmetic are good to a few ulp, against a margin of 1e-6.
     """
-    if alpha == 0.0:
+    if np.ndim(mu) == 0 and mu == 0.0:  # every draw is 0: skip the bucket pass
         return np.zeros(len(u), dtype=bool)
-    if family is Family.POISSON or sigma == 0.0:
-        return u[:, 0] >= np.exp(-alpha) * _PRESCREEN_SLACK
-    threshold = np.exp(-_cap_table(family, sigma) * alpha) * (_EXP_SLACK * _PRESCREEN_SLACK)
-    slot = 1 if family is Family.NBI else 2
-    return u[:, slot] >= threshold.take(_screen_bucket(family, u))
+    with np.errstate(invalid="ignore"):  # inf * 0 at mu = 0: NaN, and mu > 0 drops it
+        if family is Family.POISSON or sigma == 0.0:
+            slot, threshold = 0, np.exp(-mu) * _EXP_SLACK  # b = 1
+        else:
+            slot, table = (1 if family is Family.NBI else 2), _cap_table(family, sigma)
+            if np.ndim(mu) == 0:  # one exponential per bucket
+                threshold = (np.exp(-table * mu) * _EXP_SLACK).take(_screen_bucket(family, u))
+            else:
+                threshold = np.exp(-table.take(_screen_bucket(family, u)) * mu) * _EXP_SLACK
+    return (u[:, slot] >= threshold) & (mu > 0.0)
 
 
 def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.ndarray:
@@ -269,9 +257,9 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     u : ``(len(mu), SLOTS_PER_DRAW)`` uniforms in [0, 1), e.g. from
         :func:`uniform_block`.
 
-    A mixture draw is 0 when its count uniform lies below exp(-cap) for
-    an upper bound cap of its lambda (:func:`_lam_cap`); such draws skip
-    the mixing kernel, the others run it unchanged.
+    Only the draws that pass :func:`may_draw_nonzero` run the mixing
+    kernel (lambda = mu for Poisson) and the Poisson quantile; the others
+    are 0.
     """
     family = Family.coerce(family)
     mu = np.asarray(mu, dtype=np.float64)
@@ -288,19 +276,15 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
         raise ValidationError("uniforms must lie in [0, 1)")
 
     flat = mu.reshape(-1)
-    if family is Family.POISSON or sigma == 0.0:
-        return poisson_inverse(u[:, 0], flat).reshape(mu.shape)
-
-    slot = 1 if family is Family.NBI else 2
-    with np.errstate(invalid="ignore"):  # inf * 0 at mu = 0: NaN, and mu > 0 drops it
-        threshold = np.exp(-_lam_cap(family, sigma, u) * flat) * _EXP_SLACK
-    cells = np.flatnonzero((flat > 0.0) & (u[:, slot] >= threshold))
+    cells = np.flatnonzero(may_draw_nonzero(family, sigma, flat, u))
     mm = flat.take(cells)
     uu = u.take(cells, axis=0)
-    if family is Family.NBI:
-        lam = special.gammaincinv(1.0 / sigma, uu[:, 0]) * (sigma * mm)
+    if family is Family.POISSON or sigma == 0.0:
+        slot, lam = 0, mm
+    elif family is Family.NBI:
+        slot, lam = 1, special.gammaincinv(1.0 / sigma, uu[:, 0]) * (sigma * mm)
     else:
-        lam = _inverse_gaussian_from_uniforms(mm, sigma, uu[:, 0], uu[:, 1])
+        slot, lam = 2, _inverse_gaussian_from_uniforms(mm, sigma, uu[:, 0], uu[:, 1])
     out = np.zeros(flat.size, dtype=np.int64)
     out[cells] = poisson_inverse(uu[:, slot], lam)
     return out.reshape(mu.shape)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -244,7 +245,7 @@ def aggregate_microdata(
 
 def aggregate_microdata_csv(path: str, schema: CategoricalSchema) -> SparseContingencyTable:
     """Aggregate a microdata CSV (header of variable names, one record per row)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with utf8_errors(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -548,8 +549,15 @@ def read_table(path: str, schema: CategoricalSchema | None = None) -> SparseCont
     overflowing counts, nonzero structural rows and bytes that are not
     UTF-8, naming the line.
     """
-    try:
+    with utf8_errors(path):
         return _read_table_text(path, schema)
+
+
+@contextmanager
+def utf8_errors(path: str):
+    """Report a UnicodeDecodeError of the file ``path`` as a FormatError naming the line."""
+    try:
+        yield
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -557,7 +565,7 @@ def read_table(path: str, schema: CategoricalSchema | None = None) -> SparseCont
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
-            raise FormatError(f"not valid UTF-8: {exc.reason}", line=line) from None
+            raise FormatError(f"not valid UTF-8 in {path}: {exc.reason}", line=line) from None
         raise
 
 

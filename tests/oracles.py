@@ -421,7 +421,10 @@ def fit_loglinear_dense(
         z = eta + (y - mu) / mu - offset
         xf = x[:, free]
         xtw = xf.T * w
-        lhs, rhs = xtw @ xf, xtw @ z
+        with np.errstate(over="ignore"):
+            lhs, rhs = xtw @ xf, xtw @ z
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):  # no step-halving: it can diverge
+            raise ConvergenceError("dense IRLS diverged")
         try:
             beta[free] = linalg.solve(lhs, rhs, assume_a="pos")
         except linalg.LinAlgError:

@@ -265,3 +265,81 @@ def test_malformed_provenance_sidecar_is_a_typed_error(tmp_path, capsys, sidecar
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "syn.csv.provenance.json" in err, err
         assert "malformed provenance sidecar" in err
+
+
+def _small_table(tmp_path) -> Path:
+    schema = CategoricalSchema([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])
+    path = tmp_path / "orig.csv"
+    write_table(SparseContingencyTable.from_dict(schema, {(0, 0): 1, (0, 1): 5, (1, 0): 7}), path)
+    return path
+
+
+def test_evaluate_p_list_that_is_not_numbers_is_a_typed_error(tmp_path, capsys):
+    path = _small_table(tmp_path)
+    assert run("evaluate", "--table", path, "--synthetic", path, "--p-list", "a",
+               "--out", tmp_path / "within.csv") == 1
+    assert "error: --p-list must be comma-separated numbers, got 'a'" in capsys.readouterr().err
+
+
+def test_config_value_that_does_not_parse_is_a_typed_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=abc\n")
+    assert run("generate-escsub", "--config", cfg, "--out", tmp_path / "t.csv") == 1
+    assert "error: config seed='abc' is not a valid int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_generate_escsub_seed_outside_64_bits_is_a_typed_error(tmp_path, capsys, seed):
+    spec = tmp_path / "spec.json"
+    spec.write_text(HistogramSpec({1: 2}, None, num_cells=5).to_json())
+    assert run("generate-escsub", "--spec", spec, "--seed", seed, "--out", tmp_path / "t.csv") == 1
+    assert f"error: seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,message", [
+    ('"num_cells": "5"', "num_cells must be an integer"),
+    ('"num_cells": 5.0', "num_cells must be an integer"),
+    ('"num_cells": true', "num_cells must be an integer"),
+    ('"num_cells": 5, "tail": 5', "malformed histogram spec"),
+    ('"num_cells": 5, "tail": {"start": 3}', "malformed histogram spec"),
+    ('"schema": {"vars": []}', "malformed histogram spec"),
+])
+def test_malformed_spec_is_a_typed_error(tmp_path, capsys, extra, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"cells_per_size": {"1": 2}, %s}' % extra)
+    assert run("generate-escsub", "--spec", spec, "--seed", 1, "--out", tmp_path / "t.csv") == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_generate_escsub_zero_cells_is_refused(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(HistogramSpec({1: 2}, None, num_cells=5).to_json())
+    out = tmp_path / "t.csv"
+    assert run("generate-escsub", "--spec", spec, "--cells", 0, "--seed", 1, "--out", out) == 1
+    assert "error: num_cells must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["microdata", "schema", "spec", "config"])
+def test_input_file_that_is_not_utf8_is_a_typed_error(workdir, capsys, bad):
+    files = {"microdata": workdir / "micro.csv", "schema": workdir / "schema.json",
+             "spec": workdir / "spec.json", "config": workdir / "run.cfg"}
+    files["spec"].write_text(HistogramSpec({1: 2}, None, num_cells=5).to_json())
+    files["config"].write_text("# defaults\n")
+    files[bad].write_bytes(files[bad].read_bytes() + b"\xff\n")
+    if bad in ("spec", "config"):
+        argv = ["generate-escsub", "--spec", files["spec"], "--seed", 1]
+    else:
+        argv = ["aggregate", "--microdata", files["microdata"], "--schema", files["schema"]]
+    argv += ["--out", workdir / "out.csv"] + (["--config", files["config"]] if bad == "config" else [])
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid UTF-8" in err, err
+
+
+def test_frontier_cap_that_is_not_finite_is_a_typed_error(tmp_path, capsys):
+    path = _small_table(tmp_path)
+    for cap in ("nan", "inf"):
+        assert run("frontier", "--table", path, "--synthetic", path, "--cap", cap,
+                   "--out", tmp_path / "f.csv") == 1
+        assert f"error: cap must be positive and finite, got {cap}" in capsys.readouterr().err

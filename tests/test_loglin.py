@@ -240,6 +240,12 @@ def test_intervals_require_level_strictly_inside_unit_interval():
     assert all(math.isfinite(iv.length) and iv.length > 0 for iv in fit.intervals(0.999).values())
 
 
+def test_cap_must_be_positive_and_finite():
+    for cap in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="cap must be positive and finite"):
+            fit_loglinear(two_by_two(10, 20, 30, 40), [("A",), ("B",)], cap=cap)
+
+
 def test_margin_spec_closure_and_validation():
     spec = MarginSpec([("A", "B"), ("B", "C")])
     got = set(spec.model_terms())

@@ -14,8 +14,9 @@ from satsynth.sampling import (
     _EXP_SLACK,
     _SCREEN_STEPS,
     SLOTS_PER_DRAW,
+    _cap_table,
     _inverse_gaussian_from_uniforms,
-    _lam_cap,
+    _screen_bucket,
     draw_counts,
     may_draw_nonzero,
     poisson_inverse,
@@ -266,7 +267,8 @@ def _uniforms_near_thresholds(draw, family: str, mu: np.ndarray, sigma: float) -
         # count uniforms next to the thresholds the screen and the Poisson stage test
         lam, _ = mixing_unscreened(family, mu, sigma, u)
         exact = np.exp(-lam)
-        cap = np.exp(-_lam_cap(Family(family), sigma, u) * mu) * _EXP_SLACK if mixture else exact
+        b = _cap_table(Family(family), sigma).take(_screen_bucket(Family(family), u)) if mixture else 1.0
+        cap = np.exp(-b * mu) * _EXP_SLACK
     for i in range(n):
         u[i, slot] = _uniform(draw, [exact[i], cap[i]] if np.isfinite([exact[i], cap[i]]).all() else [0.5])
     return u
@@ -303,32 +305,40 @@ def test_screened_draws_equal_unscreened_bit_for_bit(case):
     np.testing.assert_array_equal(got[valid], want[valid])
 
 
-# -- the zero-cell pre-screen passes every draw that may be nonzero --------------------
+# -- the screen passes every draw that may be nonzero ----------------------------------
 
 
 @st.composite
-def _prescreen_inputs(draw):
+def _screen_inputs(draw, common: bool):
+    """A family, sigma, uniforms near the thresholds and either one mean per row or,
+    with ``common``, one scalar mean for every row (as synthesis passes alpha)."""
     family = draw(st.sampled_from(["poisson", "nbi", "pig"]))
     sigma = draw(_SIGMAS)
-    alpha = draw(st.floats(-12.0, 3.0).map(lambda e: 10.0**e))
-    mu = np.full(draw(st.integers(1, 24)), alpha)
-    return family, alpha, sigma, _uniforms_near_thresholds(draw, family, mu, sigma)
+    n = draw(st.integers(1, 24))
+    if common:
+        mu = draw(st.one_of(st.just(0.0), st.floats(-12.0, 3.0).map(lambda e: 10.0**e)))
+        rows = np.full(n, mu)
+    else:
+        mu = rows = np.array(draw(st.lists(_MEANS, min_size=n, max_size=n)))
+    return family, mu, sigma, _uniforms_near_thresholds(draw, family, rows, sigma)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_prescreen_inputs())
-def test_zero_prescreen_passes_every_draw_that_may_be_nonzero(case):
-    family, alpha, sigma, u = case
-    passed = may_draw_nonzero(Family(family), sigma, alpha, u)
-    mu = np.full(len(u), alpha)
-    assert passed[draw_counts_unscreened(family, mu, sigma, u) != 0].all()
-    # and every draw that draw_counts' own screen lets through
-    if family != "poisson" and sigma > 0.0:
-        slot = 1 if family == "nbi" else 2
-        live = u[:, slot] >= np.exp(-_lam_cap(Family(family), sigma, u) * mu) * _EXP_SLACK
-    else:
-        live = u[:, 0] >= np.exp(-mu)
-    assert passed[live].all()
+@given(st.booleans().flatmap(_screen_inputs))
+def test_screen_passes_every_draw_that_may_be_nonzero(case):
+    family, mu, sigma, u = case
+    passed = may_draw_nonzero(Family(family), sigma, mu, u)
+    assert passed[draw_counts_unscreened(family, np.broadcast_to(mu, len(u)), sigma, u) != 0].all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_screen_inputs(common=True))
+def test_screen_at_a_common_mean_equals_the_screen_per_row(case):
+    family, mu, sigma, u = case
+    np.testing.assert_array_equal(
+        may_draw_nonzero(Family(family), sigma, mu, u),
+        may_draw_nonzero(Family(family), sigma, np.full(len(u), mu), u),
+    )
 
 
 def test_zero_prescreen_is_empty_at_alpha_zero():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import read_table_rowwise, write_table_rowwise
 from satsynth.errors import FormatError, ValidationError
 from satsynth.schema import CategoricalSchema
-from satsynth.table import SparseContingencyTable, read_table, table_to_string
+from satsynth.table import SparseContingencyTable, aggregate_microdata_csv, read_table, table_to_string
 
 # characters that need quoting or trip tokenisers, plus any non-NUL code point
 _LABEL_CHARS = st.one_of(
@@ -211,6 +211,13 @@ def test_non_utf8_bytes_are_a_format_error_naming_the_line(tmp_path, crlf, line,
     with pytest.raises(FormatError, match=f"line {line}: not valid UTF-8") as info:
         read_table(str(path))
     assert info.value.line == line
+
+
+def test_microdata_that_is_not_utf8_is_a_format_error_naming_the_line(tmp_path):
+    path = tmp_path / "micro.csv"
+    path.write_bytes(b"A\na1\na\xff2\n")
+    with pytest.raises(FormatError, match="line 3: not valid UTF-8"):
+        aggregate_microdata_csv(str(path), CategoricalSchema([("A", ["a1", "a2"])]))
 
 
 @pytest.mark.parametrize("name", ["A\n", "A\r", "x\r\ny"])
