@@ -36,18 +36,14 @@ from .taumetrics import tau2_of_table, tau_analytic, tau_empirical
 from .tuning import TargetKind, TuningTarget, solve
 
 
-def _read_input(path: str, what: str, reader=lambda p: Path(p).read_text(encoding="utf-8")):
-    """``reader(path)``, with a missing or non-UTF-8 file reported as a typed error."""
-    try:
-        with utf8_errors(path):
-            return reader(path)
-    except FileNotFoundError:
-        raise ValidationError(f"{what} file not found: {path}") from None
+def _read_text(path) -> str:
+    with utf8_errors(path):
+        return Path(path).read_text(encoding="utf-8")
 
 
 def _load_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(_read_input(path, "config").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -104,12 +100,13 @@ def _sidecar_path(table_path: Path) -> Path:
 
 def _load_synthetic(path: str):
     """A synthetic table plus its provenance sidecar when one sits next to it."""
-    table = _read_input(path, "synthetic table", read_table)
+    table = read_table(path)
     sidecar = _sidecar_path(Path(path))
     if sidecar.exists():
+        text = _read_text(sidecar)
         try:
-            prov = Provenance.from_json(sidecar.read_text(encoding="utf-8"))
-        except (FormatError, UnicodeDecodeError) as exc:
+            prov = Provenance.from_json(text)
+        except FormatError as exc:
             raise FormatError(f"{sidecar}: {exc}") from None
         return SyntheticTable(table, prov)
     return table
@@ -119,9 +116,8 @@ def _load_synthetic(path: str):
 
 
 def cmd_aggregate(args) -> int:
-    schema = CategoricalSchema.from_json(_read_input(args.schema, "schema"))
-    table = _read_input(args.microdata, "microdata",
-                        lambda path: aggregate_microdata_csv(path, schema))
+    schema = CategoricalSchema.from_json(_read_text(args.schema))
+    table = aggregate_microdata_csv(args.microdata, schema)
     write_table(table, args.out)
     print(f"aggregated {table.n} records into {table.num_nonzero} nonzero cells "
           f"of {table.num_cells} ({args.out})")
@@ -130,7 +126,7 @@ def cmd_aggregate(args) -> int:
 
 def cmd_generate_escsub(args) -> int:
     if args.spec:
-        spec = HistogramSpec.from_json(_read_input(args.spec, "spec"))
+        spec = HistogramSpec.from_json(_read_text(args.spec))
     else:
         spec = esc_like_spec()
     if args.cells is not None:
@@ -145,7 +141,7 @@ def cmd_generate_escsub(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    table = _read_input(args.table, "table", read_table)
+    table = read_table(args.table)
     dist = tau2_of_table(table)
     kind = TargetKind.MATCH_ZEROS if args.target == "match-zeros" else TargetKind.TAU4_EQUALS
     target = TuningTarget(kind, sigma_star=args.sigma, p=args.p)
@@ -155,7 +151,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    table = _read_input(args.table, "table", read_table)
+    table = read_table(args.table)
     spec = CountModelSpec(args.family, sigma=args.sigma, alpha=args.alpha)
     job = SynthesisJob(spec, master_seed=args.seed, m=args.m)
     out_dir = Path(args.out_dir)
@@ -175,7 +171,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    table = _read_input(args.table, "table", read_table)
+    table = read_table(args.table)
     synthetics = [_load_synthetic(p) for p in args.synthetic]
     emp = tau_empirical(table, synthetics, k_report=args.k_max)
 
@@ -189,20 +185,15 @@ def cmd_metrics(args) -> int:
     ana = tau_analytic(tau2_of_table(table), family, sigma or 0.0, alpha or 0.0, k_report=args.k_max)
 
     header = _provenance_header(args, {"replicates": len(synthetics)})
-    Path(args.out_prefix + ".analytic.csv").write_text(
-        ana.to_csv(header), encoding="utf-8"
-    )
-    Path(args.out_prefix + ".empirical.csv").write_text(
-        emp.to_csv(header), encoding="utf-8"
-    )
-    Path(args.out_prefix + ".analytic.json").write_text(ana.to_json(), encoding="utf-8")
-    Path(args.out_prefix + ".empirical.json").write_text(emp.to_json(), encoding="utf-8")
+    for name, report in (("analytic", ana), ("empirical", emp)):
+        Path(f"{args.out_prefix}.{name}.csv").write_text(report.to_csv(header), encoding="utf-8")
+        Path(f"{args.out_prefix}.{name}.json").write_text(report.to_json(), encoding="utf-8")
     print(f"wrote {args.out_prefix}.{{analytic,empirical}}.{{csv,json}}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    table = _read_input(args.table, "table", read_table)
+    table = read_table(args.table)
     try:
         p_list = [float(p) for p in args.p_list.split(",") if p]
     except ValueError:
@@ -226,7 +217,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    table = _read_input(args.table, "table", read_table)
+    table = read_table(args.table)
     variables = args.variables.split(",") if args.variables else list(table.schema.names)
     proj = table.project(variables)
     terms = all_two_way_terms(proj.schema) if len(variables) > 1 else [(variables[0],)]
@@ -237,7 +228,7 @@ def cmd_frontier(args) -> int:
     for path in args.synthetic:
         syn = _load_synthetic(path)
         if isinstance(syn, SyntheticTable):
-            key = f"{syn.provenance.family} sigma={syn.provenance.sigma:g} alpha={syn.provenance.alpha:g}"
+            key = syn.provenance.label
         else:
             key = Path(path).stem
         groups.setdefault(key, []).append(syn)
@@ -378,6 +369,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SatsynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # any file the command reads or writes
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

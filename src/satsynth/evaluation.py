@@ -219,8 +219,7 @@ def frontier_point(
         raise UndefinedResultError("tau4(1) undefined: no synthetic uniques")
     if label is None:
         if isinstance(synthetic_set[0], SyntheticTable):
-            prov = synthetic_set[0].provenance
-            label = f"{prov.family} sigma={prov.sigma:g} alpha={prov.alpha:g}"
+            label = synthetic_set[0].provenance.label
         else:
             label = "unlabelled"
     raw = float(np.mean(overlaps))

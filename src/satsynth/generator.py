@@ -106,17 +106,6 @@ class HistogramSpec:
     def total_cells(self) -> int:
         return self.schema.num_cells if self.schema is not None else self.num_cells
 
-    @property
-    def zero_cells(self) -> int:
-        nonzero = sum(c for s, c in self.cells_per_size.items() if s > 0)
-        nonzero += self.tail.cells if self.tail else 0
-        return self.total_cells - nonzero
-
-    @property
-    def grand_total(self) -> int:
-        n = sum(s * c for s, c in self.cells_per_size.items())
-        return n + (self.tail.total if self.tail else 0)
-
     def resolved_schema(self) -> CategoricalSchema:
         if self.schema is not None:
             return self.schema

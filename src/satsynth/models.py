@@ -72,13 +72,19 @@ class CountModelSpec:
 
 
 def pig_c(mu, sigma):
-    """The PIG auxiliary c with c**2 = 1/sigma**2 + 2*mu/sigma (c >= 1/sigma)."""
+    """The PIG auxiliary c with c**2 = 1/sigma**2 + 2*mu/sigma (c >= 1/sigma).
+
+    Evaluated in float64; a sigma below about 1e-154 (c overflows) or, at
+    mu = 0, above about 1e154 (c underflows to 0) is refused.
+    """
     mu = np.asarray(mu, dtype=np.float64)
     if not np.all((mu >= 0.0) & (mu < np.inf)):
         raise ValidationError("mu must be finite and >= 0")
-    if not np.all((np.asarray(sigma) > 0.0) & (np.asarray(sigma) < np.inf)):
-        raise ValidationError("sigma must be finite and > 0 for the PIG auxiliary")
-    return np.sqrt(1.0 / sigma**2 + 2.0 * mu / sigma)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = np.sqrt(1.0 / np.float64(sigma) ** 2 + 2.0 * mu / sigma)
+    if not (sigma > 0.0 and np.all((c > 0.0) & (c < np.inf))):
+        raise ValidationError(f"sigma must be > 0 and keep the PIG auxiliary c in float64, got {sigma:g}")
+    return c
 
 
 def _validate_pmf_args(k, mu, sigma):
@@ -107,7 +113,8 @@ def _log_rising_ratio(k, r):
         return special.gammaln(k + r) - special.gammaln(r) - k * np.log(r)
     series = lambda x: (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x * x)) / (x * x)) / (x * x)) / x
     t = k / r
-    return r * (np.log1p(t) - t) + (k - 0.5) * np.log1p(t) + (series(k + r) - series(r))
+    with np.errstate(over="ignore"):  # x * x = inf leaves each term its limit 0
+        return r * (np.log1p(t) - t) + (k - 0.5) * np.log1p(t) + (series(k + r) - series(r))
 
 
 def _pig_logpmf(k, mu, sigma):

@@ -58,6 +58,11 @@ class Provenance:
     master_seed: int
     replicate: int
 
+    @property
+    def label(self) -> str:
+        """The model, as frontier points and reports name it."""
+        return f"{self.family} sigma={self.sigma:g} alpha={self.alpha:g}"
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 

@@ -284,14 +284,6 @@ class CellSizeDistribution:
         if self.proportions.size and abs(total - 1.0) > 1e-12:
             raise ValidationError(f"proportions sum to {total}, expected 1")
 
-    @property
-    def k_max(self) -> int:
-        return int(self.sizes[-1]) if self.sizes.size else 0
-
-    @property
-    def num_cells(self) -> int:
-        return int(self.cells.sum())
-
     def proportion(self, k: int) -> float:
         pos = int(np.searchsorted(self.sizes, k))
         if pos < self.sizes.size and int(self.sizes[pos]) == k:

@@ -20,6 +20,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InfeasibleError, ValidationError
 from .models import Family, pmf
 from .table import CellSizeDistribution
@@ -96,13 +98,17 @@ def alpha_star_match_zeros(
             f"infeasible: shrink-to-zero mass ratio {s:.6g} >= 1; too few zeros "
             "relative to the mass collapsing onto them"
         )
-    if family is Family.POISSON or sigma_star == 0.0:
-        return -math.log1p(-s)
-    if family is Family.NBI:
-        return ((1.0 - s) ** (-sigma_star) - 1.0) / sigma_star
-    # PIG: invert c_alpha = 1/sigma - log(1 - s); alpha = (c^2 - 1/sigma^2) * sigma / 2
-    c_alpha = 1.0 / sigma_star - math.log1p(-s)
-    return 0.5 * (sigma_star * c_alpha**2 - 1.0 / sigma_star)
+    with np.errstate(over="ignore"):
+        if family is Family.POISSON or sigma_star == 0.0:
+            alpha = -math.log1p(-s)
+        elif family is Family.NBI:
+            alpha = (np.float64(1.0 - s) ** -sigma_star - 1.0) / sigma_star
+        else:  # PIG: invert c_alpha = 1/sigma - log(1 - s); alpha = (c^2 - 1/sigma^2) * sigma / 2
+            c_alpha = np.float64(1.0 / sigma_star - math.log1p(-s))
+            alpha = 0.5 * (sigma_star * c_alpha**2 - 1.0 / sigma_star)
+    if not math.isfinite(alpha):
+        raise InfeasibleError(f"alpha* overflows float64 at sigma_star = {sigma_star:g}")
+    return float(alpha)
 
 
 def solve_alpha_for_tau4_target(

@@ -2,17 +2,23 @@
 
 Sizes stay below 60 so that no mass underflows; the PIG dispersion stays
 above 1e-3, where its 1/sigma - c cancellation costs less than 1e-12.
+Across the whole dispersion range the routes give finite values or typed
+errors.
 """
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satsynth.errors import UndefinedResultError
-from satsynth.models import pmf_range
+from satsynth.errors import SatsynthError, UndefinedResultError
+from satsynth.models import pmf, pmf_range
 from satsynth.table import CellSizeDistribution
 from satsynth.taumetrics import tau1_expected, tau3_expected, tau4_expected, tau_analytic
+from satsynth.tuning import alpha_star_match_zeros
 
 size_counts = st.dictionaries(
     st.integers(0, 60), st.integers(1, 10_000), min_size=1, max_size=12
@@ -73,3 +79,32 @@ def test_bayes_and_reduced_tau4_agree(counts, model, k):
         return
     reduced = tau4_expected(dist, family, sigma, alpha, k, method="reduced")
     assert reduced == pytest.approx(bayes, rel=1e-10, abs=0.0)
+
+
+def _finite_or_typed(call):
+    """``call()``, or None when it raises a SatsynthError; a RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call()
+        except SatsynthError:
+            return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["nbi", "pig"]),
+    st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+    size_counts,
+    st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+)
+def test_extreme_dispersion_gives_finite_values_or_typed_errors(family, sigma, counts, alpha):
+    dist = CellSizeDistribution.from_counts(counts)
+    mass = _finite_or_typed(lambda: pmf(family, np.arange(6)[:, None], [0.0, alpha, 1.0, 740.0], sigma))
+    assert mass is None or np.all(np.isfinite(mass))
+    alpha_star = _finite_or_typed(lambda: alpha_star_match_zeros(dist, family, sigma))
+    assert alpha_star is None or math.isfinite(alpha_star)
+    rep = _finite_or_typed(lambda: tau_analytic(dist, family, sigma, alpha, k_report=3))
+    if rep is not None:
+        assert np.all(np.isfinite([rep.tau1, rep.tau2, rep.tau3]))
+        assert np.all(np.isfinite(rep.tau4) | (rep.tau1 == 0.0))

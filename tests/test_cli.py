@@ -1,4 +1,6 @@
+import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,19 +54,19 @@ def test_aggregate_unknown_category_names_row(workdir, capsys):
 def test_aggregate_missing_schema_file(workdir, capsys):
     assert run("aggregate", "--microdata", workdir / "micro.csv",
                "--schema", workdir / "nope.json", "--out", workdir / "x.csv") == 1
-    assert "error: schema file not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {workdir / 'nope.json'}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_aggregate_missing_microdata_file(workdir, capsys):
     assert run("aggregate", "--microdata", workdir / "nope.csv",
                "--schema", workdir / "schema.json", "--out", workdir / "x.csv") == 1
-    assert "error: microdata file not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {workdir / 'nope.csv'}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_generate_escsub_missing_spec_file(tmp_path, capsys):
     assert run("generate-escsub", "--spec", tmp_path / "nope.json", "--seed", 1,
                "--out", tmp_path / "t.csv") == 1
-    assert "error: spec file not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {tmp_path / 'nope.json'}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -237,13 +239,13 @@ def test_config_flag_without_path_is_a_typed_error(capsys):
 
 def test_missing_config_and_table_files_are_typed_errors(tmp_path, capsys):
     assert run("tune", "--config", tmp_path / "nope.cfg") == 1
-    assert "error: config file not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {tmp_path / 'nope.cfg'}: {os.strerror(errno.ENOENT)}\n"
     assert run("tune", "--table", tmp_path / "nope.csv", "--family", "poisson",
                "--target", "match-zeros") == 1
-    assert "error: table file not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {tmp_path / 'nope.csv'}: {os.strerror(errno.ENOENT)}\n"
     assert run("metrics", "--table", tmp_path / "nope.csv", "--synthetic", tmp_path / "x.csv",
                "--out-prefix", tmp_path / "tau") == 1
-    assert "error: table file not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {tmp_path / 'nope.csv'}: {os.strerror(errno.ENOENT)}\n"
 
 
 @pytest.mark.parametrize(
@@ -343,3 +345,47 @@ def test_frontier_cap_that_is_not_finite_is_a_typed_error(tmp_path, capsys):
         assert run("frontier", "--table", path, "--synthetic", path, "--cap", cap,
                    "--out", tmp_path / "f.csv") == 1
         assert f"error: cap must be positive and finite, got {cap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,path,code", [
+    ("tune --table {dir} --family poisson --target match-zeros", "{dir}", errno.EISDIR),
+    ("tune --config {dir}", "{dir}", errno.EISDIR),
+    ("metrics --table {orig} --synthetic {dir} --out-prefix {tmp}/tau", "{dir}", errno.EISDIR),
+    ("metrics --table {orig} --synthetic {syn} --out-prefix {tmp}/tau", "{syn}.provenance.json", errno.EISDIR),
+    ("aggregate --microdata {dir} --schema {dir} --out {tmp}/x.csv", "{dir}", errno.EISDIR),
+    ("generate-escsub --cells 10 --seed 1 --out {dir}", "{dir}", errno.EISDIR),
+    ("generate-escsub --cells 10 --seed 1 --out {tmp}/nope/t.csv", "{tmp}/nope/t.csv", errno.ENOENT),
+    ("evaluate --table {orig} --synthetic {orig} --out {tmp}/nope/w.csv", "{tmp}/nope/w.csv", errno.ENOENT),
+    ("metrics --table {orig} --synthetic {orig} --family poisson --out-prefix {tmp}/nope/tau",
+     "{tmp}/nope/tau.analytic.csv", errno.ENOENT),
+    ("frontier --table {orig} --synthetic {orig} --out {tmp}/nope/f.csv", "{tmp}/nope/f.csv", errno.ENOENT),
+    ("synthesize --table {orig} --family poisson --seed 1 --out-dir {orig}", "{orig}", errno.EEXIST),
+], ids=["tune-table-dir", "tune-config-dir", "metrics-synthetic-dir", "metrics-sidecar-dir",
+        "aggregate-dir", "generate-out-dir", "generate-out-parent", "evaluate-out-parent",
+        "metrics-out-parent", "frontier-out-parent", "synthesize-out-dir-file"])
+def test_file_error_is_one_error_line(tmp_path, capsys, argv, path, code):
+    names = {"tmp": tmp_path, "orig": _small_table(tmp_path), "syn": tmp_path / "syn.csv",
+             "dir": tmp_path / "dir"}
+    names["dir"].mkdir()
+    names["syn"].write_bytes(names["orig"].read_bytes())
+    (tmp_path / "syn.csv.provenance.json").mkdir()
+    assert run(*(token.format(**names) for token in argv.split())) == 1
+    assert capsys.readouterr().err == f"error: {path.format(**names)}: {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("sigma,target", [("1e-300", ["match-zeros"]), ("1e300", ["tau4", "--p", "0.3"])])
+def test_tune_at_extreme_pig_dispersion_is_a_typed_error(tmp_path, capsys, sigma, target):
+    path = _small_table(tmp_path)
+    assert run("tune", "--table", path, "--family", "pig", "--sigma", sigma, "--target", *target) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: sigma must be > 0 and keep the PIG auxiliary c in float64, got {float(sigma):g}\n"
+
+
+def test_metrics_at_huge_pig_dispersion_writes_finite_values(tmp_path):
+    path = _small_table(tmp_path)
+    assert run("metrics", "--table", path, "--synthetic", path, "--family", "pig", "--sigma", "1e300",
+               "--alpha", 1, "--out-prefix", tmp_path / "tau") == 0
+    values = json.loads((tmp_path / "tau.analytic.json").read_text())["values"]
+    assert all(math.isfinite(v) for row in values for v in row.values() if v is not None)
+    # p(1 | mean 1) = exp(1/sigma - c) / (c * sigma) with c = sqrt(2 / sigma)
+    assert values[1]["tau3"] == pytest.approx(1.0 / math.sqrt(2e300), rel=1e-12)
