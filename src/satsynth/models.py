@@ -143,7 +143,8 @@ def logpmf(family: Family | str, k, mu, sigma: float = 0.0):
     family = Family.coerce(family)
     k, mu = _validate_pmf_args(k, mu, sigma)
     with np.errstate(divide="ignore", invalid="ignore"):  # mu = 0 is set below
-        if family is Family.POISSON or sigma == 0.0:
+        # an NBI sigma whose 1/sigma overflows is the Poisson limit too
+        if family is Family.POISSON or sigma == 0.0 or (family is Family.NBI and 1.0 / float(sigma) == math.inf):
             out = k * np.log(mu) - mu - special.gammaln(k + 1.0)
         elif family is Family.NBI:
             log1p_sm = np.log1p(sigma * mu)

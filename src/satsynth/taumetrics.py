@@ -43,6 +43,44 @@ def _means_weights(dist: CellSizeDistribution, alpha: float) -> tuple[np.ndarray
     return means, weights
 
 
+class TauCurve:
+    """tau1(k) and tau4(k) of one size histogram, family, sigma and k, as
+    functions of alpha: the one analytic route of both.
+
+    Only the random zeros' mean depends on alpha.  The pmf of k at every
+    occupied size, and tau3(k) * tau2(k) for k >= 1, are computed once;
+    each alpha costs one scalar pmf, put in front of that column for the
+    same dot product with the weights as a full evaluation.  Nothing is
+    written after construction.
+    """
+
+    def __init__(self, dist: CellSizeDistribution, family: Family | str, sigma: float, k: int):
+        self.family, self.sigma, self.k = Family.coerce(family), sigma, k
+        means, self._weights = _means_weights(dist, 0.0)
+        self._sizes = pmf(self.family, k, means[1:], sigma)
+        self._tau2 = dist.proportion(k)
+        if k >= 1:  # tau3(k) = pmf(k | k)
+            self._tau3_tau2 = float(pmf(self.family, k, float(k), sigma)) * self._tau2
+
+    def _at(self, alpha: float) -> tuple[float, float]:
+        """(pmf(k | alpha), tau1(k)) at this alpha."""
+        p_alpha = float(pmf(self.family, self.k, float(alpha), self.sigma))
+        return p_alpha, float(np.concatenate(([p_alpha], self._sizes)) @ self._weights)
+
+    def tau1(self, alpha: float) -> float:
+        """tau1(k) at this alpha; see :func:`tau1_expected`."""
+        return self._at(alpha)[1]
+
+    def tau4(self, alpha: float) -> float:
+        """tau3(k) * tau2(k) / tau1(k); tau3(0) is pmf(0 | alpha) itself."""
+        p_alpha, t1 = self._at(alpha)
+        if t1 <= 0.0:
+            raise UndefinedResultError(
+                f"tau4({self.k}) undefined: no synthetic cells of size {self.k} are expected"
+            )
+        return (self._tau3_tau2 if self.k >= 1 else p_alpha * self._tau2) / t1
+
+
 def tau1_expected(
     dist: CellSizeDistribution,
     family: Family | str,
@@ -57,8 +95,7 @@ def tau1_expected(
     occupied size j contributes pmf(k | j) * tau2(j).  The sum is over
     the finite support of the original table, hence exact.
     """
-    means, weights = _means_weights(dist, alpha)
-    return float(pmf(family, k, means, sigma) @ weights)
+    return TauCurve(dist, family, sigma, k).tau1(alpha)
 
 
 def tau1_expected_range(
@@ -103,16 +140,10 @@ def tau4_expected(
     from the pmf; it is the cross-check, and both agree to near machine
     precision.
     """
-    family = Family.coerce(family)
     if method == "bayes":
-        t1 = tau1_expected(dist, family, sigma, alpha, k)
-        if t1 <= 0.0:
-            raise UndefinedResultError(
-                f"tau4({k}) undefined: no synthetic cells of size {k} are expected"
-            )
-        return tau3_expected(family, sigma, alpha, k) * dist.proportion(k) / t1
+        return TauCurve(dist, family, sigma, k).tau4(alpha)
     if method == "reduced":
-        return _tau4_reduced(dist, family, sigma, alpha, k)
+        return _tau4_reduced(dist, Family.coerce(family), sigma, alpha, k)
     raise ValidationError("method must be 'bayes' or 'reduced'")
 
 

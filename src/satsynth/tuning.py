@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .models import Family, pmf
 from .table import CellSizeDistribution
-from .taumetrics import tau1_expected, tau4_expected
+from .taumetrics import TauCurve, tau1_expected
 
 
 class TargetKind(str, enum.Enum):
@@ -117,14 +117,15 @@ def solve_alpha_for_tau4_target(
     sigma_star: float,
     p: float,
     tol: float = 1e-10,
-    width_tol: float = 1e-12,
     alpha_cap: float = 1e6,
 ) -> TuningResult:
     """alpha* with expected tau4(1) = p, by bracketed bisection.
 
-    Raises :class:`InfeasibleError` when p exceeds the alpha = 0 value
-    (the achievable maximum) or cannot be reached inside the monotone
-    region of tau4(1).
+    Bisection stops once ``|tau4(1) - p| < tol``.  Raises
+    :class:`InfeasibleError` when p exceeds the alpha = 0 value (the
+    achievable maximum) or cannot be reached inside the monotone region
+    of tau4(1), and :class:`ConvergenceError` when the bracket's
+    midpoint no longer splits it before the target is met.
     """
     family = Family.coerce(family)
     if not (0.0 < p <= 1.0):
@@ -132,9 +133,7 @@ def solve_alpha_for_tau4_target(
     if sigma_star < 0:
         raise ValidationError("sigma_star must be >= 0")
 
-    def f(alpha: float) -> float:
-        return tau4_expected(dist, family, sigma_star, alpha, 1)
-
+    f = TauCurve(dist, family, sigma_star, 1).tau4
     f0 = f(0.0)
     if p > f0 + 1e-12:
         raise InfeasibleError(
@@ -169,9 +168,14 @@ def solve_alpha_for_tau4_target(
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         iterations += 1
-        if abs(fm - p) < tol or (hi - lo) < width_tol:
+        if abs(fm - p) < tol:
             return TuningResult(
                 family.value, sigma_star, TargetKind.TAU4_EQUALS.value, mid, fm - p, iterations, p
+            )
+        if not lo < mid < hi:
+            raise ConvergenceError(
+                f"tau4(1) = {p} not met within tol = {tol:g}: the bracket [{lo!r}, {hi!r}] "
+                f"cannot be split, residual {fm - p:.3g} after {iterations} evaluations"
             )
         if fm > f_lo + 1e-12 or fm < f_hi - 1e-12:
             raise InfeasibleError(

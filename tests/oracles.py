@@ -4,6 +4,7 @@ These deliberately avoid the package's own evaluation routes: Bessel
 values come from direct adaptive quadrature of the integral definition,
 mixture pmfs from numerical integration over the mixing density, the
 canonical table CSV from a row-at-a-time :mod:`csv` writer and reader,
+analytic tau1 and tau4 from a full pmf vector rebuilt for every alpha,
 empirical tau and within-p% from per-size set operations, and log-linear
 fits from IRLS on the dense design matrix.
 """
@@ -20,6 +21,7 @@ from scipy import integrate, linalg, optimize, special
 
 from satsynth.errors import ConvergenceError, FormatError, UndefinedResultError, ValidationError
 from satsynth.loglin import LoglinFit, build_design, poisson_loglik
+from satsynth.models import pmf
 from satsynth.schema import CategoricalSchema
 from satsynth.table import SparseContingencyTable
 
@@ -99,6 +101,26 @@ def nbi_pmf_direct(k: int, mu: float, sigma: float) -> float:
         - inv * math.log(1.0 + sigma * mu)
     )
     return math.exp(log_p)
+
+
+# -- tau1 and tau4 from one full pmf vector per alpha --------------------------------
+
+
+def tau1_full_vector(dist, family: str, sigma: float, alpha: float, k: int) -> float:
+    """tau1(k) from the pmf at every mean ``[alpha, sizes...]``, rebuilt for
+    each alpha: the evaluation ``TauCurve`` must reproduce bit for bit."""
+    means = np.concatenate(([float(alpha)], dist.nonzero_sizes.astype(np.float64)))
+    weights = np.concatenate(([dist.proportion(0)], dist.nonzero_proportions))
+    return float(pmf(family, k, means, sigma) @ weights)
+
+
+def tau4_full_vector(dist, family: str, sigma: float, alpha: float, k: int) -> float:
+    """tau3(k) * tau2(k) / tau1(k) with :func:`tau1_full_vector`."""
+    t1 = tau1_full_vector(dist, family, sigma, alpha, k)
+    if t1 <= 0.0:
+        raise UndefinedResultError(f"tau4({k}) undefined: no synthetic cells of size {k} are expected")
+    tau3 = float(pmf(family, k, alpha if k == 0 else float(k), sigma))
+    return tau3 * dist.proportion(k) / t1
 
 
 def chisq_pvalue_from_draws(draws: np.ndarray, pmf_vals: np.ndarray, min_expected: float = 5.0):

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from satsynth.errors import SatsynthError, UndefinedResultError
 from satsynth.models import pmf, pmf_range
 from satsynth.table import CellSizeDistribution
-from satsynth.taumetrics import tau1_expected, tau3_expected, tau4_expected, tau_analytic
+from satsynth.taumetrics import TauCurve, tau1_expected, tau3_expected, tau4_expected, tau_analytic
 from satsynth.tuning import alpha_star_match_zeros
+
+from oracles import tau1_full_vector, tau4_full_vector
 
 size_counts = st.dictionaries(
     st.integers(0, 60), st.integers(1, 10_000), min_size=1, max_size=12
@@ -81,6 +83,28 @@ def test_bayes_and_reduced_tau4_agree(counts, model, k):
     assert reduced == pytest.approx(bayes, rel=1e-10, abs=0.0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    size_counts,
+    st.sampled_from(["poisson", "nbi", "pig"]),
+    st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+    st.lists(st.one_of(st.just(0.0), st.floats(-300.0, 6.0).map(lambda e: 10.0**e)), min_size=1, max_size=4),
+    st.integers(0, 3),
+)
+def test_tau_curve_equals_a_full_pmf_vector_per_alpha(counts, family, sigma, alphas, k):
+    dist = CellSizeDistribution.from_counts(counts)
+    curve = TauCurve(dist, family, sigma, k)
+    for alpha in alphas:
+        assert curve.tau1(alpha) == tau1_full_vector(dist, family, sigma, alpha, k)
+        try:
+            tau4 = tau4_full_vector(dist, family, sigma, alpha, k)
+        except UndefinedResultError:
+            with pytest.raises(UndefinedResultError):
+                curve.tau4(alpha)
+        else:
+            assert curve.tau4(alpha) == tau4
+
+
 def _finite_or_typed(call):
     """``call()``, or None when it raises a SatsynthError; a RuntimeWarning fails."""
     with warnings.catch_warnings():
@@ -94,7 +118,7 @@ def _finite_or_typed(call):
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(["nbi", "pig"]),
-    st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+    st.one_of(st.just(0.0), st.floats(math.log10(5e-324), 300.0).map(lambda e: 10.0**e)),
     size_counts,
     st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
 )

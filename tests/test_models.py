@@ -87,6 +87,13 @@ def test_sigma_zero_dispatches_to_poisson():
     assert CountModelSpec("nbi", sigma=0.0).effective_family is Family.POISSON
 
 
+@pytest.mark.parametrize("sigma", [1e-310, 5e-324])
+def test_nbi_sigma_with_infinite_inverse_is_the_poisson_limit(sigma):
+    # 1/sigma is inf here; the NBI shape factor gave [1, nan, nan]
+    ks, means = [0, 1, 5], [0.0, 3.0, 740.0]
+    assert np.array_equal(pmf("nbi", ks, means, sigma), pmf("poisson", ks, means))
+
+
 def test_moments_values():
     assert moments("nbi", 5.0, 0.5) == (5.0, pytest.approx(17.5))
     assert moments("poisson", 3.0) == (3.0, 3.0)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from satsynth.errors import InfeasibleError, ValidationError
+from satsynth.errors import ConvergenceError, InfeasibleError, ValidationError
+from satsynth.generator import esc_like_spec, generate_table
 from satsynth.table import CellSizeDistribution
-from satsynth.taumetrics import tau1_expected, tau4_expected
+from satsynth.taumetrics import tau1_expected, tau2_of_table, tau4_expected
 from satsynth.tuning import (
     TargetKind,
     TuningTarget,
@@ -14,6 +15,7 @@ from satsynth.tuning import (
     solve,
     solve_alpha_for_tau4_target,
 )
+from test_taumetrics import table2_reference_dist
 
 HALF = CellSizeDistribution.from_proportions({0: 0.5, 1: 0.5})
 
@@ -139,3 +141,50 @@ def test_target_validation_and_dispatch():
 
     res2 = solve(HALF, "nbi", TuningTarget(TargetKind.TAU4_EQUALS, 1.0, p=0.9))
     assert json.loads(res2.to_json())["p"] == 0.9
+
+
+@pytest.mark.parametrize("sigma", [1e4, 1e8, 1e160])
+def test_tau4_target_met_when_alpha_star_is_tiny(sigma):
+    # an absolute bracket-width stop returned residuals -8.0e-9, 3.8e-5 and -0.265 here
+    res = solve_alpha_for_tau4_target(table2_reference_dist(), "nbi", sigma, 0.3)
+    assert abs(res.residual) <= 1e-10
+    assert res.alpha_star > 0.0
+
+
+def test_tau4_target_out_of_float_reach_is_a_convergence_error():
+    with pytest.raises(ConvergenceError, match="cannot be split"):
+        solve_alpha_for_tau4_target(table2_reference_dist(), "nbi", 1.0, 0.3, tol=0.0)
+
+
+@pytest.fixture(scope="module")
+def esc_full_dist():
+    return tau2_of_table(generate_table(esc_like_spec(), 1))
+
+
+# alpha* and bisection steps of the benchmark's tune units at tau4(1) = 0.3;
+# any change to the tau4 evaluation or the bisection shows up here
+TAU4_PINS = {
+    ("poisson", 0.0): ("0.02722077927319333", 35),
+    ("nbi", 0.5): ("0.018958522705361247", 33),
+    ("nbi", 1.0): ("0.014345502044307068", 36),
+    ("nbi", 2.0): ("0.009361602686112747", 36),
+    ("pig", 0.5): ("0.01999050864833407", 36),
+    ("pig", 1.0): ("0.01631791569525376", 35),
+    ("pig", 2.0): ("0.012221954020787962", 37),
+}
+MATCH_ZEROS_PINS = {
+    ("poisson", 0.0): "0.01700042047287631",
+    ("nbi", 1.0): "0.03133337288486704",
+    ("pig", 1.0): "0.027358464858548648",
+}
+
+
+@pytest.mark.parametrize("family,sigma", list(TAU4_PINS))
+def test_tau4_target_pins_on_full_scale_histogram(esc_full_dist, family, sigma):
+    res = solve_alpha_for_tau4_target(esc_full_dist, family, sigma, 0.3)
+    assert (repr(res.alpha_star), res.iterations) == TAU4_PINS[family, sigma]
+
+
+@pytest.mark.parametrize("family,sigma", list(MATCH_ZEROS_PINS))
+def test_match_zeros_pins_on_full_scale_histogram(esc_full_dist, family, sigma):
+    assert repr(alpha_star_match_zeros(esc_full_dist, family, sigma)) == MATCH_ZEROS_PINS[family, sigma]
