@@ -263,11 +263,22 @@ def fit_loglinear(
     over coefficients no lower than ``-cap``: a term with a zero observed
     margin starts there, one that a step takes past it is held there, and
     a held term whose score points back up is let go again.  The terms
-    left at ``-cap`` form ``cap_hit``.  The fit has converged when every
-    other term's score is at most ``tol * max(1, margin)``, with
-    ``margin`` the term's observed total; ``tol`` is thus relative, and
-    the test holds at any table total.  Standard errors come from the
-    Cholesky factor of the information at the fit.
+    left at ``-cap`` form ``cap_hit``.  The fit is within its bounds when
+    every other term's score is at most ``tol * max(1, margin)``, with
+    ``margin`` the term's observed total, and the last step raised the
+    log-likelihood by at most ``tol * max(1, n)``; ``tol`` is thus
+    relative, and the test holds at any table total.  The second bound
+    matters where estimates run off to infinity: each step along such a
+    ray takes about 1 - 1/e of the likelihood still to gain, so stopping
+    when it takes little leaves little, however many rays there are.
+    From the first point within the bounds the fit takes one more step
+    and stops: a small score can still leave an ill-conditioned
+    coefficient well away from its estimate, and one Newton step from
+    there lands it within rounding.  ``max_iter`` counts that step too.
+    Standard errors come from the Cholesky factor of the information at
+    the fit, or, where it is numerically singular, from its eigenvectors:
+    a coefficient that moves along a direction of zero information has
+    an infinite standard error.
     """
     if not 0.0 < cap < math.inf:  # False for NaN
         raise ValidationError(f"cap must be positive and finite, got {cap}")
@@ -324,12 +335,14 @@ def fit_loglinear(
     beta = np.zeros(p)
     beta[frozen] = -cap
     bound = tol * np.maximum(1.0, margin)
+    gain_bound = tol * max(1.0, float(table.n))
 
     # warm start near the saturated predictor; it is no X beta, so the first
     # step has nothing to be halved towards and is taken whole
     eta = np.log(y + 0.5)
     mu = y + 0.5
-    loss, slack = math.inf, math.inf
+    loss, slack, gain = math.inf, math.inf, math.inf
+    settled = False  # the last step was taken from within the bounds
     # each pass steps, lets go of held terms (whose scores then exceed their
     # bounds, so the next pass steps or raises), or ends the fit
     for step in itertools.count():
@@ -341,14 +354,19 @@ def fit_loglinear(
             chol = None  # so the step below is the minimum-norm one
         score = xt_dot(y - mu)
         worst = float(np.max(np.abs(score[free]) / bound[free], initial=0.0))
-        if step and worst <= 1.0:
+        if step and worst <= 1.0 and gain <= gain_bound:
             # a term held at -cap whose score points back up was held after an
             # overshoot, not on its way to -infinity: let it go and fit on
             release = frozen & (score > bound)
-            if not release.any():
+            if release.any():
+                frozen &= ~release
+                settled = False
+                continue
+            if settled:
                 break
-            frozen &= ~release
-            continue
+            settled = True
+        else:
+            settled = False
         if step >= max_iter:
             raise ConvergenceError(
                 f"IRLS did not converge in {max_iter} iterations; worst score/bound {worst:.3g}"
@@ -366,17 +384,19 @@ def fit_loglinear(
             delta *= 0.5
         else:
             raise ConvergenceError(f"step-halving could not lower the deviance at iteration {step + 1}")
-        beta, loss, slack = trial, trial_loss, trial_slack
+        beta, prior_loss, loss, slack = trial, loss, trial_loss, trial_slack
         sank = free & (beta < -cap)
         if sank.any():  # past -cap, perhaps on the way to -infinity: hold at the cap
             beta[sank] = -cap
             frozen |= sank
             eta, mu, loss, slack = evaluate(beta)
+        gain = prior_loss - loss
 
-    if chol is None:  # some combination of estimates runs off to infinity
-        raise ConvergenceError("information matrix is singular at the fit; no standard errors")
     se = np.full(p, math.inf)
-    se[free] = np.sqrt(np.diag(linalg.cho_solve(chol, np.eye(int(free.sum())))))
+    if chol is None:  # some combination of estimates runs off to infinity
+        se[free] = _singular_standard_errors(info)
+    else:
+        se[free] = np.sqrt(np.diag(linalg.cho_solve(chol, np.eye(int(free.sum())))))
     return LoglinFit(
         coefficients=dict(zip(labels, beta.tolist())),
         standard_errors=dict(zip(labels, se.tolist())),
@@ -386,6 +406,22 @@ def fit_loglinear(
         loglik=poisson_loglik(y, mu),
         terms=tuple(tuple(t) for t in terms),
     )
+
+
+def _singular_standard_errors(info: np.ndarray) -> np.ndarray:
+    """Standard errors from a numerically singular information matrix.
+
+    Eigenvalues within rounding of zero span the directions the fit
+    cannot pin down; a coefficient with a loading on any of them gets an
+    infinite standard error, the others the square root of their
+    diagonal entry of the pseudo-inverse.
+    """
+    eps = np.finfo(np.float64).eps
+    lam, vec = linalg.eigh(info)
+    null = lam <= lam[-1] * len(lam) * eps
+    var = (vec[:, ~null] ** 2) @ (1.0 / lam[~null])
+    on_ray = np.abs(vec[:, null]).max(axis=1, initial=0.0) > math.sqrt(eps)
+    return np.where(on_ray, math.inf, np.sqrt(var))
 
 
 def all_two_way_terms(schema: CategoricalSchema) -> list[Term]:

@@ -204,6 +204,19 @@ def test_divergent_terms_hit_cap_and_flagged():
     assert math.isinf(ivs["A=a2:B=b2"].length)
 
 
+def test_singular_information_on_a_ray_gives_infinite_standard_errors():
+    """A fit that stops on a ray to infinity where the information has lost
+    rank: coefficients along the ray get infinite standard errors, and one
+    off it keeps its closed form.  With B and C interacting, B=b2 is the log
+    odds of b2 against b1 at C=c1, where the counts are 2 and 4."""
+    schema = CategoricalSchema([("A", ["a1", "a2"]), ("B", ["b1", "b2"]), ("C", ["c1", "c2", "c3"])])
+    table = SparseContingencyTable.from_dict(schema, {(0, 1, 2): 2, (1, 0, 0): 2, (1, 1, 0): 4, (1, 1, 2): 5})
+    fit = fit_loglinear(table, [("A",), ("B",), ("C",), ("A", "C"), ("B", "C")])
+    on_ray = {name for name, se in fit.standard_errors.items() if math.isinf(se)} - fit.cap_hit
+    assert on_ray  # infinite without being held at -cap
+    assert fit.standard_errors["B=b2"] == pytest.approx(math.sqrt(1 / 2 + 1 / 4), rel=1e-6)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_design_has_full_column_rank(data):
