@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from .errors import ConvergenceError, ValidationError
 from .evaluation import Interval
@@ -280,6 +280,7 @@ def fit_loglinear(
     a coefficient that moves along a direction of zero information has
     an infinite standard error.
     """
+    from scipy import linalg  # here, not at import: only fits need it, and it adds ~60 ms to CLI start-up
     if not 0.0 < cap < math.inf:  # False for NaN
         raise ValidationError(f"cap must be positive and finite, got {cap}")
     if max_iter < 1:
@@ -416,6 +417,7 @@ def _singular_standard_errors(info: np.ndarray) -> np.ndarray:
     infinite standard error, the others the square root of their
     diagonal entry of the pseudo-inverse.
     """
+    from scipy import linalg  # see fit_loglinear
     eps = np.finfo(np.float64).eps
     lam, vec = linalg.eigh(info)
     null = lam <= lam[-1] * len(lam) * eps

@@ -89,13 +89,13 @@ def pig_c(mu, sigma):
 
 def _validate_pmf_args(k, mu, sigma):
     k = np.asarray(k)
-    if np.any(k != np.floor(k)):
+    if (k != np.floor(k)).any():  # array methods: the np.any/np.all wrappers cost more per call
         raise ValidationError("counts must be integers")
     k = k.astype(np.int64)
-    if np.any(k < 0):
+    if (k < 0).any():
         raise ValidationError("counts must be >= 0")
     mu = np.asarray(mu, dtype=np.float64)
-    if np.any(mu < 0) or not np.all(np.isfinite(mu)):
+    if (mu < 0).any() or not np.isfinite(mu).all():
         raise ValidationError("mu must be finite and >= 0")
     if sigma < 0 or not math.isfinite(sigma):
         raise ValidationError("sigma must be finite and >= 0")
@@ -117,6 +117,13 @@ def _log_rising_ratio(k, r):
         return r * (np.log1p(t) - t) + (k - 0.5) * np.log1p(t) + (series(k + r) - series(r))
 
 
+def _log1p_product(x, y):
+    """log1p(x * y) for x, y >= 0; where x * y overflows (under errstate
+    over="ignore"), log(x) + log(y), which is within 1e-308 of it."""
+    out = np.log1p(x * y)
+    return out if (out < np.inf).all() else np.where(out < np.inf, out, np.log(x) + np.log(y))
+
+
 def _pig_logpmf(k, mu, sigma):
     """PIG log-mass at means mu > 0: with c = pig_c(mu, sigma), the log of
     sqrt(2c/pi) * mu**k * exp(1/sigma) * K_{k-1/2}(c) / ((c*sigma)**k * k!).
@@ -127,7 +134,7 @@ def _pig_logpmf(k, mu, sigma):
     c = pig_c(mu, sigma)
     return (
         0.5 * (np.log(2.0) + np.log(c) - np.log(np.pi))
-        + k * (np.log(mu) - 0.5 * np.log1p(2.0 * mu * sigma))
+        + k * (np.log(mu) - 0.5 * _log1p_product(2.0 * mu, sigma))
         - 2.0 * mu / (1.0 + sigma * c)
         + _log_k_half_scaled(k, c)
         - special.gammaln(k + 1.0)
@@ -142,12 +149,13 @@ def logpmf(family: Family | str, k, mu, sigma: float = 0.0):
     """
     family = Family.coerce(family)
     k, mu = _validate_pmf_args(k, mu, sigma)
-    with np.errstate(divide="ignore", invalid="ignore"):  # mu = 0 is set below
+    # mu = 0 is set below, and _log1p_product takes over where sigma * mu overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # an NBI sigma whose 1/sigma overflows is the Poisson limit too
         if family is Family.POISSON or sigma == 0.0 or (family is Family.NBI and 1.0 / float(sigma) == math.inf):
             out = k * np.log(mu) - mu - special.gammaln(k + 1.0)
         elif family is Family.NBI:
-            log1p_sm = np.log1p(sigma * mu)
+            log1p_sm = _log1p_product(sigma, mu)
             out = (
                 _log_rising_ratio(k, 1.0 / sigma)
                 + k * (np.log(mu) - log1p_sm)

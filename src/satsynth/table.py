@@ -10,6 +10,7 @@ share across threads.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from contextlib import contextmanager
@@ -466,54 +467,126 @@ def write_table(table: SparseContingencyTable, path: str) -> None:
         _write_table_stream(table, fh)
 
 
-def _label_ordinals(labels: np.ndarray, cats: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinal of each label within ``cats``, and a mask of the labels found."""
-    cats_arr = np.array(cats)
-    order = np.argsort(cats_arr)
-    ranked = cats_arr[order]
-    pos = np.minimum(np.searchsorted(ranked, labels), len(cats) - 1)
-    return order.astype(np.uint64)[pos], ranked[pos] == labels
+_FIB = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio: spreads structured keys
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)?")  # a line as readline splits it with newline=""
 
 
-def _decode_rows(fh, schema: CategoricalSchema) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat index, count and structural mask of every body row, in one pass.
+def _field_keys(buf: bytes, starts: np.ndarray, sizes: np.ndarray, width: int):
+    """Each field's bytes as ``width`` little-endian words, zero past its end,
+    and a key per field: its one word, or a hash of its words.  ``buf``
+    holds ``8 * width`` bytes past the start of the last field."""
+    view = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    words = [view[starts + 8 * w] & np.take(_BYTE_MASKS, sizes - 8 * w, mode="clip") for w in range(width)]
+    return words, functools.reduce(lambda key, word: key * _FIB + word, words)
 
-    Raises ValueError if any row is malformed; :func:`_check_rows` names it.
+
+def _label_ordinals(buf: bytes, starts: np.ndarray, sizes: np.ndarray, cats: tuple[str, ...]):
+    """Ordinal of each field's category, and a mask of the fields that spell one.
+
+    A category is spelt quoted with doubled quotes, and bare where
+    :func:`_csv_field` leaves it bare; a label over csv's field size limit,
+    which csv refuses, matches nothing.  A field's key finds one candidate
+    in a hash table, and the candidate counts if its bytes and length match.
     """
-    # one wider than the longest label, so a longer field cannot be
-    # truncated into a valid label; likewise for the 0/1 flag
-    dtype = [(f"label{j}", f"U{max(map(len, cats)) + 1}") for j, (_, cats) in enumerate(schema.variables)]
-    dtype += [("count", "i8"), ("structural", "U2")]
-    *labels, count, flag = np.loadtxt(
-        fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1, unpack=True
-    )
-    flat = np.zeros(count.size, dtype=np.uint64)
-    bad = np.zeros(count.size, dtype=bool)
-    for column, (_, cats) in zip(labels, schema.variables):
-        ordinals, found = _label_ordinals(column, cats)
+    spellings = [(s.encode(), i) for i, c in enumerate(cats)
+                 for s in dict.fromkeys((_csv_field(c), '"' + c.replace('"', '""') + '"'))]
+    lengths = np.array([len(s) for s, _ in spellings])
+    width = -(-int(lengths.max()) // 8)
+    joined = b"".join(s for s, _ in spellings) + bytes(8 * width)
+    mine, keys = _field_keys(joined, np.cumsum(lengths) - lengths, lengths, width)
+    theirs, their_keys = _field_keys(buf, starts, sizes, width)
+    # a hash table: slots[r, h] is the r-th spelling whose key hashes to h, or spelling 0
+    bits = (8 * lengths.size).bit_length()  # at least 8 slots per spelling
+    home = lambda k: ((k * _FIB) >> np.uint64(64 - bits)).view(np.intp)
+    order = np.argsort(home(keys), kind="stable")
+    ranked = home(keys)[order]
+    rank = np.arange(order.size) - np.searchsorted(ranked, ranked)
+    slots = np.zeros((rank.max() + 1, 2**bits), dtype=np.intp)
+    slots[rank, ranked] = order
+    their_home = home(their_keys)
+    found = slots[0][their_home]
+    for slot in slots[1:]:
+        miss = np.flatnonzero(keys[found] != their_keys)
+        found[miss] = slot[their_home[miss]]
+    limit = csv.field_size_limit()
+    exact = np.where([len(cats[i]) <= limit for _, i in spellings], lengths, -1)[found] == sizes
+    for word, their_word in zip(mine, theirs):
+        exact &= word[found] == their_word
+    return np.array([i for _, i in spellings], dtype=np.uint64)[found], exact
+
+
+def _decode_rows(body: bytes, schema: CategoricalSchema):
+    """Flat index, count and structural mask of every body row, from one
+    vectorised pass over its bytes; None where it cannot decode the body.
+
+    Rows end in LF or CRLF, the last perhaps at the end of the body, and a
+    delimiter after an odd number of quotes is inside a quoted field.  Each
+    label must be one of its category's spellings, the count 1 to 18 ASCII
+    digits and the flag ``0``, or ``1`` with count 0.  csv reads such a
+    body field for field as this pass does, and it is valid UTF-8.
+    """
+    p = len(schema.names)
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    longest = max(len(c.encode()) for _, cats in schema.variables for c in cats)
+    buf = body + bytes(2 * longest + 16)  # room for whole words of the longest spelling, quoted
+    b = np.frombuffer(buf, dtype=np.uint8)[: len(body)]
+    lf = b == ord("\n")
+    delimiters = lf | (b == ord(","))
+    if b'"' in body:
+        quoted = np.logical_xor.accumulate(b == ord('"'))
+        lf &= ~quoted
+        delimiters &= ~quoted
+    rows, extra = divmod(int(np.count_nonzero(delimiters)), p + 2)
+    # each row's last delimiter is an LF, and no other one is
+    if extra or (b.size and not delimiters[-1]) or np.count_nonzero(lf) != rows:
+        return None
+    at = np.flatnonzero(delimiters)
+    ends = at.reshape(rows, p + 2).T.copy()  # one row per field
+    if not (b[ends[-1]] == ord("\n")).all():
+        return None
+    starts = at.reshape(p + 2, rows)  # at's memory, no longer needed
+    np.add(ends[:-1], 1, out=starts[1:])
+    starts[0, 1:] = ends[-1, :-1] + 1
+    starts[0, :1] = 0
+    ends[-1] -= b[ends[-1] - 1] == ord("\r")  # CRLF: the flag ends before the CR
+    sizes = np.subtract(ends, starts, out=ends)
+    flat = np.zeros(rows, dtype=np.uint64)
+    for j, (_, cats) in enumerate(schema.variables):
+        ordinals, exact = _label_ordinals(buf, starts[j], sizes[j], cats)
+        if not exact.all():
+            return None
         flat = flat * np.uint64(len(cats)) + ordinals
-        bad |= ~found
-    structural = flag == "1"
-    bad |= ~(structural | (flag == "0")) | (count < 0) | (structural & (count != 0))
-    if bad.any():
-        raise ValueError(f"row {int(np.argmax(bad)) + 1} of the body fails a check")
-    return flat, count, structural
+    count = np.zeros(rows, dtype=np.int64)
+    ok = (sizes[p] >= 1) & (sizes[p] <= 18)
+    for k in range(min(18, int(sizes[p].max(initial=0)))):  # digit k, in the rows that have it
+        has = np.flatnonzero(sizes[p] > k)
+        digit = b[starts[p, has] + k] - np.uint8(ord("0"))  # wraps: any other byte is above 9
+        ok[has] &= digit <= 9
+        count[has] = count[has] * 10 + digit
+    flag = b[starts[p + 1]]
+    structural = flag == ord("1")
+    ok &= (sizes[p + 1] == 1) & (structural | (flag == ord("0"))) & ~(structural & (count != 0))
+    return (flat, count, structural) if ok.all() else None
 
 
-def _check_rows(fh, schema: CategoricalSchema, lineno: int) -> None:
-    """Read the body row by row and raise the first offending row's FormatError.
+def _check_rows(fh, schema: CategoricalSchema, lineno: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat index, count and structural mask of every body row, read row by
+    row with :mod:`csv`; raises the first offending row's FormatError.
 
     ``lineno`` is the line number of the column header; rows are numbered
     by CSV record, as :mod:`csv` reads them.
     """
     p = len(schema.names)
+    flats, counts, flags = [], [], []
     try:
         for row in csv.reader(fh):
             lineno += 1
             if len(row) != p + 2:
                 raise FormatError(f"expected {p + 2} fields, got {len(row)}", line=lineno)
             try:
-                schema.ordinals_of(row[:p])
+                flats.append(schema.flat_of(schema.ordinals_of(row[:p])))
             except ValidationError as exc:
                 raise FormatError(str(exc), line=lineno) from None
             text = row[p].strip()
@@ -529,8 +602,11 @@ def _check_rows(fh, schema: CategoricalSchema, lineno: int) -> None:
                 raise FormatError(f"structural flag must be 0 or 1, got {row[p + 1]!r}", line=lineno)
             if row[p + 1] == "1" and count != 0:
                 raise FormatError("structural zero rows must have count 0", line=lineno)
+            counts.append(count)
+            flags.append(row[p + 1] == "1")
     except csv.Error as exc:
         raise FormatError(str(exc), line=lineno + 1) from None
+    return np.array(flats, dtype=np.uint64), np.array(counts, dtype=np.int64), np.array(flags, dtype=bool)
 
 
 def read_table(path: str, schema: CategoricalSchema | None = None) -> SparseContingencyTable:
@@ -542,7 +618,7 @@ def read_table(path: str, schema: CategoricalSchema | None = None) -> SparseCont
     UTF-8, naming the line.
     """
     with utf8_errors(path):
-        return _read_table_text(path, schema)
+        return _read_table_file(path, schema)
 
 
 @contextmanager
@@ -561,63 +637,52 @@ def utf8_errors(path: str):
         raise
 
 
-def _read_table_text(path: str, schema: CategoricalSchema | None) -> SparseContingencyTable:
+def _read_table_file(path: str, schema: CategoricalSchema | None) -> SparseContingencyTable:
     header_n: int | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        lineno = 0
-        line = fh.readline()
-        while line.startswith("#"):
-            lineno += 1
-            body = line[1:].strip()
-            if body.startswith("schema:"):
-                schema_json = body[len("schema:"):].strip()
-                parsed = CategoricalSchema.from_json(schema_json)
-                if schema is None:
-                    schema = parsed
-            elif body.startswith("n:"):
-                try:
-                    header_n = int(body[len("n:"):].strip())
-                except ValueError:
-                    raise FormatError("unreadable n header", line=lineno) from None
-            line = fh.readline()
-        if schema is None:
-            raise FormatError("no schema header found and none supplied")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = ((m.end(), m.group().decode("utf-8")) for m in _LINE.finditer(data))
+    lineno = 0
+    end, line = next(lines)
+    while line.startswith("#"):
         lineno += 1
-        header = next(csv.reader([line])) if line else []
-        expected = list(schema.names) + ["count", "structural"]
-        if header != expected:
-            raise FormatError(f"header {header!r}, expected {expected!r}", line=lineno)
-        if any("\x00" in c for _, cats in schema.variables for c in cats):
-            # numpy strings drop trailing NULs, so such labels would alias
-            raise FormatError("category labels containing NUL characters cannot be read")
-        start = fh.tell()
-        text = fh.read()
-        flat, count, structural = np.empty(0, np.uint64), np.empty(0, np.int64), np.empty(0, bool)
-        # loadtxt skips blank lines and numpy strings drop trailing NULs,
-        # where csv reads an empty row or a different field: check row-wise
-        if text.startswith(("\n", "\r")) or any(s in text for s in ("\n\n", "\n\r", "\r\r", "\x00")):
-            fh.seek(start)
-            _check_rows(fh, schema, lineno)
-        if text:  # loadtxt warns on an empty body
-            fh.seek(start)
+        body = line[1:].strip()
+        if body.startswith("schema:"):
+            schema_json = body[len("schema:"):].strip()
+            parsed = CategoricalSchema.from_json(schema_json)
+            if schema is None:
+                schema = parsed
+        elif body.startswith("n:"):
             try:
-                flat, count, structural = _decode_rows(fh, schema)
-            except ValueError as exc:
-                fh.seek(start)
-                _check_rows(fh, schema, lineno)
-                raise FormatError(f"unreadable table body: {exc}") from None
-        # explicit zero-count rows are optional random zeros and may repeat
-        seen = np.sort(flat[structural | (count > 0)])
-        dup = seen[1:][seen[1:] == seen[:-1]]
-        if dup.size:
-            raise FormatError(
-                f"duplicate cell {schema.labels_of(schema.coords_of(int(dup[0])))}"
-            )
-        live = count > 0
-        table = SparseContingencyTable(schema, flat[live], count[live], flat[structural])
-        if header_n is not None and header_n != table.n:
-            raise FormatError(f"header n={header_n} but counts sum to {table.n}")
-        return table
+                header_n = int(body[len("n:"):].strip())
+            except ValueError:
+                raise FormatError("unreadable n header", line=lineno) from None
+        end, line = next(lines)
+    if schema is None:
+        raise FormatError("no schema header found and none supplied")
+    lineno += 1
+    header = next(csv.reader([line])) if line else []
+    expected = list(schema.names) + ["count", "structural"]
+    if header != expected:
+        raise FormatError(f"header {header!r}, expected {expected!r}", line=lineno)
+    if any("\x00" in c for _, cats in schema.variables for c in cats):
+        raise FormatError("category labels containing NUL characters cannot be read")
+    decoded = _decode_rows(data[end:], schema)
+    if decoded is None:  # blank lines, lone CRs, padded counts, errors ...: csv names the row
+        decoded = _check_rows(io.StringIO(data[end:].decode("utf-8"), newline=""), schema, lineno)
+    flat, count, structural = decoded
+    # explicit zero-count rows are optional random zeros and may repeat
+    seen = np.sort(flat[structural | (count > 0)])
+    dup = seen[1:][seen[1:] == seen[:-1]]
+    if dup.size:
+        raise FormatError(
+            f"duplicate cell {schema.labels_of(schema.coords_of(int(dup[0])))}"
+        )
+    live = count > 0
+    table = SparseContingencyTable(schema, flat[live], count[live], flat[structural])
+    if header_n is not None and header_n != table.n:
+        raise FormatError(f"header n={header_n} but counts sum to {table.n}")
+    return table
 
 
 def table_to_string(table: SparseContingencyTable) -> str:

@@ -2,16 +2,21 @@
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import read_table_rowwise, write_table_rowwise
+from satsynth import table as table_module
 from satsynth.errors import FormatError, ValidationError
+from satsynth.generator import esc_like_spec, generate_table, scaled_spec
 from satsynth.schema import CategoricalSchema
-from satsynth.table import SparseContingencyTable, aggregate_microdata_csv, read_table, table_to_string
+from satsynth.table import (
+    SparseContingencyTable, aggregate_microdata_csv, read_table, table_to_string, write_table,
+)
 
 # characters that need quoting or trip tokenisers, plus any non-NUL code point
 _LABEL_CHARS = st.one_of(
@@ -75,7 +80,8 @@ def test_read_matches_rowwise_reader(tmp_path_factory, table, data):
 _FUZZ_SCHEMA = CategoricalSchema([("A", ["a", "b", ""]), ("B", ["x", 'y"', "z,", "w\n"])])
 _FUZZ_TOKENS = st.sampled_from(
     ["a", "b", "x", "y", "z", "w", ",", '"', "\n", "\r", "\r\n", " ", "\t", "\x00", "0", "1", "2",
-     "-", "+", "5.0", str(2**63), "a,x,1,0\n", "b,y,0,1\n"]
+     "-", "+", "5.0", str(2**63), "a,x,1,0\n", "b,y,0,1\n", "a,x,1,0\r\n", "b,y,0,1\r\n",
+     '"a"', '"y"""', '"z,"']
 )
 
 
@@ -89,6 +95,7 @@ def _outcome(reader, path):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_FUZZ_TOKENS, max_size=30))
+@example(["a,x,1,0,", "\n", "x,1,0\n"])  # 5 fields then 3: as many delimiters as two good rows
 def test_any_body_reads_like_rowwise(tmp_path_factory, tokens):
     """Well-formed or not, a body gives the row-wise reader's table or error."""
     path = tmp_path_factory.mktemp("fuzz") / "t.csv"
@@ -167,6 +174,51 @@ def test_accepted_variants_read_like_rowwise(tmp_path, old, new):
     back = read_table(str(path))
     assert back.same_contents(read_table_rowwise(str(path)))
     assert back.n == 3 and back.num_structural_zeros == 1
+
+
+_VECTORISED = {
+    "lf": ("\n", "\n"),
+    "crlf": ("\n", "\r\n"),
+    "quoted labels": ("a001,x,2,0\n", '"a001","x",2,0\n'),
+    "no final newline": ("a002,y,0,1\n", "a002,y,0,1"),
+    "explicit zero row": ("a001,x,2,0\n", "a001,y,0,0\na001,x,2,0\n"),
+    "empty body": ("a001,x,2,0\na002,x,1,0\na002,y,0,1\n", ""),
+}
+
+
+def _refuse(*args):
+    raise AssertionError("the body fell back to the row-wise reader")
+
+
+@pytest.mark.parametrize("old, new", _VECTORISED.values(), ids=_VECTORISED.keys())
+def test_canonical_bodies_decode_without_the_rowwise_reader(tmp_path, old, new):
+    path = tmp_path / "t.csv"
+    text = _BASE.replace(old, new)
+    if not new:
+        text = text.replace("# n: 3", "# n: 0")
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = read_table_rowwise(str(path))
+    with mock.patch.object(table_module, "_check_rows", _refuse):
+        assert read_table(str(path)).same_contents(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables())
+def test_written_tables_decode_without_the_rowwise_reader(tmp_path_factory, table):
+    """Every label write_table spells, quoted or bare, is read in the vectorised pass."""
+    path = tmp_path_factory.mktemp("io") / "t.csv"
+    path.write_text(table_to_string(table), encoding="utf-8", newline="")
+    with mock.patch.object(table_module, "_check_rows", _refuse):
+        assert read_table(str(path)).same_contents(table)
+
+
+def test_large_canonical_table_reads_like_rowwise(tmp_path):
+    table = generate_table(scaled_spec(esc_like_spec(), 200_000), 1)
+    path = tmp_path / "t.csv"
+    write_table(table, str(path))
+    back = read_table(str(path))
+    assert back.same_contents(read_table_rowwise(str(path)))
+    assert back.same_contents(table)
 
 
 @pytest.mark.parametrize("count", ["1_000", "٥", "0x10"])
