@@ -38,7 +38,9 @@ from .models import Family
 SLOTS_PER_DRAW = 4  # one Philox counter block of 4 raw 64-bit words
 
 _U64_MASK = (1 << 64) - 1
-_POISSON_LOOP_CUT = 60.0  # accumulate term-by-term below, invert pdtrik above
+_POISSON_LOOP_CUT = 60.0  # accumulate term-by-term below, walk on pdtr above
+# where the walk may disagree with pdtrik (see ``_poisson_quantile_walk``)
+_WALK_TAIL, _WALK_CAP, _WALK_MARGIN = 1e-9, 2.0**20, 1e-6
 
 # Sure-zero screen (see ``may_draw_nonzero``): the first uniform is
 # bucketed into ``_SCREEN_STEPS`` equal steps; the bound on lambda carries
@@ -116,16 +118,55 @@ def _poisson_quantile_bisect(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return hi
 
 
+def _poisson_quantile_walk(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """:func:`_poisson_quantile` for lam > 60, mostly without ``pdtrik``.
+
+    k starts at the Cornish-Fisher quantile and steps until
+    ``pdtr(k - 1, lam) < u <= pdtr(k, lam)``: the exact quantile, after
+    about two ``pdtr`` calls.  pdtrik's root is exact only away from a CDF
+    step, so draws with u in either tail (within ``_WALK_TAIL`` of 0 or 1),
+    lam above ``_WALK_CAP``, or u within ``_WALK_MARGIN`` times the step
+    ``pdtr(k) - pdtr(k - 1)`` of either end take :func:`_poisson_quantile`:
+    every value equals it.
+    """
+    ok = (u > _WALK_TAIL) & (u < 1.0 - _WALK_TAIL) & (lam <= _WALK_CAP)
+    uw, lw = u[ok], lam[ok]
+    z = special.ndtri(uw)
+    r = np.sqrt(lw)
+    k = np.ceil(lw + r * z + (z * z - 1.0) / 6.0 + z * (z * z - 7.0) / (72.0 * r) - 0.5)
+    cdf = np.empty((k.size, 2))  # pdtr(k - 1), pdtr(k)
+    move = np.arange(k.size)
+    while move.size:
+        cdf[move] = special.pdtr(k[move, None] - (1.0, 0.0), lw[move, None])
+        step = (cdf[move, 1] < uw[move]).astype(np.float64) - (cdf[move, 0] >= uw[move])
+        k[move] += step
+        move = move[step != 0.0]
+    margin = _WALK_MARGIN * (cdf[:, 1] - cdf[:, 0])
+    out = np.empty(u.shape, dtype=np.int64)
+    out[ok] = k
+    ok[ok] = (uw - cdf[:, 0] > margin) & (cdf[:, 1] - uw > margin)  # False for a NaN bracket
+    out[~ok] = _poisson_quantile(u[~ok], lam[~ok])
+    return out
+
+
 def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Exact Poisson quantile: smallest k with CDF(k) >= u, vectorised.
+    """Poisson quantile: smallest k with CDF(k) >= u, vectorised.
 
     The count is 0 exactly when u < CDF(0) = exp(-lam); only the other
     cells are inverted.  Small means use term-by-term CDF accumulation
-    (cheap: the expected iteration count is lam + 1); large means invert
-    the regularized gamma function.  lam = 0 maps to 0.  Above 2**53 the
-    CDF takes k as a double, so neighbouring integers share one value and
-    the quantile is only as exact as a double: ``poisson_inverse(0.5, 1e18)``
-    is 1,000,000,000,000,000,256, where CDF(k - 1) == CDF(k).
+    (cheap: the expected iteration count is lam + 1).  Means above 60 walk
+    on ``pdtr`` from a Cornish-Fisher start (:func:`_poisson_quantile_walk`)
+    but keep stream v1's pdtrik quantile, which is not always exact.  It is
+    one low where u lies just above a CDF value (within about 5e-10 of the
+    step): ``poisson_inverse(0.7850405569603003, 15277.998498473771)`` is
+    15,375, though ``pdtr(15375, lam) < u``.  Above lam = 1e6 random draws
+    miss too: ``poisson_inverse(0.9999974292049809, 21111357.114760615)``
+    is 21,132,306, though ``pdtr(21132305, lam) >= u`` (and ``pdtr`` itself
+    is 3e-7 high there: the true quantile is 21,132,307).
+    lam = 0 maps to 0.  Above 2**53 the CDF takes k as a double, so
+    neighbouring integers share one value and the quantile is only as exact
+    as a double: ``poisson_inverse(0.5, 1e18)`` is
+    1,000,000,000,000,000,256, where CDF(k - 1) == CDF(k).
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
@@ -136,28 +177,35 @@ def poisson_inverse(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     live = (u >= p0) & (lam > 0.0)
     big = live & (lam > _POISSON_LOOP_CUT)
     if np.any(big):
-        out[big] = _poisson_quantile(u[big], lam[big])
+        out[big] = _poisson_quantile_walk(u[big], lam[big])
 
-    # the small means run the CDF recurrence on arrays compacted as draws finish
+    # the small means run the CDF recurrence in place, on arrays compacted
+    # whenever at most half of their rows are still live
     small = np.flatnonzero(live & ~big)
     if small.size:
         ls = lam.take(small)
         us = u.take(small)
         term = p0.take(small)
         cdf = term.copy()  # us >= cdf everywhere: that made them live
+        stayed = np.zeros(small.size, dtype=np.int64)  # steps a row has stayed live
+        ratio, go = np.empty(small.size), np.ones(small.size, dtype=bool)
         k = 0
         # iteration count bounded well past the far tail of lam <= cut
         max_steps = int(_POISSON_LOOP_CUT + 12.0 * np.sqrt(_POISSON_LOOP_CUT) + 60)
         while small.size and k < max_steps:
             k += 1
-            term *= ls / k
+            term *= np.divide(ls, k, out=ratio)
             cdf += term
-            go = us >= cdf
-            out[small[~go]] = k
-            keep = np.flatnonzero(go)
-            small, ls, us, term, cdf = (a.take(keep) for a in (small, ls, us, term, cdf))
-        if small.size:  # u so extreme the accumulated CDF stalled
-            out[small] = _poisson_quantile(us, ls)
+            stayed += np.greater_equal(us, cdf, out=go)  # once False, False for good
+            n_live = np.count_nonzero(go)
+            if 2 * n_live <= small.size:
+                out[small[~go]] = stayed[~go] + 1
+                keep = np.flatnonzero(go)
+                small, ls, us, term, cdf, stayed = (a.take(keep) for a in (small, ls, us, term, cdf, stayed))
+                ratio, go = ratio[:n_live], np.ones(n_live, dtype=bool)
+        out[small[~go]] = stayed[~go] + 1
+        if np.any(go):  # u so extreme the accumulated CDF stalled
+            out[small[go]] = _poisson_quantile(us[go], ls[go])
     return out
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satsynth.errors import UndefinedResultError, ValidationError
@@ -144,6 +144,7 @@ def test_overlap_rejects_degenerate():
     st.floats(-10, 10),
     st.floats(0.1, 10),
 )
+@example(ab=[0.0, 1e-6], cd=[1.0, 2.0], shift=4.0, scale=0.25)  # rel. error 1.03e-9 at a 2.5e-7 width
 def test_overlap_symmetric_and_affine_equivariant(ab, cd, shift, scale):
     a, b = ab
     c, d = cd
@@ -154,7 +155,13 @@ def test_overlap_symmetric_and_affine_equivariant(ab, cd, shift, scale):
     assert ci_overlap(i2, i1) == pytest.approx(v, rel=1e-12)
     j1 = Interval(a * scale + shift, b * scale + shift)
     j2 = Interval(c * scale + shift, d * scale + shift)
-    assert ci_overlap(j1, j2) == pytest.approx(v, rel=1e-9, abs=1e-9)
+    # Rounding x * scale, then + shift, moves an endpoint by at most e (below), so the
+    # intersection and each length L move by at most 2e, and each ratio r = inter / L by
+    # (1 + |r|) * err with err = 2e / (scale * L_min).  As v is the mean of two ratios of
+    # one sign, |r| <= 2|v|: the error is within err * (1 + 2|v|) <= max(4 err |v|, 2 err).
+    e = max(0.5 * (math.ulp(x * scale) + math.ulp(x * scale + shift)) for x in (a, b, c, d))
+    err = 2.0 * e / (scale * min(b - a, d - c))
+    assert ci_overlap(j1, j2) == pytest.approx(v, rel=4.0 * err + 1e-12, abs=2.0 * err + 1e-12)
 
 
 def test_overlap_one_only_for_identical():

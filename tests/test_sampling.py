@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy import special, stats
 
+from satsynth import sampling
 from satsynth.errors import ValidationError
 from satsynth.models import Family, moments, pmf_range, truncation_for_mass
 from satsynth.sampling import (
@@ -24,7 +25,12 @@ from satsynth.sampling import (
     uniform_block,
 )
 
-from oracles import chisq_pvalue_from_draws, draw_counts_unscreened, mixing_unscreened
+from oracles import (
+    chisq_pvalue_from_draws,
+    draw_counts_unscreened,
+    mixing_unscreened,
+    poisson_inverse_unscreened,
+)
 
 TOP = 1.0 - 2.0**-53  # the largest uniform a counter block yields
 
@@ -228,6 +234,74 @@ def test_huge_mixture_means_draw_exact_quantiles(family, mu, sigma):
 def test_poisson_count_beyond_int64_is_a_typed_error(lam):
     with pytest.raises(ValidationError, match="int64"):
         poisson_inverse(np.array([0.5]), np.array([lam]))
+
+
+# -- the pdtr walk keeps the pdtrik quantile's values ---------------------------------
+
+_WALK_CAP = 2.0**20
+_WALK_MEANS = st.one_of(
+    st.floats(1.0, 60.0),
+    st.floats(60.0, 1e5, exclude_min=True),
+    st.floats(_WALK_CAP / 2.0, 2.0 * _WALK_CAP),
+    st.sampled_from(
+        [60.0, np.nextafter(60.0, 61.0), np.nextafter(_WALK_CAP, 0.0), _WALK_CAP, np.nextafter(_WALK_CAP, 3e6)]
+    ),
+)
+
+
+@st.composite
+def _uniforms_at_cdf_steps(draw):
+    """Means on both sides of the loop cut (60) and of the walk's cap, with uniforms at
+    random, deep in either tail (subnormals included), or on a CDF value pdtr(k, lam) or
+    one of its float neighbours."""
+    n = draw(st.integers(1, 8))
+    lam = np.array(draw(st.lists(_WALK_MEANS, min_size=n, max_size=n)))
+    u = np.empty(n)
+    for i in range(n):
+        kind = draw(st.sampled_from(["random", "low", "high", "step", "step"]))
+        if kind == "random":
+            u[i] = draw(st.floats(0.0, 1.0, exclude_max=True))
+        elif kind == "low":
+            u[i] = draw(st.one_of(st.floats(0.0, 1e-8), st.floats(-324.0, -8.0).map(lambda e: 10.0**e)))
+        elif kind == "high":
+            u[i] = 1.0 - draw(st.floats(2.0**-53, 1e-8))
+        else:
+            k = max(np.floor(lam[i] + draw(st.floats(-8.0, 8.0)) * np.sqrt(lam[i])), 0.0)
+            cdf = special.pdtr(k, lam[i])
+            u[i] = min(np.nextafter(cdf, draw(st.sampled_from([0.0, cdf, 1.0]))), TOP)
+    return u, lam
+
+
+@settings(max_examples=300, deadline=None)
+# u = nextafter(pdtr(15375, lam), 1): without the margin the walk gives the exact quantile
+# 15376, where pdtrik gives 15375
+@example((np.array([0.7850405569603003]), np.array([15277.998498473771])))
+# the top uniform, at means on both sides of the cap
+@example((np.full(5, TOP), np.array([61.0, 740.0, 2e4, _WALK_CAP, 2.0 * _WALK_CAP])))
+# a subnormal count uniform, as NBI draws at large means meet: without the tail cut the
+# walk gives 25106, pdtrik 25110
+@example((np.array([5e-324]), np.array([31703.5])))
+@given(_uniforms_at_cdf_steps())
+def test_poisson_inverse_keeps_the_pdtrik_quantile(case):
+    u, lam = case
+    np.testing.assert_array_equal(poisson_inverse(u, lam), poisson_inverse_unscreened(u, lam))
+
+
+def test_few_large_mean_draws_fall_back_to_pdtrik(monkeypatch):
+    reached = []
+    quantile = sampling._poisson_quantile
+
+    def counted(u, lam):
+        reached.append(u.size)
+        return quantile(u, lam)
+
+    monkeypatch.setattr(sampling, "_poisson_quantile", counted)
+    rng = np.random.default_rng(20)
+    lam = 2e4 - (2e4 - 60.0) * rng.random(1_000_000)  # in (60, 2e4]
+    u = rng.random(lam.size)
+    got = poisson_inverse(u, lam)
+    assert sum(reached) < 10
+    np.testing.assert_array_equal(got, poisson_inverse_unscreened(u, lam))
 
 
 # -- the sure-zero screen changes no value --------------------------------------------
