@@ -38,6 +38,11 @@ from .models import Family
 SLOTS_PER_DRAW = 4  # one Philox counter block of 4 raw 64-bit words
 
 _U64_MASK = (1 << 64) - 1
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_ROWS_PER_PASS = 1 << 14  # about 70 ms on 333,660 counters (shared 2-core host); 2**12, 2**16 slower
 _POISSON_LOOP_CUT = 60.0  # accumulate term-by-term below, walk on pdtr above
 # where the walk may disagree with pdtrik (see ``_poisson_quantile_walk``)
 _WALK_TAIL, _WALK_CAP, _WALK_MARGIN = 1e-9, 2.0**20, 1e-6
@@ -73,14 +78,59 @@ def fill_uniform_block(master_seed: int, stream: int, start: int, out: np.ndarra
     Each uniform is the top 53 bits of one raw Philox word times 2**-53,
     the same bits as ``random_raw`` shifted and scaled.
     """
-    for name, word in (("master seed", master_seed), ("stream", stream)):
-        if not 0 <= word <= _U64_MASK:
-            raise ValidationError(f"{name} must be in [0, 2**64), got {word}")
+    _check_key(master_seed, stream)
     key = np.array([master_seed, stream], dtype=np.uint64)
     counter = np.zeros(4, dtype=np.uint64)
     counter[0] = start & _U64_MASK
     counter[1] = (start >> 64) & _U64_MASK
     return Generator(Philox(key=key, counter=counter)).random(out=out)
+
+
+def _check_key(master_seed: int, stream: int) -> None:
+    for name, word in (("master seed", master_seed), ("stream", stream)):
+        if not 0 <= word <= _U64_MASK:
+            raise ValidationError(f"{name} must be in [0, 2**64), got {word}")
+
+
+def _mulhi(a: np.ndarray, m: int) -> np.ndarray:
+    """High 64 bits of ``a * m`` for uint64 ``a``, from 32-bit halves."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a0, a1 = a & _LO32, a >> _32
+    t = a1 * m0 + ((a0 * m0) >> _32)
+    return a1 * m1 + (t >> _32) + ((a0 * m1 + (t & _LO32)) >> _32)
+
+
+def uniform_rows(master_seed: int, stream: int, blocks: np.ndarray) -> np.ndarray:
+    """The rows ``uniform_block(master_seed, stream, b, 1)`` for each counter
+    block ``b`` of the uint64 array ``blocks``, in order.
+
+    Philox is counter-based, so each block is computed directly: this is
+    Philox4x64-10 (Salmon et al., SC'11) in vectorised uint64 arithmetic
+    on the counter ``b + 1`` (numpy's Philox increments its counter before
+    each block), ``2**14`` counters at a time.
+    """
+    _check_key(master_seed, stream)
+    blocks = np.asarray(blocks, dtype=np.uint64).reshape(-1)
+    # Python ints: np.uint64 scalar arithmetic warns on the wrap-around
+    keys = [
+        (np.uint64((master_seed + r * _PHILOX_W0) & _U64_MASK),
+         np.uint64((stream + r * _PHILOX_W1) & _U64_MASK))
+        for r in range(_PHILOX_ROUNDS)
+    ]
+    out = np.empty((blocks.size, SLOTS_PER_DRAW))
+    for lo in range(0, blocks.size, _ROWS_PER_PASS):
+        b = blocks[lo : lo + _ROWS_PER_PASS]
+        x0 = b + np.uint64(1)
+        x1 = (x0 == 0).astype(np.uint64)  # the carry out of word 0
+        x2 = x3 = np.zeros_like(b)
+        for k0, k1 in keys:
+            lo0, lo2 = x0 * np.uint64(_PHILOX_M0), x2 * np.uint64(_PHILOX_M1)
+            x0, x1, x2, x3 = (
+                _mulhi(x2, _PHILOX_M1) ^ x1 ^ k0, lo2, _mulhi(x0, _PHILOX_M0) ^ x3 ^ k1, lo0
+            )
+        for j, x in enumerate((x0, x1, x2, x3)):
+            out[lo : lo + b.size, j] = (x >> np.uint64(11)) * 2.0**-53
+    return out
 
 
 def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ block of the keyed Philox stream (see :mod:`satsynth.sampling`).
 
 Only the occupied cells and the random zeros whose uniforms pass
 :func:`~satsynth.sampling.may_draw_nonzero` at ``alpha`` reach the
-sampler; every other cell certainly draws 0.
+sampler; every other cell certainly draws 0.  At ``alpha = 0`` no random
+zero can pass, so only the occupied cells' counter blocks are computed
+(:func:`~satsynth.sampling.uniform_rows`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .models import CountModelSpec, Family
-from .sampling import SLOTS_PER_DRAW, draw_counts, fill_uniform_block, may_draw_nonzero
+from .sampling import SLOTS_PER_DRAW, draw_counts, fill_uniform_block, may_draw_nonzero, uniform_rows
 from .table import SparseContingencyTable
 
 DEFAULT_CHUNK_CELLS = 1 << 20
@@ -104,15 +106,22 @@ def _chunk_draw(
     replicate: int,
     start: int,
     stop: int,
-    scratch: np.ndarray,
+    scratch: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw cells [start, stop); returns (flat indices, counts) of nonzero draws.
 
-    The chunk's uniforms are written into ``scratch`` (at least
-    ``stop - start`` rows); nothing returned is a view of it.
+    At ``alpha > 0`` the chunk's uniforms are written into ``scratch`` (at
+    least ``stop - start`` rows); nothing returned is a view of it.  At
+    ``alpha = 0`` only the occupied cells' blocks are computed, and
+    ``scratch`` is unused.
     """
     lo = int(np.searchsorted(table.index, np.uint64(start)))
     hi = int(np.searchsorted(table.index, np.uint64(stop)))
+    if alpha == 0.0:  # a random zero certainly draws 0: compute only the occupied blocks
+        idx = table.index[lo:hi]
+        counts = draw_counts(family, table.count[lo:hi], sigma, uniform_rows(master_seed, replicate, idx))
+        keep = counts > 0
+        return idx[keep], counts[keep]
     # subtract in uint64 first: chunk-relative offsets are small, raw indices may not be
     nz_pos = (table.index[lo:hi] - np.uint64(start)).astype(np.int64)
     s_lo = int(np.searchsorted(table.structural, np.uint64(start)))
@@ -156,7 +165,7 @@ def synthesize(
 
     def work(rep: int, start: int):
         scratch = getattr(local, "scratch", None)
-        if scratch is None:
+        if scratch is None and spec.alpha > 0.0:
             scratch = local.scratch = np.empty((min(chunk_cells, k), SLOTS_PER_DRAW))
         return _chunk_draw(
             table, family, sigma, spec.alpha,

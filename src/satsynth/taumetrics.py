@@ -28,9 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bessel import log_bessel_k_half
 from .errors import UndefinedResultError, ValidationError
-from .models import Family, pig_c, pmf, pmf_range
+from .models import Family, pmf, pmf_range
 from .synthesis import SyntheticTable
 from .table import CellSizeDistribution, SparseContingencyTable, cell_size_distribution
 
@@ -132,73 +131,14 @@ def tau4_expected(
     k: int,
     method: str = "bayes",
 ) -> float:
-    """Expected proportion of synthetic size-k cells originating from size k.
+    """Expected proportion of synthetic size-k cells originating from size k:
+    tau3(k) * tau2(k) / tau1(k) from the pmf, as the solvers and reports do.
 
-    ``method='bayes'`` evaluates tau3(k) * tau2(k) / tau1(k) from the pmf,
-    as the solvers and reports do.  ``method='reduced'`` evaluates the
-    ratio with all k-only factors cancelled, written out per family apart
-    from the pmf; it is the cross-check, and both agree to near machine
-    precision.
+    ``method`` names that one route, ``'bayes'``, for callers that pass it.
     """
-    if method == "bayes":
-        return TauCurve(dist, family, sigma, k).tau4(alpha)
-    if method == "reduced":
-        return _tau4_reduced(dist, Family.coerce(family), sigma, alpha, k)
-    raise ValidationError("method must be 'bayes' or 'reduced'")
-
-
-def _tau4_reduced(
-    dist: CellSizeDistribution, family: Family, sigma: float, alpha: float, k: int
-) -> float:
-    """Cancelled-ratio form of tau4.
-
-    Every term shares the same k-only constants, which cancel between
-    numerator and denominator; only the mean-dependent weight survives.
-    Weights are handled in log space with a common reference, so the
-    route stays finite for large sizes.
-    """
-    if k < 0:
-        raise ValidationError("k must be >= 0")
-
-    if family is Family.POISSON or sigma == 0.0:
-        if k == 0:
-            logw = lambda mu: -mu
-        else:
-            logw = lambda mu: k * np.log(mu) - mu
-    elif family is Family.NBI:
-        if k == 0:
-            logw = lambda mu: -np.log1p(sigma * mu) / sigma
-        else:
-            logw = lambda mu: k * np.log(mu) - (k + 1.0 / sigma) * np.log1p(sigma * mu)
-    elif family is Family.PIG:
-        if k == 0:
-            logw = lambda mu: -pig_c(mu, sigma)
-        else:
-            logw = lambda mu: (
-                (0.5 - k) * np.log(pig_c(mu, sigma))
-                + k * np.log(mu)
-                + log_bessel_k_half(k, pig_c(mu, sigma))
-            )
-    else:  # pragma: no cover
-        raise ValidationError(f"unhandled family {family}")
-
-    means, weights = _means_weights(dist, alpha)
-    if k == 0:
-        log_num = float(logw(float(alpha)))
-        w_num = weights[0]
-    else:
-        log_num = float(logw(float(k)))
-        w_num = dist.proportion(k)
-        reach = means > 0.0  # mean 0 cannot reach k >= 1
-        means, weights = means[reach], weights[reach]
-    terms = logw(means)
-    ref = terms.max() if terms.size else 0.0
-    den = float(np.exp(terms - ref) @ weights)
-    if den <= 0.0:
-        raise UndefinedResultError(
-            f"tau4({k}) undefined: no synthetic cells of size {k} are expected"
-        )
-    return math.exp(log_num - ref) * w_num / den
+    if method != "bayes":
+        raise ValidationError(f"method must be 'bayes', got {method!r}")
+    return TauCurve(dist, family, sigma, k).tau4(alpha)
 
 
 # -- reports -------------------------------------------------------------------

@@ -99,8 +99,8 @@ def alpha_star_match_zeros(
             "relative to the mass collapsing onto them"
         )
     with np.errstate(over="ignore"):
-        if family is Family.POISSON or sigma_star == 0.0:
-            alpha = -math.log1p(-s)
+        if family is Family.POISSON or sigma_star == 0.0 or 1.0 / sigma_star == math.inf:
+            alpha = -math.log1p(-s)  # where 1/sigma overflows, the Poisson limit
         elif family is Family.NBI:
             alpha = (np.float64(1.0 - s) ** -sigma_star - 1.0) / sigma_star
         else:  # PIG: invert c_alpha = 1/sigma - log(1 - s); alpha = (c^2 - 1/sigma^2) * sigma / 2

@@ -5,8 +5,9 @@ values come from direct adaptive quadrature of the integral definition,
 mixture pmfs from numerical integration over the mixing density, the
 canonical table CSV from a row-at-a-time :mod:`csv` writer and reader,
 analytic tau1 and tau4 from a full pmf vector rebuilt for every alpha,
-empirical tau and within-p% from per-size set operations, and log-linear
-fits from IRLS on the dense design matrix.
+tau4 also as a ratio with the k-only factors cancelled, empirical tau and
+within-p% from per-size set operations, and log-linear fits from IRLS on
+the dense design matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from scipy import integrate, linalg, optimize, special
 
 from satsynth.errors import ConvergenceError, FormatError, UndefinedResultError, ValidationError
 from satsynth.loglin import LoglinFit, build_design, poisson_loglik
-from satsynth.models import pmf
+from satsynth.bessel import log_bessel_k_half
+from satsynth.models import Family, pig_c, pmf
 from satsynth.schema import CategoricalSchema
 from satsynth.table import SparseContingencyTable
 
@@ -121,6 +123,51 @@ def tau4_full_vector(dist, family: str, sigma: float, alpha: float, k: int) -> f
         raise UndefinedResultError(f"tau4({k}) undefined: no synthetic cells of size {k} are expected")
     tau3 = float(pmf(family, k, alpha if k == 0 else float(k), sigma))
     return tau3 * dist.proportion(k) / t1
+
+
+def tau4_reduced(dist, family: str, sigma: float, alpha: float, k: int) -> float:
+    """tau4(k) as the cancelled ratio: the k-only constants shared by every
+    term cancel between numerator and denominator, and only each mean's
+    weight, written out per family apart from the pmf, survives.  Weights
+    are handled in log space with a common reference, so the route stays
+    finite for large sizes.
+    """
+    family = Family.coerce(family)
+    if k < 0:
+        raise ValidationError("k must be >= 0")
+    if family is Family.POISSON or sigma == 0.0:
+        if k == 0:
+            logw = lambda mu: -mu
+        else:
+            logw = lambda mu: k * np.log(mu) - mu
+    elif family is Family.NBI:
+        if k == 0:
+            logw = lambda mu: -np.log1p(sigma * mu) / sigma
+        else:
+            logw = lambda mu: k * np.log(mu) - (k + 1.0 / sigma) * np.log1p(sigma * mu)
+    elif k == 0:
+        logw = lambda mu: -pig_c(mu, sigma)
+    else:
+        logw = lambda mu: (
+            (0.5 - k) * np.log(pig_c(mu, sigma)) + k * np.log(mu) + log_bessel_k_half(k, pig_c(mu, sigma))
+        )
+
+    means = np.concatenate(([float(alpha)], dist.nonzero_sizes.astype(np.float64)))
+    weights = np.concatenate(([dist.proportion(0)], dist.nonzero_proportions))
+    if k == 0:
+        log_num = float(logw(float(alpha)))
+        w_num = weights[0]
+    else:
+        log_num = float(logw(float(k)))
+        w_num = dist.proportion(k)
+        reach = means > 0.0  # mean 0 cannot reach k >= 1
+        means, weights = means[reach], weights[reach]
+    terms = logw(means)
+    ref = terms.max() if terms.size else 0.0
+    den = float(np.exp(terms - ref) @ weights)
+    if den <= 0.0:
+        raise UndefinedResultError(f"tau4({k}) undefined: no synthetic cells of size {k} are expected")
+    return math.exp(log_num - ref) * w_num / den
 
 
 def chisq_pvalue_from_draws(draws: np.ndarray, pmf_vals: np.ndarray, min_expected: float = 5.0):

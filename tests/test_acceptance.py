@@ -30,7 +30,7 @@ from satsynth.taumetrics import (
 )
 from satsynth.tuning import alpha_star_match_zeros, solve_alpha_for_tau4_target
 
-from oracles import chisq_pvalue_from_draws, log_bessel_k_quadrature
+from oracles import chisq_pvalue_from_draws, log_bessel_k_quadrature, tau4_reduced
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +111,8 @@ def test_criterion_03_reduced_tau4_forms_match_bayes_quotient():
         for sigma in (0.1, 1.0, 10.0):
             for alpha in (0.0, 0.02):
                 for k in range(6):
-                    bayes = tau4_expected(dist, family, sigma, alpha, k, method="bayes")
-                    reduced = tau4_expected(dist, family, sigma, alpha, k, method="reduced")
+                    bayes = tau4_expected(dist, family, sigma, alpha, k)
+                    reduced = tau4_reduced(dist, family, sigma, alpha, k)
                     assert reduced == pytest.approx(bayes, rel=1e-10), (family, sigma, alpha, k)
 
 

@@ -23,6 +23,7 @@ from satsynth.sampling import (
     poisson_inverse,
     sample,
     uniform_block,
+    uniform_rows,
 )
 
 from oracles import (
@@ -419,3 +420,34 @@ def test_zero_prescreen_is_empty_at_alpha_zero():
     u = np.full((3, SLOTS_PER_DRAW), TOP)
     for family in Family:
         assert not may_draw_nonzero(family, 1.0, 0.0, u).any()
+
+
+_U64 = st.integers(0, 2**64 - 1)
+# counters near 0, near 2**64 - 1 (where b + 1 carries into word 1) and anywhere
+_BLOCKS = st.lists(st.one_of(st.integers(0, 40), st.integers(2**64 - 41, 2**64 - 1), _U64), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_U64, _U64, _BLOCKS)
+@example(0, 0, [])
+@example(2**64 - 1, 2**64 - 1, [2**64 - 1, 0, 2**64 - 1, 2**64 - 2, 0])
+@example(5, 2, [9, 3, 3, 2**64 - 1, 1])
+def test_uniform_rows_are_the_rows_of_uniform_block(seed, stream, blocks):
+    got = uniform_rows(seed, stream, np.array(blocks, dtype=np.uint64))
+    assert got.shape == (len(blocks), SLOTS_PER_DRAW)
+    for row, b in zip(got, blocks):
+        np.testing.assert_array_equal(row, uniform_block(seed, stream, b, 1)[0], err_msg=f"block {b}")
+
+
+def test_uniform_rows_match_uniform_block_across_passes():
+    blocks = np.arange(3 * sampling._ROWS_PER_PASS + 17, dtype=np.uint64)[::-1]
+    np.testing.assert_array_equal(uniform_rows(3, 8, blocks), uniform_block(3, 8, 0, blocks.size)[::-1])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_uniform_rows_refuse_key_words_outside_64_bits(seed):
+    blocks = np.array([0, 1], dtype=np.uint64)
+    with pytest.raises(ValidationError, match="master seed must be in"):
+        uniform_rows(seed, 0, blocks)
+    with pytest.raises(ValidationError, match="stream must be in"):
+        uniform_rows(0, seed, blocks)

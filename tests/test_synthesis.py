@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from satsynth import synthesis
 from satsynth.cli import main
 from satsynth.errors import ValidationError
 from satsynth.generator import esc_like_spec, generate_table, scaled_spec
@@ -259,3 +260,21 @@ def test_stream_v1_draws_do_not_drift(stand_in_table, family, sigma, alpha, dige
     syn = synthesize(stand_in_table, job)[0].table
     got = hashlib.sha256(syn.index.astype("<u8").tobytes() + syn.count.astype("<i8").tobytes()).hexdigest()
     assert got == digest
+
+
+def test_alpha_zero_never_fills_a_whole_chunk_of_uniforms(monkeypatch):
+    starts = []
+    fill = synthesis.fill_uniform_block
+
+    def counted(master_seed, stream, start, out):
+        starts.append(start)
+        return fill(master_seed, stream, start, out)
+
+    monkeypatch.setattr(synthesis, "fill_uniform_block", counted)
+    table = small_table()
+    for family, sigma in (("poisson", 0.0), ("nbi", 1.0), ("pig", 1.0)):
+        for threads in (1, 2):
+            synthesize(table, SynthesisJob(CountModelSpec(family, sigma, 0.0), 3, m=2), threads, chunk_cells=5)
+    assert starts == []
+    synthesize(table, SynthesisJob(CountModelSpec("nbi", 1.0, 0.5), 3, m=2), chunk_cells=5)
+    assert sorted(starts) == [0, 0, 5, 5, 10, 10, 15, 15]

@@ -19,6 +19,8 @@ from satsynth.taumetrics import (
     tau_empirical,
 )
 
+from oracles import tau4_reduced
+
 ALL_ONES = CellSizeDistribution.from_proportions({1: 1.0})
 HALF_ZERO_HALF_ONE = CellSizeDistribution.from_proportions({0: 0.5, 1: 0.5})
 
@@ -74,8 +76,8 @@ def test_reduced_tau4_matches_bayes_quotient():
         for sigma in (0.1, 1.0, 10.0):
             for alpha in (0.0, 0.02):
                 for k in range(6):
-                    bayes = tau4_expected(dist, fam, sigma, alpha, k, method="bayes")
-                    reduced = tau4_expected(dist, fam, sigma, alpha, k, method="reduced")
+                    bayes = tau4_expected(dist, fam, sigma, alpha, k)
+                    reduced = tau4_reduced(dist, fam, sigma, alpha, k)
                     assert reduced == pytest.approx(bayes, rel=1e-10), (fam, sigma, alpha, k)
 
 
@@ -120,6 +122,12 @@ def test_tau4_decreasing_in_alpha_at_fixed_sigma():
 def test_tau4_undefined_when_unreachable():
     with pytest.raises(UndefinedResultError):
         tau4_expected(CellSizeDistribution.from_proportions({0: 1.0}), "poisson", 0.0, 0.0, 1)
+
+
+def test_tau4_expected_has_one_method():
+    # the cancelled-ratio route is the test oracle ``tau4_reduced``, not a method
+    with pytest.raises(ValidationError, match="method must be 'bayes'"):
+        tau4_expected(ALL_ONES, "poisson", 0.0, 0.0, 1, method="reduced")
 
 
 # -- empirical ---------------------------------------------------------------
