@@ -30,7 +30,7 @@ from .generator import HistogramSpec, esc_like_spec, generate_table, scaled_spec
 from .loglin import all_two_way_terms, fit_loglinear
 from .models import CountModelSpec, Family
 from .schema import CategoricalSchema
-from .synthesis import Provenance, SynthesisJob, SyntheticTable, synthesize
+from .synthesis import DEFAULT_CHUNK_CELLS, Provenance, SynthesisJob, SyntheticTable, synthesize
 from .table import aggregate_microdata_csv, read_table, utf8_errors, write_table
 from .taumetrics import tau2_of_table, tau_analytic, tau_empirical
 from .tuning import TargetKind, TuningTarget, solve
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--chunk-cells", type=int, default=1 << 20)
+    p.add_argument("--chunk-cells", type=int, default=DEFAULT_CHUNK_CELLS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synthesize)
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError, ValidationError
 from .evaluation import Interval
@@ -219,6 +218,7 @@ class LoglinFit:
     terms: tuple[Term, ...] = field(default_factory=tuple)
 
     def intervals(self, level: float = 0.95) -> dict[str, Interval]:
+        from scipy import special  # here, not at import, as scipy.linalg in fit_loglinear
         if not 0.0 < level < 1.0:
             raise ValidationError(f"level must lie in (0, 1), got {level}")
         z = float(special.ndtri(0.5 + level / 2.0))  # what stats.norm.ppf evaluates

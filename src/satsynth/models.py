@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bessel import _log_k_half_scaled
 from .errors import ValidationError
@@ -109,6 +108,7 @@ def _log_rising_ratio(k, r):
     as r grows, so from r = 100 on the two Stirling series are subtracted
     term by term instead (truncation error below 1e-20).
     """
+    from scipy import special  # see logpmf
     if r < 100.0:
         return special.gammaln(k + r) - special.gammaln(r) - k * np.log(r)
     series = lambda x: (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x * x)) / (x * x)) / (x * x)) / x
@@ -131,6 +131,7 @@ def _pig_logpmf(k, mu, sigma):
     K comes scaled by exp(c), and the pieces that cancel as sigma -> 0 are
     exact: 1/sigma - c = -2mu / (1 + sigma*c), log(c*sigma) = log1p(2*mu*sigma) / 2.
     """
+    from scipy import special  # see logpmf
     c = pig_c(mu, sigma)
     return (
         0.5 * (np.log(2.0) + np.log(c) - np.log(np.pi))
@@ -147,6 +148,7 @@ def logpmf(family: Family | str, k, mu, sigma: float = 0.0):
     Broadcasts ``k`` against ``mu``.  ``mu = 0`` is the distribution
     degenerate at zero for every family.
     """
+    from scipy import special  # here, not at import: it adds ~0.25 s to start-up, and table work never needs it
     family = Family.coerce(family)
     k, mu = _validate_pmf_args(k, mu, sigma)
     # mu = 0 is set below, and _log1p_product takes over where sigma * mu overflows

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import special
 
 from .errors import ValidationError
 from .models import Family
@@ -141,6 +140,7 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Where ``pdtrik`` fails (NaN, e.g. for lam >= ~1e12) or the quantile
     passes 2**63, the integer quantile is found by bisection on ``pdtr``.
     """
+    from scipy import special  # see draw_counts
     k = np.ceil(special.pdtrik(u, lam))
     below = np.maximum(k - 1.0, 0.0)
     k = np.where(special.pdtr(below, lam) >= u, below, k)
@@ -154,6 +154,7 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def _poisson_quantile_bisect(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Smallest k below 2**63 - 1 with ``pdtr(k, lam) >= u``; raises if there is none."""
+    from scipy import special  # see draw_counts
     hi = np.full(u.shape, np.iinfo(np.int64).max - 1, dtype=np.int64)  # hi - lo stays in int64
     if np.any(~(special.pdtr(hi.astype(np.float64), lam) >= u)):
         raise ValidationError(
@@ -179,6 +180,7 @@ def _poisson_quantile_walk(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     ``pdtr(k) - pdtr(k - 1)`` of either end take :func:`_poisson_quantile`:
     every value equals it.
     """
+    from scipy import special  # see draw_counts
     ok = (u > _WALK_TAIL) & (u < 1.0 - _WALK_TAIL) & (lam <= _WALK_CAP)
     uw, lw = u[ok], lam[ok]
     z = special.ndtri(uw)
@@ -267,6 +269,7 @@ def _inverse_gaussian_from_uniforms(mu, sigma, u_norm, u_pick):
     root is mu**2 / x.  ``u_pick`` selects between them with probability
     mu / (mu + x) for the small root.
     """
+    from scipy import special  # see draw_counts
     z = special.ndtri(u_norm)
     h = sigma * z * z
     small_root = 2.0 * mu / (2.0 + h + np.sqrt(h * (h + 4.0)))
@@ -283,6 +286,7 @@ def _cap_table(family: Family, sigma: float) -> np.ndarray:
     hold the bound 1 of the small root, which every bucket takes when
     u1 <= 1/2.
     """
+    from scipy import special  # see draw_counts
     edges = np.arange(_SCREEN_STEPS + 1) / _SCREEN_STEPS
     if family is Family.NBI:
         return special.gammaincinv(1.0 / sigma, edges) * sigma * (1.0 + _SCREEN_MARGIN)
@@ -359,6 +363,7 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     kernel (lambda = mu for Poisson) and the Poisson quantile; the others
     are 0.
     """
+    from scipy import special  # here, not at import: it adds ~0.25 s to start-up (see models.logpmf)
     family = Family.coerce(family)
     mu = np.asarray(mu, dtype=np.float64)
     if not np.all((mu >= 0.0) & (mu < np.inf)):  # False for NaN

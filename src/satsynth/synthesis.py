@@ -11,7 +11,8 @@ Only the occupied cells and the random zeros whose uniforms pass
 :func:`~satsynth.sampling.may_draw_nonzero` at ``alpha`` reach the
 sampler; every other cell certainly draws 0.  At ``alpha = 0`` no random
 zero can pass, so only the occupied cells' counter blocks are computed
-(:func:`~satsynth.sampling.uniform_rows`).
+(:func:`~satsynth.sampling.uniform_rows`), and the work is cut into ranges
+of occupied rows whatever the size of the cell space.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .models import CountModelSpec, Family
 from .sampling import SLOTS_PER_DRAW, draw_counts, fill_uniform_block, may_draw_nonzero, uniform_rows
 from .table import SparseContingencyTable
 
-DEFAULT_CHUNK_CELLS = 1 << 20
+DEFAULT_CHUNK_CELLS = 1 << 18  # per-thread uniform scratch of 8 MB at alpha > 0
 
 
 @dataclass(frozen=True)
@@ -108,20 +109,21 @@ def _chunk_draw(
     stop: int,
     scratch: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw cells [start, stop); returns (flat indices, counts) of nonzero draws.
+    """Draw one piece; returns (flat indices, counts) of its nonzero draws.
 
-    At ``alpha > 0`` the chunk's uniforms are written into ``scratch`` (at
-    least ``stop - start`` rows); nothing returned is a view of it.  At
-    ``alpha = 0`` only the occupied cells' blocks are computed, and
-    ``scratch`` is unused.
+    At ``alpha = 0`` the piece is the occupied rows [start, stop) of
+    ``table.index``: a random zero certainly draws 0, so only their blocks
+    are computed, and ``scratch`` is unused.  At ``alpha > 0`` it is the
+    cells [start, stop), whose uniforms are written into ``scratch`` (at
+    least ``stop - start`` rows); nothing returned is a view of it.
     """
-    lo = int(np.searchsorted(table.index, np.uint64(start)))
-    hi = int(np.searchsorted(table.index, np.uint64(stop)))
-    if alpha == 0.0:  # a random zero certainly draws 0: compute only the occupied blocks
-        idx = table.index[lo:hi]
-        counts = draw_counts(family, table.count[lo:hi], sigma, uniform_rows(master_seed, replicate, idx))
+    if alpha == 0.0:
+        idx = table.index[start:stop]
+        counts = draw_counts(family, table.count[start:stop], sigma, uniform_rows(master_seed, replicate, idx))
         keep = counts > 0
         return idx[keep], counts[keep]
+    lo = int(np.searchsorted(table.index, np.uint64(start)))
+    hi = int(np.searchsorted(table.index, np.uint64(stop)))
     # subtract in uint64 first: chunk-relative offsets are small, raw indices may not be
     nz_pos = (table.index[lo:hi] - np.uint64(start)).astype(np.int64)
     s_lo = int(np.searchsorted(table.structural, np.uint64(start)))
@@ -147,10 +149,14 @@ def synthesize(
 ) -> list[SyntheticTable]:
     """Generate ``job.m`` independent synthetic replicates of ``table``.
 
-    Cells are processed in fixed flat-index chunks; with ``threads > 1``
-    chunks are dispatched to a thread pool.  Output is identical for any
-    thread count and chunk size.  Each worker thread reuses one block of
-    ``chunk_cells`` uniforms, freed when the call returns.
+    A piece of work computes at most ``chunk_cells`` uniform blocks.  At
+    ``alpha > 0`` pieces are flat-index ranges of ``chunk_cells`` cells, and
+    each worker thread reuses one block of their uniforms, freed when the
+    call returns.  At ``alpha = 0`` the occupied rows are cut into
+    ``max(threads, ceil(nnz / chunk_cells))`` near-equal ranges (at most
+    one per row), so the cell space's size does not matter.  With
+    ``threads > 1`` pieces are dispatched to a thread pool.  Output is
+    identical for any thread count and chunk size.
     """
     if threads < 1:
         raise ValidationError("threads must be >= 1")
@@ -160,27 +166,30 @@ def synthesize(
     family = spec.effective_family
     sigma = spec.sigma if family is not Family.POISSON else 0.0
     k = table.num_cells
-    starts = list(range(0, k, chunk_cells))
+    if spec.alpha == 0.0:
+        nnz = table.num_nonzero
+        n = max(1, min(threads, nnz), -(-nnz // chunk_cells))  # one empty piece when nnz = 0
+        bounds = [nnz * i // n for i in range(n + 1)]
+    else:
+        bounds = [*range(0, k, chunk_cells), k]
+    pieces = list(zip(bounds[:-1], bounds[1:]))
     local = threading.local()
 
-    def work(rep: int, start: int):
+    def work(rep: int, piece: tuple[int, int]):
         scratch = getattr(local, "scratch", None)
         if scratch is None and spec.alpha > 0.0:
             scratch = local.scratch = np.empty((min(chunk_cells, k), SLOTS_PER_DRAW))
-        return _chunk_draw(
-            table, family, sigma, spec.alpha,
-            job.master_seed, rep, start, min(start + chunk_cells, k), scratch,
-        )
+        return _chunk_draw(table, family, sigma, spec.alpha, job.master_seed, rep, *piece, scratch)
 
     out: list[SyntheticTable] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # threads=1 runs the chunks on this thread: through the pool, peak RSS
+        # threads=1 runs the pieces on this thread: through the pool, peak RSS
         # on the full-scale table rose from 151 to about 175 MB
-        run = pool.map if threads > 1 and len(starts) > 1 else map
+        run = pool.map if threads > 1 and len(pieces) > 1 else map
         for rep in range(job.m):
-            pieces = list(run(partial(work, rep), starts))
-            idx = np.concatenate([p[0] for p in pieces])
-            cnt = np.concatenate([p[1] for p in pieces])
+            drawn = list(run(partial(work, rep), pieces))
+            idx = np.concatenate([d[0] for d in drawn])
+            cnt = np.concatenate([d[1] for d in drawn])
             syn = SparseContingencyTable(table.schema, idx, cnt, table.structural)
             prov = Provenance(
                 family=spec.family.value,

@@ -77,6 +77,36 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def _fresh_python(code: str) -> str:
+    src = Path(satsynth.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    return proc.stdout.strip()
+
+
+def test_generating_a_table_and_its_tau2_leaves_scipy_special_unloaded():
+    code = ("import sys, satsynth.cli\n"
+            "from satsynth.generator import esc_like_spec, generate_table, scaled_spec\n"
+            "from satsynth.taumetrics import tau2_of_table\n"
+            "tau2_of_table(generate_table(scaled_spec(esc_like_spec(), 5000), 1))\n"
+            "print('scipy.special' in sys.modules)")
+    assert _fresh_python(code) == "False"
+
+
+def test_first_special_function_call_from_two_threads_draws_as_one_thread():
+    code = ("import sys\n"
+            "from satsynth.generator import esc_like_spec, generate_table, scaled_spec\n"
+            "from satsynth.models import CountModelSpec\n"
+            "from satsynth.synthesis import SynthesisJob, synthesize\n"
+            "table = generate_table(scaled_spec(esc_like_spec(), 20000), 1)\n"
+            "job = SynthesisJob(CountModelSpec('nbi', 1.0, 0.05), 7)\n"
+            "loaded = 'scipy.special' in sys.modules\n"
+            "two = synthesize(table, job, threads=2, chunk_cells=1024)[0].table\n"
+            "one = synthesize(table, job, threads=1)[0].table\n"
+            "print(loaded, two.same_contents(one), one.num_nonzero > 0)")
+    assert _fresh_python(code) == "False True True"
+
+
 def test_table_that_is_not_utf8_prints_an_error(tmp_path, capsys):
     schema = CategoricalSchema([("A", ["a1", "a2"])])
     path = tmp_path / "t.csv"

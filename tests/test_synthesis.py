@@ -20,7 +20,7 @@ from satsynth.synthesis import (
     expected_grand_total,
     synthesize,
 )
-from satsynth.sampling import uniform_block
+from satsynth.sampling import draw_counts, uniform_block, uniform_rows
 from satsynth.table import SparseContingencyTable
 from satsynth.taumetrics import tau2_of_table
 from satsynth.tuning import alpha_star_match_zeros
@@ -278,3 +278,63 @@ def test_alpha_zero_never_fills_a_whole_chunk_of_uniforms(monkeypatch):
     assert starts == []
     synthesize(table, SynthesisJob(CountModelSpec("nbi", 1.0, 0.5), 3, m=2), chunk_cells=5)
     assert sorted(starts) == [0, 0, 5, 5, 10, 10, 15, 15]
+
+
+def _count_pieces(monkeypatch) -> list:
+    calls = []
+    draw = synthesis._chunk_draw
+
+    def counted(*args):
+        calls.append(args[5:7])  # (replicate, start)
+        return draw(*args)
+
+    monkeypatch.setattr(synthesis, "_chunk_draw", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,sigma", [("poisson", 0.0), ("nbi", 1.0), ("pig", 1.0)])
+def test_alpha_zero_is_deterministic_across_threads_and_pieces(family, sigma):
+    rng = np.random.default_rng(1)
+    idx = np.sort(rng.choice(5000, 300, replace=False))
+    table = SparseContingencyTable(line_schema(5000), idx, rng.integers(1, 30, idx.size), [idx[0] + 1])
+    job = SynthesisJob(CountModelSpec(family, sigma=sigma, alpha=0.0), master_seed=77, m=2)
+    base = synthesize(table, job)
+    for threads in (1, 2, 3, 4):
+        for chunk in (1, 7, idx.size, idx.size + 1):
+            for a, b in zip(base, synthesize(table, job, threads=threads, chunk_cells=chunk)):
+                assert a.table.same_contents(b.table), (threads, chunk)
+
+
+def test_alpha_zero_on_a_2_to_the_60_cell_table_draws_only_the_occupied_rows(monkeypatch):
+    schema = CategoricalSchema([(f"v{j}", ["0", "1"]) for j in range(60)])
+    rng = np.random.default_rng(5)
+    idx = np.unique(rng.integers(0, 2**60, 1_000, dtype=np.uint64))
+    table = SparseContingencyTable(schema, idx, rng.integers(1, 50, idx.size))
+    job = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.0), master_seed=3, m=2)
+    want = [draw_counts("nbi", table.count, 1.0, uniform_rows(3, r, idx)) for r in range(2)]
+    calls = _count_pieces(monkeypatch)
+    for threads, chunk in ((1, 64), (3, 64), (3, synthesis.DEFAULT_CHUNK_CELLS)):
+        calls.clear()
+        reps = synthesize(table, job, threads=threads, chunk_cells=chunk)
+        for r, rep in enumerate(reps):
+            keep = want[r] > 0
+            np.testing.assert_array_equal(rep.table.index, idx[keep])
+            np.testing.assert_array_equal(rep.table.count, want[r][keep])
+            assert sum(c[0] == r for c in calls) <= max(threads, math.ceil(idx.size / chunk))
+
+
+def test_alpha_zero_with_no_or_few_occupied_rows(monkeypatch):
+    job = SynthesisJob(CountModelSpec("pig", sigma=1.0, alpha=0.0), master_seed=9, m=2)
+    empty = SparseContingencyTable(line_schema(50), [], [], [3, 4])
+    for threads in (1, 3):
+        for rep in synthesize(empty, job, threads=threads):
+            assert rep.table.num_nonzero == 0
+            np.testing.assert_array_equal(rep.table.structural, [3, 4])
+
+    few = SparseContingencyTable(line_schema(50), [10, 40], [30, 60])
+    want = [draw_counts("pig", few.count, 1.0, uniform_rows(9, r, few.index)) for r in range(2)]
+    calls = _count_pieces(monkeypatch)
+    for rep, counts in zip(synthesize(few, job, threads=4), want):
+        np.testing.assert_array_equal(rep.table.counts_at(few.index), counts)
+        assert rep.table.num_nonzero == np.count_nonzero(counts)
+    assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]  # one row a piece, none empty
