@@ -31,6 +31,7 @@ from .sampling import SLOTS_PER_DRAW, draw_counts, fill_uniform_block, may_draw_
 from .table import SparseContingencyTable
 
 DEFAULT_CHUNK_CELLS = 1 << 18  # per-thread uniform scratch of 8 MB at alpha > 0
+MAX_ALPHA_CELLS = 1 << 40  # alpha > 0 draws every cell; beyond this it would never finish
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ def synthesize(
     A piece of work computes at most ``chunk_cells`` uniform blocks.  At
     ``alpha > 0`` pieces are flat-index ranges of ``chunk_cells`` cells, and
     each worker thread reuses one block of their uniforms, freed when the
-    call returns.  At ``alpha = 0`` the occupied rows are cut into
+    call returns, and a table of more than ``MAX_ALPHA_CELLS`` cells is
+    refused.  At ``alpha = 0`` the occupied rows are cut into
     ``max(threads, ceil(nnz / chunk_cells))`` near-equal ranges (at most
     one per row), so the cell space's size does not matter.  With
     ``threads > 1`` pieces are dispatched to a thread pool.  Output is
@@ -170,6 +172,11 @@ def synthesize(
         nnz = table.num_nonzero
         n = max(1, min(threads, nnz), -(-nnz // chunk_cells))  # one empty piece when nnz = 0
         bounds = [nnz * i // n for i in range(n + 1)]
+    elif k > MAX_ALPHA_CELLS:
+        raise ValidationError(
+            f"alpha > 0 draws every cell, and the table has {k} > 2**40 cells; alpha = 0 has "
+            "no such limit (geometric skipping of the zero cells, ROADMAP item 2, would lift it)"
+        )
     else:
         bounds = [*range(0, k, chunk_cells), k]
     pieces = list(zip(bounds[:-1], bounds[1:]))

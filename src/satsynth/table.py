@@ -420,7 +420,8 @@ def mark_structural_zeros(
 # -- file I/O ----------------------------------------------------------------------
 
 
-_WRITE_BLOCK_ROWS = 1 << 16  # rows formatted per write; bounds the text held at once
+_WRITE_BLOCK_ROWS = 1 << 13  # rows formatted per write; bounds the text held at once
+_READ_BLOCK_BYTES = 1 << 20  # body bytes decoded per pass; bounds the masks and offsets held at once
 
 
 def _csv_field(label: str) -> str:
@@ -481,13 +482,11 @@ def _field_keys(buf: bytes, starts: np.ndarray, sizes: np.ndarray, width: int):
     return words, functools.reduce(lambda key, word: key * _FIB + word, words)
 
 
-def _label_ordinals(buf: bytes, starts: np.ndarray, sizes: np.ndarray, cats: tuple[str, ...]):
-    """Ordinal of each field's category, and a mask of the fields that spell one.
-
-    A category is spelt quoted with doubled quotes, and bare where
-    :func:`_csv_field` leaves it bare; a label over csv's field size limit,
-    which csv refuses, matches nothing.  A field's key finds one candidate
-    in a hash table, and the candidate counts if its bytes and length match.
+def _spellings(cats: tuple[str, ...]):
+    """A hash table of each category's spellings, built once per read for
+    :func:`_label_ordinals`: quoted with doubled quotes, and bare where
+    :func:`_csv_field` leaves it bare.  A label over csv's field size
+    limit, which csv refuses, gets length -1 and matches nothing.
     """
     spellings = [(s.encode(), i) for i, c in enumerate(cats)
                  for s in dict.fromkeys((_csv_field(c), '"' + c.replace('"', '""') + '"'))]
@@ -495,8 +494,7 @@ def _label_ordinals(buf: bytes, starts: np.ndarray, sizes: np.ndarray, cats: tup
     width = -(-int(lengths.max()) // 8)
     joined = b"".join(s for s, _ in spellings) + bytes(8 * width)
     mine, keys = _field_keys(joined, np.cumsum(lengths) - lengths, lengths, width)
-    theirs, their_keys = _field_keys(buf, starts, sizes, width)
-    # a hash table: slots[r, h] is the r-th spelling whose key hashes to h, or spelling 0
+    # slots[r, h] is the r-th spelling whose key hashes to h, or spelling 0
     bits = (8 * lengths.size).bit_length()  # at least 8 slots per spelling
     home = lambda k: ((k * _FIB) >> np.uint64(64 - bits)).view(np.intp)
     order = np.argsort(home(keys), kind="stable")
@@ -504,21 +502,34 @@ def _label_ordinals(buf: bytes, starts: np.ndarray, sizes: np.ndarray, cats: tup
     rank = np.arange(order.size) - np.searchsorted(ranked, ranked)
     slots = np.zeros((rank.max() + 1, 2**bits), dtype=np.intp)
     slots[rank, ranked] = order
+    limit = csv.field_size_limit()
+    lengths = np.where([len(cats[i]) <= limit for _, i in spellings], lengths, -1)
+    return mine, keys, home, slots, lengths, np.array([i for _, i in spellings], dtype=np.uint64)
+
+
+def _label_ordinals(buf: bytes, starts: np.ndarray, sizes: np.ndarray, spellings):
+    """Ordinal of each field's category, and a mask of the fields that spell one.
+
+    A field's key finds one candidate in the hash table of ``spellings``,
+    and the candidate counts if its bytes and length match.
+    """
+    mine, keys, home, slots, lengths, ordinals = spellings
+    theirs, their_keys = _field_keys(buf, starts, sizes, len(mine))
     their_home = home(their_keys)
     found = slots[0][their_home]
     for slot in slots[1:]:
         miss = np.flatnonzero(keys[found] != their_keys)
         found[miss] = slot[their_home[miss]]
-    limit = csv.field_size_limit()
-    exact = np.where([len(cats[i]) <= limit for _, i in spellings], lengths, -1)[found] == sizes
+    exact = lengths[found] == sizes
     for word, their_word in zip(mine, theirs):
         exact &= word[found] == their_word
-    return np.array([i for _, i in spellings], dtype=np.uint64)[found], exact
+    return ordinals[found], exact
 
 
-def _decode_rows(body: bytes, schema: CategoricalSchema):
-    """Flat index, count and structural mask of every body row, from one
-    vectorised pass over its bytes; None where it cannot decode the body.
+def _decode_rows(body: bytes, schema: CategoricalSchema, tables: list):
+    """Flat index, count and structural mask of every row of a block of the
+    body, from one vectorised pass over its bytes; None where it cannot
+    decode the block.  ``tables`` holds each variable's :func:`_spellings`.
 
     Rows end in LF or CRLF, the last perhaps at the end of the body, and a
     delimiter after an odd number of quotes is inside a quoted field.  Each
@@ -529,8 +540,7 @@ def _decode_rows(body: bytes, schema: CategoricalSchema):
     p = len(schema.names)
     if body and not body.endswith(b"\n"):
         body += b"\n"
-    longest = max(len(c.encode()) for _, cats in schema.variables for c in cats)
-    buf = body + bytes(2 * longest + 16)  # room for whole words of the longest spelling, quoted
+    buf = body + bytes(8 * max(len(t[0]) for t in tables))  # whole words of the longest spelling
     b = np.frombuffer(buf, dtype=np.uint8)[: len(body)]
     lf = b == ord("\n")
     delimiters = lf | (b == ord(","))
@@ -553,11 +563,11 @@ def _decode_rows(body: bytes, schema: CategoricalSchema):
     ends[-1] -= b[ends[-1] - 1] == ord("\r")  # CRLF: the flag ends before the CR
     sizes = np.subtract(ends, starts, out=ends)
     flat = np.zeros(rows, dtype=np.uint64)
-    for j, (_, cats) in enumerate(schema.variables):
-        ordinals, exact = _label_ordinals(buf, starts[j], sizes[j], cats)
+    for j, dim in enumerate(schema.shape):
+        ordinals, exact = _label_ordinals(buf, starts[j], sizes[j], tables[j])
         if not exact.all():
             return None
-        flat = flat * np.uint64(len(cats)) + ordinals
+        flat = flat * np.uint64(dim) + ordinals
     count = np.zeros(rows, dtype=np.int64)
     ok = (sizes[p] >= 1) & (sizes[p] <= 18)
     for k in range(min(18, int(sizes[p].max(initial=0)))):  # digit k, in the rows that have it
@@ -569,6 +579,32 @@ def _decode_rows(body: bytes, schema: CategoricalSchema):
     structural = flag == ord("1")
     ok &= (sizes[p + 1] == 1) & (structural | (flag == ord("0"))) & ~(structural & (count != 0))
     return (flat, count, structural) if ok.all() else None
+
+
+def _decode_body(data: bytes, start: int, schema: CategoricalSchema, lineno: int):
+    """Flat index, count and structural mask of every row of the body
+    ``data[start:]``, decoded in blocks of about ``_READ_BLOCK_BYTES``; if a
+    block cannot be, the whole body is read by :func:`_check_rows`.
+
+    A block ends at the end of ``data`` or after the first LF past its size
+    that follows an even number of its quotes, so no quoted field is split.
+    The quotes are counted once, LF to LF.
+    """
+    tables = [_spellings(cats) for _, cats in schema.variables]
+    parts, lo = [], start
+    while lo < len(data) or not parts:  # an empty body is one empty block
+        counted, quotes, hi = lo, 0, lo + _READ_BLOCK_BYTES - 1
+        while (hi := data.find(b"\n", hi) + 1) > 0:
+            quotes += data.count(b'"', counted, hi)
+            counted = hi
+            if quotes % 2 == 0:
+                break
+        hi = hi or len(data)
+        parts.append(_decode_rows(data[lo:hi], schema, tables))
+        if parts[-1] is None:  # blank lines, lone CRs, padded counts, errors ...: csv names the row
+            return _check_rows(io.StringIO(data[start:].decode("utf-8"), newline=""), schema, lineno)
+        lo = hi
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _check_rows(fh, schema: CategoricalSchema, lineno: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -667,10 +703,7 @@ def _read_table_file(path: str, schema: CategoricalSchema | None) -> SparseConti
         raise FormatError(f"header {header!r}, expected {expected!r}", line=lineno)
     if any("\x00" in c for _, cats in schema.variables for c in cats):
         raise FormatError("category labels containing NUL characters cannot be read")
-    decoded = _decode_rows(data[end:], schema)
-    if decoded is None:  # blank lines, lone CRs, padded counts, errors ...: csv names the row
-        decoded = _check_rows(io.StringIO(data[end:].decode("utf-8"), newline=""), schema, lineno)
-    flat, count, structural = decoded
+    flat, count, structural = _decode_body(data, end, schema, lineno)
     # explicit zero-count rows are optional random zeros and may repeat
     seen = np.sort(flat[structural | (count > 0)])
     dup = seen[1:][seen[1:] == seen[:-1]]

@@ -338,3 +338,14 @@ def test_alpha_zero_with_no_or_few_occupied_rows(monkeypatch):
         np.testing.assert_array_equal(rep.table.counts_at(few.index), counts)
         assert rep.table.num_nonzero == np.count_nonzero(counts)
     assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]  # one row a piece, none empty
+
+
+def test_alpha_above_zero_on_a_2_to_the_60_cell_table_is_a_typed_error():
+    # a list of every chunk_cells range of 2**60 cells would raise MemoryError
+    schema = CategoricalSchema([(f"v{j}", ["0", "1"]) for j in range(60)])
+    table = SparseContingencyTable(schema, [5, 2**59], [3, 1])
+    job = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.01), master_seed=3, m=1)
+    with pytest.raises(ValidationError, match=r"2\*\*40 cells; alpha = 0 has no such limit"):
+        synthesize(table, job)
+    at_zero = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.0), master_seed=3, m=1)
+    assert synthesize(table, at_zero)[0].table.num_cells == 2**60

@@ -2,6 +2,8 @@
 
 import csv
 import io
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -75,6 +77,38 @@ def test_read_matches_rowwise_reader(tmp_path_factory, table, data):
     back = read_table(str(path))
     assert back.same_contents(read_table_rowwise(str(path)))
     assert back.same_contents(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables(), st.data())
+def test_blocks_of_any_size_read_like_one_block(tmp_path_factory, table, data):
+    """Cut after 1, 7 or 64 bytes, a body decodes as in one block: quoted labels
+    holding commas, quotes, LF or CRLF, LF or CRLF row ends, no final newline."""
+    schema = table.schema
+    rows = [list(schema.labels_of(schema.coords_of(int(f)))) + [int(c), 0]
+            for f, c in zip(table.index, table.count)]
+    rows += [list(schema.labels_of(schema.coords_of(int(f)))) + [0, 1] for f in table.structural]
+    zeros = data.draw(st.lists(st.integers(0, schema.num_cells - 1), max_size=3))
+    rows += [list(schema.labels_of(schema.coords_of(f))) + [0, 0] for f in zeros]
+    rows = data.draw(st.permutations(rows))
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    body = []
+    for row in rows:  # write_table's quoting, then the drawn row end
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        body.append(buf.getvalue()[:-2] + end)
+    text = f"# satsynth-table v1\n# schema: {schema.to_json()}\n# n: {table.n}\n"
+    text += ",".join([*schema.names, "count", "structural"]) + "\n" + "".join(body)
+    if body and data.draw(st.booleans()):
+        text = text.removesuffix(end)
+    path = tmp_path_factory.mktemp("io") / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    whole = read_table(str(path))
+    assert whole.same_contents(table)
+    with mock.patch.object(table_module, "_check_rows", _refuse):
+        for block in (1, 7, 64):
+            with mock.patch.object(table_module, "_READ_BLOCK_BYTES", block):
+                assert read_table(str(path)).same_contents(whole), block
 
 
 _FUZZ_SCHEMA = CategoricalSchema([("A", ["a", "b", ""]), ("B", ["x", 'y"', "z,", "w\n"])])
@@ -157,6 +191,21 @@ def test_malformed_file_raises_the_rowwise_error(tmp_path, old, new):
     assert got.value.line == expected.value.line
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("old, new", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_row_in_a_later_block_raises_the_rowwise_error(tmp_path, old, new, block):
+    # ten zero-count rows first put the malformed row past the first block
+    text = _BASE.replace(old, new, 1).replace("structural\n", "structural\n" + "a001,y,0,0\n" * 10, 1)
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(FormatError) as expected:
+        read_table_rowwise(str(path))
+    with mock.patch.object(table_module, "_READ_BLOCK_BYTES", block), pytest.raises(FormatError) as got:
+        read_table(str(path))
+    assert str(got.value) == str(expected.value)
+    assert got.value.line == expected.value.line
+
+
 _ACCEPTED = {
     "crlf line ends": ("\n", "\r\n"),
     "cr line ends": (",0\n", ",0\r"),
@@ -219,6 +268,38 @@ def test_large_canonical_table_reads_like_rowwise(tmp_path):
     back = read_table(str(path))
     assert back.same_contents(read_table_rowwise(str(path)))
     assert back.same_contents(table)
+
+
+@pytest.fixture(scope="module")
+def full_scale(tmp_path_factory):
+    table = generate_table(esc_like_spec(), 1)
+    path = tmp_path_factory.mktemp("full") / "t.csv"
+    write_table(table, str(path))
+    return table, str(path)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_scale_read_stays_under_40_megabytes(full_scale):
+    # the 7.8 MB file holds a 5.4 MB table; one pass over its whole body holds about 93 MB
+    table, path = full_scale
+    assert _traced_peak(read_table, path) < 40e6
+    assert read_table(path).same_contents(table)
+
+
+def test_full_scale_write_stays_under_20_megabytes(full_scale, tmp_path):
+    # 2**16-row blocks of np.char text would peak at 40 MB
+    table, path = full_scale
+    out = tmp_path / "again.csv"
+    assert _traced_peak(write_table, table, str(out)) < 20e6
+    assert out.read_bytes() == Path(path).read_bytes()
 
 
 @pytest.mark.parametrize("count", ["1_000", "٥", "0x10"])
