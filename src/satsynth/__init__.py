@@ -23,20 +23,16 @@ from .table import (
     SparseContingencyTable,
     aggregate_microdata,
     aggregate_microdata_csv,
-    cell_size_distribution,
     mark_structural_zeros,
     read_table,
     write_table,
 )
-from .bessel import bessel_k_half, log_bessel_k_half
-from .models import CountModelSpec, Family, moments, pig_c, pmf, pmf_range, truncation_for_mass
-from .sampling import sample
+from .bessel import log_bessel_k_half
+from .models import CountModelSpec, Family, pig_c, pmf, pmf_range
 from .synthesis import Provenance, SynthesisJob, SyntheticTable, expected_grand_total, synthesize
 from .taumetrics import (
     TauReport,
     tau1_expected,
-    tau1_expected_range,
-    tau3_expected,
     tau4_expected,
     tau_analytic,
     tau_empirical,
@@ -59,7 +55,7 @@ from .evaluation import (
     trimmed_mean_pct_diff,
     within_p_percent,
 )
-from .loglin import LoglinFit, MarginSpec, all_two_way_terms, build_design, fit_loglinear, ipf_fit
+from .loglin import LoglinFit, all_two_way_terms, build_design, fit_loglinear
 from .generator import (
     ESC_LIKE_CELL_SIZE_FREQUENCIES,
     ESC_LIKE_N,

@@ -14,8 +14,7 @@ which is numerically stable for K because magnitudes grow with the
 order.  Values span hundreds of orders of magnitude across the package's
 working range, so the recurrence carries a power-of-two exponent beside
 each value and returns logs; it runs on ``K * exp(t)``, so the seed's
-``-t`` never enters the sums.  Callers are given both the log and the
-plain variant.
+``-t`` never enters the sums.
 """
 
 from __future__ import annotations
@@ -93,12 +92,3 @@ def log_bessel_k_half(n, t):
         raise ValidationError("Bessel argument t must be >= 1e-300")
     out = _log_k_half_scaled(n, t) - t
     return float(out) if out.ndim == 0 else out
-
-
-def bessel_k_half(n, t):
-    """K_{n - 1/2}(t); see :func:`log_bessel_k_half` for conventions.
-
-    Overflows to ``inf`` when the true value exceeds float range; use the
-    log variant in that regime.
-    """
-    return np.exp(log_bessel_k_half(n, t))

@@ -28,16 +28,14 @@ def within_p_percent(
     synthetic: SyntheticTable | SparseContingencyTable,
     p_list: Sequence[float],
     nonzero_only: bool = False,
-    zero_to_nonzero_outside_all: bool = True,
 ) -> dict[float, float]:
     """Proportion of cells whose synthetic count is within p% of the original.
 
     Zero cells that stay zero count as within every p.  A zero cell
     synthesized to a nonzero count has no defined percentage difference;
-    it is treated as farther than every listed p (set
-    ``zero_to_nonzero_outside_all=False`` to count it as within p > 50
-    buckets instead).  ``nonzero_only`` restricts the denominator to
-    cells that are nonzero in the original data.
+    it is treated as farther than every listed p.  ``nonzero_only``
+    restricts the denominator to cells that are nonzero in the original
+    data.
     """
     if isinstance(synthetic, SyntheticTable):
         synthetic = synthetic.table
@@ -61,8 +59,6 @@ def within_p_percent(
         else:
             denom = k_eff
             inside = inside_nonzero + n_zero_stay_zero
-            if not zero_to_nonzero_outside_all and p > 50.0:
-                inside += n_zero_to_nonzero
         if denom == 0:
             raise UndefinedResultError("no cells qualify for the within-p computation")
         out[float(p)] = inside / denom
@@ -147,14 +143,12 @@ def trimmed_mean_pct_diff(
     original_values: Sequence[float],
     synthetic_values: Sequence[float],
     trim_fraction: float = 0.1,
-    return_details: bool = False,
-):
+) -> float:
     """Trimmed mean of per-pair percentage differences 100*(syn - orig)/orig.
 
     Pairs with an original value of exactly zero are excluded (their
-    percentage difference is undefined); the exclusion count is available
-    via ``return_details``.  ``floor(trim * N)`` values are dropped from
-    each end after sorting.
+    percentage difference is undefined).  ``floor(trim * N)`` values are
+    dropped from each end after sorting.
     """
     q = np.asarray(original_values, dtype=np.float64)
     qs = np.asarray(synthetic_values, dtype=np.float64)
@@ -163,17 +157,13 @@ def trimmed_mean_pct_diff(
     if not (0.0 <= trim_fraction < 0.5):
         raise ValidationError("trim_fraction must lie in [0, 0.5)")
     keep = q != 0.0
-    excluded = int((~keep).sum())
     diffs = 100.0 * (qs[keep] - q[keep]) / q[keep]
     diffs.sort()
     drop = int(math.floor(trim_fraction * diffs.size))
     kept = diffs[drop : diffs.size - drop] if drop else diffs
     if kept.size == 0:
         raise UndefinedResultError("all pairs excluded or trimmed away")
-    value = float(kept.mean())
-    if return_details:
-        return value, {"used": int(kept.size), "excluded_zero_original": excluded, "trimmed": 2 * drop}
-    return value
+    return float(kept.mean())
 
 
 # -- risk-utility frontier -------------------------------------------------------------

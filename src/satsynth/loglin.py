@@ -1,16 +1,12 @@
 """Desk-scale log-linear analysis of contingency tables.
 
-Two routes to fitted counts under a margin/interaction specification:
+:func:`fit_loglinear` fits an intercept-plus-terms Poisson model by
+maximum likelihood, through iteratively reweighted least squares on a
+treatment-coded design, and yields coefficients and standard errors for
+confidence-interval work.
 
-* :func:`ipf_fit` — iterative proportional scaling until every named
-  margin of the fitted table matches the observed margin; fast, no
-  coefficients.
-* :func:`fit_loglinear` — Poisson maximum likelihood by iteratively
-  reweighted least squares on a treatment-coded design, yielding
-  coefficients and standard errors for confidence-interval work.
-
-Both work on the dense table and are capped at desk scale: the
-package's synthesis mechanism never needs them, they exist to score
+It works on the dense table and is capped at desk scale: the
+package's synthesis mechanism never needs it; it exists to score
 specific utility of synthetic tables on low-dimensional margins.
 Each cell switches on at most one design column per term, and
 :func:`fit_loglinear` runs its products over those active columns
@@ -22,11 +18,9 @@ negative cap and flagged.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,102 +35,6 @@ MAX_TERMS = 2_000
 MAX_HALVINGS = 60
 
 Term = tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class MarginSpec:
-    """The margins a fit must preserve, as variable-name subsets."""
-
-    terms: tuple[Term, ...]
-
-    def __init__(self, terms: Sequence[Sequence[str]]):
-        norm: list[Term] = []
-        seen = set()
-        for t in terms:
-            tt = tuple(t)
-            if not tt:
-                raise ValidationError("margin terms must be nonempty")
-            if len(set(tt)) != len(tt):
-                raise ValidationError(f"margin term {tt} repeats a variable")
-            key = frozenset(tt)
-            if key not in seen:
-                seen.add(key)
-                norm.append(tt)
-        if not norm:
-            raise ValidationError("need at least one margin term")
-        object.__setattr__(self, "terms", tuple(norm))
-
-    def validate_against(self, schema: CategoricalSchema) -> None:
-        names = set(schema.names)
-        for t in self.terms:
-            missing = set(t) - names
-            if missing:
-                raise ValidationError(f"margin term {t} references unknown variables {sorted(missing)}")
-
-    def model_terms(self) -> list[Term]:
-        """Hierarchical closure: every nonempty subset of every margin."""
-        out: dict[frozenset, Term] = {}
-        for t in self.terms:
-            for r in range(1, len(t) + 1):
-                for sub in itertools.combinations(t, r):
-                    out.setdefault(frozenset(sub), sub)
-        return sorted(out.values(), key=lambda s: (len(s), s))
-
-
-def ipf_fit(
-    table: SparseContingencyTable,
-    spec: MarginSpec,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-) -> np.ndarray:
-    """Fitted counts matching every margin in ``spec`` within ``tol``.
-
-    ``tol`` is relative: each fitted margin cell must lie within
-    ``tol * max(1, observed)`` of the observed one, so a table and its
-    multiple by any factor converge at the same ``tol``.  Returns a dense
-    array shaped like the schema.  Structural zeros are
-    pinned at zero by a zero start value.  A specification naming all
-    variables at once reproduces the observed counts exactly.
-    """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    spec.validate_against(table.schema)
-    if table.num_cells > MAX_DENSE_CELLS:
-        raise ValidationError(
-            f"table has {table.num_cells} cells; dense fitting capped at {MAX_DENSE_CELLS}"
-        )
-    if table.n == 0:
-        raise ValidationError("cannot fit an empty table")
-    observed = table.to_dense().astype(np.float64)
-    shape = table.schema.shape
-    fitted = np.ones(shape, dtype=np.float64)
-    if table.structural.size:
-        flat = fitted.reshape(-1)
-        flat[table.structural.astype(np.int64)] = 0.0
-
-    positions = {n: i for i, n in enumerate(table.schema.names)}
-    axes_per_term = [
-        tuple(sorted(set(range(len(shape))) - {positions[v] for v in t}))
-        for t in spec.terms
-    ]
-    obs_margins = [observed.sum(axis=ax, keepdims=True) for ax in axes_per_term]
-
-    worst = math.inf
-    for _ in range(max_iter):
-        for ax, target in zip(axes_per_term, obs_margins):
-            current = fitted.sum(axis=ax, keepdims=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(current > 0.0, target / np.where(current > 0, current, 1.0), 1.0)
-            fitted *= ratio
-        worst = max(
-            float((np.abs(fitted.sum(axis=ax, keepdims=True) - target) / np.maximum(1.0, target)).max())
-            for ax, target in zip(axes_per_term, obs_margins)
-        )
-        if worst <= tol:
-            return fitted
-    raise ConvergenceError(
-        f"margins not matched after {max_iter} sweeps; worst relative discrepancy {worst:.3g}"
-    )
 
 
 # -- design construction -----------------------------------------------------------
@@ -212,10 +110,8 @@ class LoglinFit:
     coefficients: dict[str, float]
     standard_errors: dict[str, float]
     fitted: np.ndarray
-    converged: bool
     cap_hit: frozenset[str]
     loglik: float
-    terms: tuple[Term, ...] = field(default_factory=tuple)
 
     def intervals(self, level: float = 0.95) -> dict[str, Interval]:
         from scipy import special  # here, not at import, as scipy.linalg in fit_loglinear
@@ -230,17 +126,6 @@ class LoglinFit:
             else:
                 out[name] = Interval(est - z * se, est + z * se)
         return out
-
-    def to_csv(self, header_comments: Sequence[str] = ()) -> str:
-        buf = io.StringIO()
-        for line in header_comments:
-            buf.write(f"# {line}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["term", "estimate", "se", "capped"])
-        for name, est in self.coefficients.items():
-            se = self.standard_errors[name]
-            writer.writerow([name, repr(est), "inf" if math.isinf(se) else repr(se), int(name in self.cap_hit)])
-        return buf.getvalue()
 
 
 def fit_loglinear(
@@ -402,10 +287,8 @@ def fit_loglinear(
         coefficients=dict(zip(labels, beta.tolist())),
         standard_errors=dict(zip(labels, se.tolist())),
         fitted=mu.reshape(table.schema.shape),
-        converged=True,
         cap_hit=frozenset(l for l, f in zip(labels, frozen) if f),
         loglik=poisson_loglik(y, mu),
-        terms=tuple(tuple(t) for t in terms),
     )
 
 

@@ -190,58 +190,3 @@ def pmf_range(family: Family | str, k_max: int, mu, sigma: float = 0.0) -> np.nd
         raise ValidationError("mu must be a scalar or a 1-D array of means")
     out = pmf(family, np.arange(k_max + 1)[:, None], np.atleast_1d(mu), sigma)
     return out[:, 0] if mu.ndim == 0 else out
-
-
-def moments(family: Family | str, mu, sigma: float = 0.0):
-    """(mean, variance): mean is mu for every family; variance is mu for
-    Poisson and mu + sigma*mu**2 for NBI and PIG."""
-    family = Family.coerce(family)
-    mu = np.asarray(mu, dtype=np.float64)
-    if np.any(mu < 0):
-        raise ValidationError("mu must be >= 0")
-    if sigma < 0:
-        raise ValidationError("sigma must be >= 0")
-    if family is Family.POISSON or sigma == 0.0:
-        var = mu.copy()
-    else:
-        var = mu + sigma * mu**2
-    if mu.ndim == 0:
-        return float(mu), float(var)
-    return mu, var
-
-
-def truncation_for_mass(
-    family: Family | str, mu: float, sigma: float = 0.0, tail: float = 1e-9
-) -> int:
-    """Smallest precomputed K* with sum_{k<=K*} pmf(k) >= 1 - tail.
-
-    Found by doubling a moment-based initial guess; intended for finite
-    normalization checks and tail-sum bounds.  A doubling that adds no
-    more than the float sum's rounding error means ``tail`` is finer than
-    the sum resolves: that raises :class:`ValidationError`.
-
-    In every family the log-space pmf bounds that resolution at large
-    counts, where ``k * log(mu)`` and ``log(k!)`` carry ~k log k ulps: at
-    ``mu = 6000``, ``tail = 1e-12`` Poisson stalls near 1 - 6.2e-12 and PIG
-    with ``sigma = 1/6000`` near 1 - 1.2e-11.  This limit is not chased.
-    Heavy PIG tails resolve: ``("pig", 740, 10, 1e-12)`` gives K = 386,592.
-    """
-    family = Family.coerce(family)
-    if not tail > 0.0:
-        raise ValidationError("tail must be > 0")
-    if mu == 0.0:
-        return 0
-    _, var = moments(family, mu, sigma)
-    guess = int(mu + 10.0 * math.sqrt(var) + 20.0)
-    previous = -math.inf
-    while True:
-        total = float(pmf_range(family, guess, mu, sigma).sum())
-        if total >= 1.0 - tail:
-            return guess
-        if total - previous <= guess * np.finfo(np.float64).eps:
-            raise ValidationError(
-                f"mass stalls at {total!r} with K = {guess}, short of 1 - {tail}; "
-                "the tail is finer than the float sum resolves"
-            )
-        previous = total
-        guess *= 2

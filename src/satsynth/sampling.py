@@ -391,29 +391,3 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     out = np.zeros(flat.size, dtype=np.int64)
     out[cells] = poisson_inverse(uu[:, slot], lam)
     return out.reshape(mu.shape)
-
-
-def sample(
-    family: Family | str,
-    mu,
-    sigma: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw synthetic counts using a caller-owned generator.
-
-    Convenience wrapper over :func:`draw_counts` for tests and ad-hoc
-    use; synthesis itself uses the keyed counter streams.  Returns an
-    int for scalar ``mu`` with ``size=None``, else an int64 array.
-    """
-    mu_arr = np.asarray(mu, dtype=np.float64)
-    scalar = mu_arr.ndim == 0 and size is None
-    if mu_arr.ndim == 0:
-        mu_arr = np.full(size if size is not None else 1, float(mu_arr))
-    elif size is not None and size != mu_arr.size:
-        raise ValidationError("size conflicts with the length of mu")
-    u = rng.random((mu_arr.size, SLOTS_PER_DRAW))
-    counts = draw_counts(family, mu_arr, sigma, u)
-    if scalar:
-        return int(counts[0])
-    return counts

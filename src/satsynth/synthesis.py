@@ -43,8 +43,8 @@ class SynthesisJob:
     m: int = 1
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError("replicate count m must be >= 1")
+        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+            raise ValidationError(f"replicate count m must be an integer >= 1, got {self.m!r}")
         if not isinstance(self.master_seed, int):
             raise ValidationError("master_seed must be an integer")
         if not 0 <= self.master_seed < 2**64:
@@ -160,10 +160,9 @@ def synthesize(
     ``threads > 1`` pieces are dispatched to a thread pool.  Output is
     identical for any thread count and chunk size.
     """
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    if chunk_cells < 1:
-        raise ValidationError("chunk_cells must be >= 1")
+    for name, value in (("threads", threads), ("chunk_cells", chunk_cells)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
     spec = job.model
     family = spec.effective_family
     sigma = spec.sigma if family is not Family.POISSON else 0.0

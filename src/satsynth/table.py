@@ -15,7 +15,7 @@ import io
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,15 +153,6 @@ class SparseContingencyTable:
         if synthetic.counts_at(self.structural).any():
             raise ValidationError("synthetic table has counts on structural zeros of the original")
 
-    def items(self) -> Iterator[tuple[Coords, int]]:
-        """Nonzero cells as (coordinates, count), flat-index ascending."""
-        coords = self.schema.coords_of_array(self.index)
-        for row, c in zip(coords, self.count):
-            yield tuple(int(x) for x in row), int(c)
-
-    def counts_dict(self) -> dict[Coords, int]:
-        return dict(self.items())
-
     def same_contents(self, other: "SparseContingencyTable") -> bool:
         return (
             self.schema == other.schema
@@ -268,19 +259,18 @@ class CellSizeDistribution:
     """Proportion of cells of each count size k (the table's size histogram).
 
     ``sizes`` lists the distinct sizes ascending, always starting with 0;
-    ``cells``/``proportions`` align with it.  ``zero_basis`` records whether
-    the k=0 bucket counts random zeros only (structural zeros excluded from
-    the denominator as well) or all zeros.
+    ``proportions`` aligns with it.  The k=0 bucket counts random zeros
+    only: structural zeros are outside the denominator as well.
     """
 
     sizes: np.ndarray
-    cells: np.ndarray
     proportions: np.ndarray
-    zero_basis: str  # "random" | "all"
 
     def __post_init__(self):
-        if self.zero_basis not in ("random", "all"):
-            raise ValidationError("zero_basis must be 'random' or 'all'")
+        if (self.sizes < 0).any():
+            raise ValidationError("cell sizes must be nonnegative")
+        if not (np.isfinite(self.proportions).all() and (self.proportions >= 0).all()):
+            raise ValidationError("proportions must be finite and nonnegative")
         total = float(self.proportions.sum())
         if self.proportions.size and abs(total - 1.0) > 1e-12:
             raise ValidationError(f"proportions sum to {total}, expected 1")
@@ -301,65 +291,26 @@ class CellSizeDistribution:
         return self.proportions[self.sizes > 0]
 
     @classmethod
-    def from_proportions(
-        cls, props: Mapping[int, float], zero_basis: str = "random"
-    ) -> "CellSizeDistribution":
+    def from_proportions(cls, props: Mapping[int, float]) -> "CellSizeDistribution":
         """Build directly from ``{size: proportion}`` (must sum to 1)."""
         ks = sorted(int(k) for k in props)
-        if ks and ks[0] < 0:
-            raise ValidationError("cell sizes must be nonnegative")
         if not ks or ks[0] != 0:
             ks = [0] + ks
         sizes = np.array(ks, dtype=np.int64)
-        p = np.array([float(props.get(int(k), 0.0)) for k in sizes])
-        if np.any(p < 0):
-            raise ValidationError("proportions must be nonnegative")
-        # synthesize a nominal cell budget so `cells` is populated
-        cells = np.round(p * 1_000_000).astype(np.int64)
-        return cls(sizes, cells, p, zero_basis)
+        return cls(sizes, np.array([float(props.get(int(k), 0.0)) for k in sizes]))
 
     @classmethod
-    def from_counts(
-        cls, cells_per_size: Mapping[int, int], zero_basis: str = "random"
-    ) -> "CellSizeDistribution":
+    def from_counts(cls, cells_per_size: Mapping[int, int]) -> "CellSizeDistribution":
+        """Build from ``{size: number of cells}``."""
         ks = sorted(int(k) for k in cells_per_size)
         if not ks or ks[0] != 0:
             ks = [0] + ks
         sizes = np.array(ks, dtype=np.int64)
         cells = np.array([int(cells_per_size.get(int(k), 0)) for k in sizes], dtype=np.int64)
         total = cells.sum()
-        if total <= 0:
-            raise ValidationError("no cells in distribution")
-        return cls(sizes, cells, cells / total, zero_basis)
-
-
-def cell_size_distribution(
-    table: SparseContingencyTable, zero_basis: str = "random"
-) -> CellSizeDistribution:
-    """Histogram of cell sizes.
-
-    With ``zero_basis='random'`` (default) the k=0 bucket holds random
-    zeros only and structural zeros are excluded from the denominator;
-    with ``'all'`` every zero cell counts and the denominator is K.
-    """
-    if table.num_cells <= 0:
-        raise ValidationError("table has no cells")
-    uniq, freq = (
-        np.unique(table.count, return_counts=True)
-        if table.count.size
-        else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    )
-    if zero_basis == "random":
-        zeros = table.num_random_zeros
-        denom = table.num_cells - table.num_structural_zeros
-    elif zero_basis == "all":
-        zeros = table.num_random_zeros + table.num_structural_zeros
-        denom = table.num_cells
-    else:
-        raise ValidationError("zero_basis must be 'random' or 'all'")
-    sizes = np.concatenate([[0], uniq]).astype(np.int64)
-    cells = np.concatenate([[zeros], freq]).astype(np.int64)
-    return CellSizeDistribution(sizes, cells, cells / denom, zero_basis)
+        if total <= 0 or (cells < 0).any():
+            raise ValidationError("cell numbers must be nonnegative, with a positive total")
+        return cls(sizes, cells / total)
 
 
 # -- structural zeros ---------------------------------------------------------------
@@ -583,12 +534,14 @@ def _decode_rows(body: bytes, schema: CategoricalSchema, tables: list):
 
 def _decode_body(data: bytes, start: int, schema: CategoricalSchema, lineno: int):
     """Flat index, count and structural mask of every row of the body
-    ``data[start:]``, decoded in blocks of about ``_READ_BLOCK_BYTES``; if a
-    block cannot be, the whole body is read by :func:`_check_rows`.
+    ``data[start:]``, decoded in blocks of about ``_READ_BLOCK_BYTES``; from
+    the first block that cannot be, the rest is read by :func:`_check_rows`.
 
     A block ends at the end of ``data`` or after the first LF past its size
     that follows an even number of its quotes, so no quoted field is split.
-    The quotes are counted once, LF to LF.
+    The quotes are counted once, LF to LF.  A decoded block holds one CSV
+    record per row and ends on a record boundary, so csv reads the rest as
+    it would read the whole body.
     """
     tables = [_spellings(cats) for _, cats in schema.variables]
     parts, lo = [], start
@@ -602,7 +555,9 @@ def _decode_body(data: bytes, start: int, schema: CategoricalSchema, lineno: int
         hi = hi or len(data)
         parts.append(_decode_rows(data[lo:hi], schema, tables))
         if parts[-1] is None:  # blank lines, lone CRs, padded counts, errors ...: csv names the row
-            return _check_rows(io.StringIO(data[start:].decode("utf-8"), newline=""), schema, lineno)
+            lineno += sum(part[0].size for part in parts[:-1])
+            parts[-1] = _check_rows(io.StringIO(data[lo:].decode("utf-8"), newline=""), schema, lineno)
+            break
         lo = hi
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -716,10 +671,3 @@ def _read_table_file(path: str, schema: CategoricalSchema | None) -> SparseConti
     if header_n is not None and header_n != table.n:
         raise FormatError(f"header n={header_n} but counts sum to {table.n}")
     return table
-
-
-def table_to_string(table: SparseContingencyTable) -> str:
-    """Canonical CSV text (same bytes as :func:`write_table`)."""
-    buf = io.StringIO()
-    _write_table_stream(table, buf)
-    return buf.getvalue()

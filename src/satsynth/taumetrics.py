@@ -31,7 +31,7 @@ import numpy as np
 from .errors import UndefinedResultError, ValidationError
 from .models import Family, pmf, pmf_range
 from .synthesis import SyntheticTable
-from .table import CellSizeDistribution, SparseContingencyTable, cell_size_distribution
+from .table import CellSizeDistribution, SparseContingencyTable
 
 
 def _means_weights(dist: CellSizeDistribution, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -95,32 +95,6 @@ def tau1_expected(
     the finite support of the original table, hence exact.
     """
     return TauCurve(dist, family, sigma, k).tau1(alpha)
-
-
-def tau1_expected_range(
-    dist: CellSizeDistribution,
-    family: Family | str,
-    sigma: float,
-    alpha: float,
-    k_max: int,
-) -> np.ndarray:
-    """tau1 for every k in 0..k_max in one pass.
-
-    One ``(k_max + 1) x (support + 1)`` pmf matrix times the weights, so
-    summing the synthetic size distribution to check its mass costs
-    O(support * k_max) rather than O(support * k_max^2).
-    """
-    means, weights = _means_weights(dist, alpha)
-    return pmf_range(family, k_max, means, sigma) @ weights
-
-
-def tau3_expected(family: Family | str, sigma: float, alpha: float, k: int) -> float:
-    """Expected proportion of original size-k cells synthesized to k.
-
-    Independent of the table's size distribution: pmf(0 | alpha) for
-    k = 0 (a random zero must stay zero) and pmf(k | k) for k >= 1.
-    """
-    return float(pmf(family, k, alpha if k == 0 else float(k), sigma))
 
 
 def tau4_expected(
@@ -213,10 +187,16 @@ def tau_analytic(
     alpha: float,
     k_report: int = 3,
 ) -> TauReport:
-    """Analytic TauReport over k = 0..k_report; tau4 is NaN where tau1 = 0."""
+    """Analytic TauReport over k = 0..k_report; tau4 is NaN where tau1 = 0.
+
+    tau1 for every k is one ``(k_report + 1) x (support + 1)`` pmf matrix
+    times the weights.  tau3(k) does not depend on the table: pmf(0 | alpha)
+    for k = 0 (a random zero must stay zero) and pmf(k | k) for k >= 1.
+    """
     family = Family.coerce(family)
     ks = np.arange(k_report + 1)
-    t1 = tau1_expected_range(dist, family, sigma, alpha, k_report)
+    means, weights = _means_weights(dist, alpha)
+    t1 = pmf_range(family, k_report, means, sigma) @ weights
     t2 = np.zeros(ks.size)
     reported = dist.sizes <= k_report
     t2[dist.sizes[reported]] = dist.proportions[reported]
@@ -290,5 +270,16 @@ def tau_empirical(
 
 
 def tau2_of_table(table: SparseContingencyTable) -> CellSizeDistribution:
-    """The original table's size distribution (random-zero basis)."""
-    return cell_size_distribution(table, zero_basis="random")
+    """The original table's size distribution, tau2(k) for every size k: the
+    k=0 bucket holds random zeros only, and structural zeros are excluded
+    from the denominator."""
+    if table.num_cells == table.num_structural_zeros:
+        raise ValidationError("every cell is a structural zero")
+    uniq, freq = (
+        np.unique(table.count, return_counts=True)
+        if table.count.size
+        else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    )
+    sizes = np.concatenate([[0], uniq]).astype(np.int64)
+    cells = np.concatenate([[table.num_random_zeros], freq]).astype(np.int64)
+    return CellSizeDistribution(sizes, cells / (table.num_cells - table.num_structural_zeros))

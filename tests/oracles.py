@@ -7,23 +7,29 @@ canonical table CSV from a row-at-a-time :mod:`csv` writer and reader,
 analytic tau1 and tau4 from a full pmf vector rebuilt for every alpha,
 tau4 also as a ratio with the k-only factors cancelled, empirical tau and
 within-p% from per-size set operations, and log-linear fits from IRLS on
-the dense design matrix.
+the dense design matrix and from iterative proportional fitting.  The
+samplers' statistical tests take the pmf's moments and truncation points
+from here too.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate, linalg, optimize, special
 
 from satsynth.errors import ConvergenceError, FormatError, UndefinedResultError, ValidationError
-from satsynth.loglin import LoglinFit, build_design, poisson_loglik
+from satsynth.loglin import MAX_DENSE_CELLS, LoglinFit, build_design, poisson_loglik
 from satsynth.bessel import log_bessel_k_half
-from satsynth.models import Family, pig_c, pmf
+from satsynth.models import Family, pig_c, pmf, pmf_range
+from satsynth.sampling import SLOTS_PER_DRAW, draw_counts
 from satsynth.schema import CategoricalSchema
 from satsynth.table import SparseContingencyTable
 
@@ -105,6 +111,64 @@ def nbi_pmf_direct(k: int, mu: float, sigma: float) -> float:
     return math.exp(log_p)
 
 
+# -- moments and a truncation point of the pmf ----------------------------------------
+
+
+def moments(family: Family | str, mu, sigma: float = 0.0):
+    """(mean, variance): mean is mu for every family; variance is mu for
+    Poisson and mu + sigma*mu**2 for NBI and PIG."""
+    family = Family.coerce(family)
+    mu = np.asarray(mu, dtype=np.float64)
+    if np.any(mu < 0):
+        raise ValidationError("mu must be >= 0")
+    if sigma < 0:
+        raise ValidationError("sigma must be >= 0")
+    if family is Family.POISSON or sigma == 0.0:
+        var = mu.copy()
+    else:
+        var = mu + sigma * mu**2
+    if mu.ndim == 0:
+        return float(mu), float(var)
+    return mu, var
+
+
+def truncation_for_mass(
+    family: Family | str, mu: float, sigma: float = 0.0, tail: float = 1e-9
+) -> int:
+    """Smallest precomputed K* with sum_{k<=K*} pmf(k) >= 1 - tail.
+
+    Found by doubling a moment-based initial guess; intended for finite
+    normalization checks and tail-sum bounds.  A doubling that adds no
+    more than the float sum's rounding error means ``tail`` is finer than
+    the sum resolves: that raises :class:`ValidationError`.
+
+    In every family the log-space pmf bounds that resolution at large
+    counts, where ``k * log(mu)`` and ``log(k!)`` carry ~k log k ulps: at
+    ``mu = 6000``, ``tail = 1e-12`` Poisson stalls near 1 - 6.2e-12 and PIG
+    with ``sigma = 1/6000`` near 1 - 1.2e-11.  This limit is not chased.
+    Heavy PIG tails resolve: ``("pig", 740, 10, 1e-12)`` gives K = 386,592.
+    """
+    family = Family.coerce(family)
+    if not tail > 0.0:
+        raise ValidationError("tail must be > 0")
+    if mu == 0.0:
+        return 0
+    _, var = moments(family, mu, sigma)
+    guess = int(mu + 10.0 * math.sqrt(var) + 20.0)
+    previous = -math.inf
+    while True:
+        total = float(pmf_range(family, guess, mu, sigma).sum())
+        if total >= 1.0 - tail:
+            return guess
+        if total - previous <= guess * np.finfo(np.float64).eps:
+            raise ValidationError(
+                f"mass stalls at {total!r} with K = {guess}, short of 1 - {tail}; "
+                "the tail is finer than the float sum resolves"
+            )
+        previous = total
+        guess *= 2
+
+
 # -- tau1 and tau4 from one full pmf vector per alpha --------------------------------
 
 
@@ -168,6 +232,11 @@ def tau4_reduced(dist, family: str, sigma: float, alpha: float, k: int) -> float
     if den <= 0.0:
         raise UndefinedResultError(f"tau4({k}) undefined: no synthetic cells of size {k} are expected")
     return math.exp(log_num - ref) * w_num / den
+
+
+def sample_iid(family: str, mu: float, sigma: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` independent draws at one mean, each from its own row of ``rng``'s uniforms."""
+    return draw_counts(family, np.full(n, mu), sigma, rng.random((n, SLOTS_PER_DRAW)))
 
 
 def chisq_pvalue_from_draws(draws: np.ndarray, pmf_vals: np.ndarray, min_expected: float = 5.0):
@@ -429,7 +498,6 @@ def within_p_percent_setwise(
     synthetic: SparseContingencyTable,
     p_list,
     nonzero_only: bool = False,
-    zero_to_nonzero_outside_all: bool = True,
 ) -> dict[float, float]:
     """``evaluation.within_p_percent`` with its own alignment and ``np.isin``."""
     o_idx, o_cnt = original.index, original.count
@@ -450,12 +518,111 @@ def within_p_percent_setwise(
             denom, inside = original.num_nonzero, inside_nonzero
         else:
             denom, inside = k_eff, inside_nonzero + n_zero_stay_zero
-            if not zero_to_nonzero_outside_all and p > 50.0:
-                inside += n_zero_to_nonzero
         if denom == 0:
             raise UndefinedResultError("no cells qualify for the within-p computation")
         out[float(p)] = inside / denom
     return out
+
+
+# -- iterative proportional fitting ------------------------------------------------
+
+Term = tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class MarginSpec:
+    """The margins a fit must preserve, as variable-name subsets."""
+
+    terms: tuple[Term, ...]
+
+    def __init__(self, terms: Sequence[Sequence[str]]):
+        norm: list[Term] = []
+        seen = set()
+        for t in terms:
+            tt = tuple(t)
+            if not tt:
+                raise ValidationError("margin terms must be nonempty")
+            if len(set(tt)) != len(tt):
+                raise ValidationError(f"margin term {tt} repeats a variable")
+            key = frozenset(tt)
+            if key not in seen:
+                seen.add(key)
+                norm.append(tt)
+        if not norm:
+            raise ValidationError("need at least one margin term")
+        object.__setattr__(self, "terms", tuple(norm))
+
+    def validate_against(self, schema: CategoricalSchema) -> None:
+        names = set(schema.names)
+        for t in self.terms:
+            missing = set(t) - names
+            if missing:
+                raise ValidationError(f"margin term {t} references unknown variables {sorted(missing)}")
+
+    def model_terms(self) -> list[Term]:
+        """Hierarchical closure: every nonempty subset of every margin."""
+        out: dict[frozenset, Term] = {}
+        for t in self.terms:
+            for r in range(1, len(t) + 1):
+                for sub in itertools.combinations(t, r):
+                    out.setdefault(frozenset(sub), sub)
+        return sorted(out.values(), key=lambda s: (len(s), s))
+
+
+def ipf_fit(
+    table: SparseContingencyTable,
+    spec: MarginSpec,
+    tol: float = 1e-8,
+    max_iter: int = 1000,
+) -> np.ndarray:
+    """Fitted counts matching every margin in ``spec`` within ``tol``.
+
+    ``tol`` is relative: each fitted margin cell must lie within
+    ``tol * max(1, observed)`` of the observed one, so a table and its
+    multiple by any factor converge at the same ``tol``.  Returns a dense
+    array shaped like the schema.  Structural zeros are
+    pinned at zero by a zero start value.  A specification naming all
+    variables at once reproduces the observed counts exactly.
+    """
+    if tol <= 0:
+        raise ValidationError("tol must be positive")
+    spec.validate_against(table.schema)
+    if table.num_cells > MAX_DENSE_CELLS:
+        raise ValidationError(
+            f"table has {table.num_cells} cells; dense fitting capped at {MAX_DENSE_CELLS}"
+        )
+    if table.n == 0:
+        raise ValidationError("cannot fit an empty table")
+    observed = table.to_dense().astype(np.float64)
+    shape = table.schema.shape
+    fitted = np.ones(shape, dtype=np.float64)
+    if table.structural.size:
+        flat = fitted.reshape(-1)
+        flat[table.structural.astype(np.int64)] = 0.0
+
+    positions = {n: i for i, n in enumerate(table.schema.names)}
+    axes_per_term = [
+        tuple(sorted(set(range(len(shape))) - {positions[v] for v in t}))
+        for t in spec.terms
+    ]
+    obs_margins = [observed.sum(axis=ax, keepdims=True) for ax in axes_per_term]
+
+    worst = math.inf
+    for _ in range(max_iter):
+        for ax, target in zip(axes_per_term, obs_margins):
+            current = fitted.sum(axis=ax, keepdims=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(current > 0.0, target / np.where(current > 0, current, 1.0), 1.0)
+            fitted *= ratio
+        worst = max(
+            float((np.abs(fitted.sum(axis=ax, keepdims=True) - target) / np.maximum(1.0, target)).max())
+            for ax, target in zip(axes_per_term, obs_margins)
+        )
+        if worst <= tol:
+            return fitted
+    raise ConvergenceError(
+        f"margins not matched after {max_iter} sweeps; worst relative discrepancy {worst:.3g}"
+    )
 
 
 # -- log-linear fit on the dense design --------------------------------------------
@@ -521,8 +688,6 @@ def fit_loglinear_dense(
         coefficients=dict(zip(labels, beta.tolist())),
         standard_errors=dict(zip(labels, se.tolist())),
         fitted=mu.reshape(table.schema.shape),
-        converged=converged,
         cap_hit=frozenset(l for l, f in zip(labels, frozen) if f),
         loglik=poisson_loglik(y, mu),
-        terms=tuple(tuple(t) for t in terms),
     )

@@ -14,15 +14,13 @@ from scipy import special, stats
 from satsynth.bessel import log_bessel_k_half
 from satsynth.evaluation import Interval, ci_overlap, frontier_point, raab_variance
 from satsynth.generator import esc_like_spec, generate_table, scaled_spec
-from satsynth.loglin import MarginSpec, build_design, fit_loglinear, ipf_fit, poisson_loglik
-from satsynth.models import CountModelSpec, pmf_range, truncation_for_mass
-from satsynth.sampling import sample
+from satsynth.loglin import build_design, fit_loglinear, poisson_loglik
+from satsynth.models import CountModelSpec, pmf_range
 from satsynth.schema import CategoricalSchema
 from satsynth.synthesis import SynthesisJob, synthesize
-from satsynth.table import CellSizeDistribution, SparseContingencyTable, cell_size_distribution
+from satsynth.table import CellSizeDistribution, SparseContingencyTable
 from satsynth.taumetrics import (
     tau1_expected,
-    tau3_expected,
     tau4_expected,
     tau_analytic,
     tau_empirical,
@@ -30,7 +28,15 @@ from satsynth.taumetrics import (
 )
 from satsynth.tuning import alpha_star_match_zeros, solve_alpha_for_tau4_target
 
-from oracles import chisq_pvalue_from_draws, log_bessel_k_quadrature, tau4_reduced
+from oracles import (
+    MarginSpec,
+    chisq_pvalue_from_draws,
+    ipf_fit,
+    log_bessel_k_quadrature,
+    sample_iid,
+    tau4_reduced,
+    truncation_for_mass,
+)
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +182,7 @@ def test_criterion_05_pmf_sampler_and_bessel_oracles():
     ]
     for family, mu, sigma in grid:
         rng = np.random.default_rng(hash_stable("chi", family, mu, sigma))
-        draws = sample(family, mu, sigma, rng, size=1_000_000)
+        draws = sample_iid(family, mu, sigma, rng, 1_000_000)
         kstar = truncation_for_mass(family, mu, sigma, tail=1e-12)
         _, _, pval = chisq_pvalue_from_draws(draws, pmf_range(family, kstar, mu, sigma))
         assert pval > 0.001, (family, mu, sigma, pval)
@@ -188,7 +194,7 @@ def test_criterion_06_sample_moments_match_mean_variance():
     """1e6 NBI and PIG draws match mean mu and variance mu + sigma*mu^2 in 4 SEs."""
     for family, mu, sigma in (("nbi", 5.0, 0.5), ("pig", 5.0, 0.5)):
         rng = np.random.default_rng(hash_stable("mom6", family))
-        draws = sample(family, mu, sigma, rng, size=1_000_000).astype(float)
+        draws = sample_iid(family, mu, sigma, rng, 1_000_000).astype(float)
         var = mu + sigma * mu**2
         kstar = truncation_for_mass(family, mu, sigma, tail=1e-12)
         probs = pmf_range(family, kstar, mu, sigma)

@@ -59,14 +59,13 @@ def test_empirical_tau_and_within_p_equal_the_set_oracles(tables, k_offset):
 
     for syn in reps:
         for nonzero_only in (False, True):
-            for outside in (True, False):
-                args = (original, syn, P_LIST, nonzero_only, outside)
-                try:
-                    expected = within_p_percent_setwise(*args)
-                except UndefinedResultError:
-                    with pytest.raises(UndefinedResultError):
-                        within_p_percent(*args)
-                    continue
-                got = within_p_percent(*args)
-                assert got == expected
-                assert all(type(v) is float for v in got.values())
+            args = (original, syn, P_LIST, nonzero_only)
+            try:
+                expected = within_p_percent_setwise(*args)
+            except UndefinedResultError:
+                with pytest.raises(UndefinedResultError):
+                    within_p_percent(*args)
+                continue
+            got = within_p_percent(*args)
+            assert got == expected
+            assert all(type(v) is float for v in got.values())

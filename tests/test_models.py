@@ -10,14 +10,12 @@ from satsynth.models import (
     CountModelSpec,
     Family,
     logpmf,
-    moments,
     pig_c,
     pmf,
     pmf_range,
-    truncation_for_mass,
 )
 
-from oracles import nbi_pmf_direct, pig_pmf_quadrature
+from oracles import moments, nbi_pmf_direct, pig_pmf_quadrature, truncation_for_mass
 
 
 def test_poisson_pmf_one_given_one():

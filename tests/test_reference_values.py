@@ -16,7 +16,6 @@ from satsynth.evaluation import within_p_percent, frontier_point
 from satsynth.generator import ESC_LIKE_N, esc_like_spec, generate_table, scaled_spec
 from satsynth.models import CountModelSpec
 from satsynth.synthesis import SynthesisJob, expected_grand_total, synthesize
-from satsynth.table import cell_size_distribution
 from satsynth.taumetrics import tau1_expected, tau4_expected, tau_empirical, tau2_of_table
 from satsynth.tuning import solve_alpha_for_tau4_target
 
@@ -32,7 +31,7 @@ def million_table():
 
 
 def test_full_scale_histogram_matches_published_proportions(full_table):
-    dist = cell_size_distribution(full_table)
+    dist = tau2_of_table(full_table)
     published = {0: 0.9038, 1: 0.0346, 2: 0.0148, 3: 0.0075, 4: 0.0056,
                  5: 0.0038, 6: 0.0030, 7: 0.0023, 8: 0.0020, 9: 0.0017, 10: 0.0015}
     for k, p in published.items():

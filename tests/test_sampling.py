@@ -10,7 +10,7 @@ from scipy import special, stats
 
 from satsynth import sampling
 from satsynth.errors import ValidationError
-from satsynth.models import Family, moments, pmf_range, truncation_for_mass
+from satsynth.models import Family, pmf_range
 from satsynth.sampling import (
     _EXP_SLACK,
     _SCREEN_STEPS,
@@ -21,7 +21,6 @@ from satsynth.sampling import (
     draw_counts,
     may_draw_nonzero,
     poisson_inverse,
-    sample,
     uniform_block,
     uniform_rows,
 )
@@ -30,7 +29,10 @@ from oracles import (
     chisq_pvalue_from_draws,
     draw_counts_unscreened,
     mixing_unscreened,
+    moments,
     poisson_inverse_unscreened,
+    sample_iid,
+    truncation_for_mass,
 )
 
 TOP = 1.0 - 2.0**-53  # the largest uniform a counter block yields
@@ -104,20 +106,20 @@ def test_poisson_inverse_zero_uniform_is_zero_at_large_means():
 def test_zero_mean_always_zero():
     rng = np.random.default_rng(0)
     for fam in ("poisson", "nbi", "pig"):
-        out = sample(fam, 0.0, 1.0, rng, size=1000)
+        out = sample_iid(fam, 0.0, 1.0, rng, 1000)
         assert not out.any()
 
 
 def test_nbi_sample_mean_clt_bound():
     rng = np.random.default_rng(202)
-    out = sample("nbi", 5.0, 0.5, rng, size=DRAWS)
+    out = sample_iid("nbi", 5.0, 0.5, rng, DRAWS)
     se = math.sqrt(17.5 / DRAWS)
     assert abs(out.mean() - 5.0) < 3 * se
 
 
 def test_pig_zero_frequency_matches_pmf():
     rng = np.random.default_rng(303)
-    out = sample("pig", 1.0, 1.0, rng, size=DRAWS)
+    out = sample_iid("pig", 1.0, 1.0, rng, DRAWS)
     p0 = math.exp(1.0 - math.sqrt(3.0))
     se = math.sqrt(p0 * (1 - p0) / DRAWS)
     assert abs((out == 0).mean() - p0) < 3 * se
@@ -130,7 +132,7 @@ def _stable_seed(*parts) -> int:
 @pytest.mark.parametrize("family,mu,sigma", GRID)
 def test_sampler_chi_square_against_pmf(family, mu, sigma):
     rng = np.random.default_rng(_stable_seed(family, mu, sigma))
-    draws = sample(family, mu, sigma, rng, size=DRAWS)
+    draws = sample_iid(family, mu, sigma, rng, DRAWS)
     kstar = truncation_for_mass(family, mu, sigma, tail=1e-12)
     probs = pmf_range(family, kstar, mu, sigma)
     _, _, pval = chisq_pvalue_from_draws(draws, probs)
@@ -140,7 +142,7 @@ def test_sampler_chi_square_against_pmf(family, mu, sigma):
 @pytest.mark.parametrize("family,mu,sigma", GRID)
 def test_sample_moments_match(family, mu, sigma):
     rng = np.random.default_rng(_stable_seed("mom", family, mu, sigma))
-    draws = sample(family, mu, sigma, rng, size=DRAWS).astype(np.float64)
+    draws = sample_iid(family, mu, sigma, rng, DRAWS).astype(np.float64)
     mean, var = moments(family, mu, sigma)
     # exact fourth central moment from the pmf gives the variance-of-variance
     kstar = truncation_for_mass(family, mu, sigma, tail=1e-12)
@@ -199,12 +201,6 @@ def test_uniform_block_refuses_seeds_outside_64_bits(seed):
     with pytest.raises(ValidationError, match="stream must be in"):
         uniform_block(0, seed, 0, 4)
     assert uniform_block(2**64 - 1, 2**64 - 1, 0, 4).shape == (4, SLOTS_PER_DRAW)
-
-
-def test_scalar_sample_is_int():
-    rng = np.random.default_rng(1)
-    val = sample("poisson", 2.0, 0.0, rng)
-    assert isinstance(val, int)
 
 
 def _is_quantile(k: int, u: float, lam: float) -> bool:

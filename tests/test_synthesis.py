@@ -161,6 +161,23 @@ def test_job_validation():
         synthesize(table, job, threads=0)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, "2"])
+def test_fractional_replicate_count_is_refused(m):
+    # 1.5 passed m >= 1 and reached range() as a raw TypeError
+    with pytest.raises(ValidationError, match="m must be an integer"):
+        SynthesisJob(CountModelSpec("poisson"), master_seed=0, m=m)
+    assert SynthesisJob(CountModelSpec("poisson"), master_seed=0, m=np.int64(2)).m == 2
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("kwargs", [{"threads": 1.5}, {"threads": 2.0}, {"chunk_cells": 7.5}])
+def test_fractional_threads_or_chunk_size_is_refused(alpha, kwargs):
+    # threads=1.5 reached range() or the thread pool as a raw TypeError
+    job = SynthesisJob(CountModelSpec("poisson", alpha=alpha), master_seed=0)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        synthesize(small_table(), job, **kwargs)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_master_seed_outside_64_bits_is_refused(seed):
     # 2**64 used to give the replicate of seed 0, and -1 that of 2**64 - 1

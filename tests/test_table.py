@@ -10,12 +10,11 @@ from satsynth.table import (
     SparseContingencyTable,
     aggregate_microdata,
     aggregate_microdata_csv,
-    cell_size_distribution,
     mark_structural_zeros,
     read_table,
-    table_to_string,
     write_table,
 )
+from satsynth.taumetrics import tau2_of_table
 
 
 @pytest.fixture
@@ -83,7 +82,7 @@ def test_aggregate_hand_tally(ab_schema):
     records = [("a", "x"), ("a", "x"), ("b", "x"), ("b", "y")]
     table = aggregate_microdata(records, ab_schema)
     assert table.n == 4
-    assert table.counts_dict() == {(0, 0): 2, (1, 0): 1, (1, 1): 1}
+    assert table.same_contents(SparseContingencyTable.from_dict(ab_schema, {(0, 0): 2, (1, 0): 1, (1, 1): 1}))
 
 
 def test_aggregate_empty_stream(ab_schema):
@@ -115,7 +114,7 @@ def test_cell_size_distribution_enumeration():
     table = SparseContingencyTable.from_dict(
         schema, {(0,): 1, (1,): 1, (2,): 1, (3,): 2, (4,): 2}
     )
-    dist = cell_size_distribution(table)
+    dist = tau2_of_table(table)
     assert dist.proportion(0) == pytest.approx(0.5)
     assert dist.proportion(1) == pytest.approx(0.3)
     assert dist.proportion(2) == pytest.approx(0.2)
@@ -125,7 +124,7 @@ def test_cell_size_distribution_enumeration():
 def test_cell_size_distribution_all_ones():
     schema = CategoricalSchema([("V", ["c0", "c1", "c2"])])
     table = SparseContingencyTable.from_dict(schema, {(0,): 1, (1,): 1, (2,): 1})
-    dist = cell_size_distribution(table)
+    dist = tau2_of_table(table)
     assert dist.proportion(1) == 1.0
     assert dist.proportion(0) == 0.0
 
@@ -135,9 +134,8 @@ def test_distribution_mass_identity_with_counts():
     rng = np.random.default_rng(7)
     counts = {(int(i),): int(c) for i, c in enumerate(rng.integers(0, 5, 50)) if c > 0}
     table = SparseContingencyTable.from_dict(schema, counts)
-    dist = cell_size_distribution(table)
-    total = sum(int(k) * int(c) for k, c in zip(dist.sizes, dist.cells))
-    assert total == table.n
+    dist = tau2_of_table(table)
+    assert dist.sizes @ dist.proportions * schema.num_cells == pytest.approx(table.n, rel=1e-12)
 
 
 def test_structural_zeros_excluded_from_random_zero_bucket():
@@ -145,10 +143,8 @@ def test_structural_zeros_excluded_from_random_zero_bucket():
     table = SparseContingencyTable.from_dict(
         schema, {(0,): 3}, structural=[(8,), (9,)]
     )
-    dist = cell_size_distribution(table, zero_basis="random")
+    dist = tau2_of_table(table)
     assert dist.proportion(0) == pytest.approx(7 / 8)
-    all_dist = cell_size_distribution(table, zero_basis="all")
-    assert all_dist.proportion(0) == pytest.approx(9 / 10)
 
 
 def test_mark_structural_zeros_moves_cells(ab_schema):
@@ -243,12 +239,12 @@ def test_write_read_roundtrip(tmp_path, ab_schema):
 def test_roundtrip_identity_property(tmp_path_factory, counts):
     schema = CategoricalSchema([("A", ["a", "b", "c"]), ("B", ["w", "x", "y", "z"])])
     table = SparseContingencyTable.from_dict(schema, counts)
-    text = table_to_string(table)
     path = tmp_path_factory.mktemp("io") / "t.csv"
-    path.write_text(text, encoding="utf-8")
+    write_table(table, str(path))
     back = read_table(str(path))
     assert back.same_contents(table)
-    assert table_to_string(back) == text
+    write_table(back, str(path.with_name("t2.csv")))
+    assert path.with_name("t2.csv").read_bytes() == path.read_bytes()
 
 
 def test_read_rejects_duplicate_cell(tmp_path, ab_schema):
@@ -286,7 +282,7 @@ def test_microdata_csv_roundtrip(tmp_path, ab_schema):
     micro = tmp_path / "m.csv"
     micro.write_text("A,B\na,x\na,x\nb,y\n")
     table = aggregate_microdata_csv(str(micro), ab_schema)
-    assert table.counts_dict() == {(0, 0): 2, (1, 1): 1}
+    assert table.same_contents(SparseContingencyTable.from_dict(ab_schema, {(0, 0): 2, (1, 1): 1}))
 
 
 def test_projection_sums_counts():
@@ -295,7 +291,7 @@ def test_projection_sums_counts():
         schema, {(0, 0, 0): 1, (0, 0, 1): 2, (1, 1, 0): 4}
     )
     proj = table.project(["A", "B"])
-    assert proj.counts_dict() == {(0, 0): 3, (1, 1): 4}
+    assert proj.same_contents(SparseContingencyTable.from_dict(proj.schema, {(0, 0): 3, (1, 1): 4}))
     assert proj.n == table.n
 
 
@@ -304,3 +300,25 @@ def test_distribution_from_proportions_validates():
     assert d.proportion(0) == 0.5
     with pytest.raises(ValidationError):
         CellSizeDistribution.from_proportions({0: 0.5, 1: 0.6})
+
+
+@pytest.mark.parametrize("p0", [float("nan"), float("inf"), -0.5])
+def test_distribution_refuses_non_finite_or_negative_proportions(p0):
+    # NaN passed the sum check (every tau came out NaN) and was cast to int64 with a RuntimeWarning
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        CellSizeDistribution.from_proportions({0: p0, 1: 1.0})
+
+
+def test_distribution_refuses_negative_cell_numbers():
+    # gave a proportion of -0.2 and an NBI tau4(1) of 3.26
+    with pytest.raises(ValidationError, match="nonnegative"):
+        CellSizeDistribution.from_counts({0: 5, 1: 1, 2: -1})
+    with pytest.raises(ValidationError, match="nonnegative"):
+        CellSizeDistribution.from_counts({-1: 1, 0: 1})
+
+
+def test_distribution_of_an_all_structural_table_is_refused(ab_schema):
+    # divided 0 by 0 and gave a NaN proportion, then NaN taus
+    table = SparseContingencyTable(ab_schema, [], [], [0, 1, 2, 3])
+    with pytest.raises(ValidationError, match="every cell is a structural zero"):
+        tau2_of_table(table)

@@ -17,7 +17,7 @@ from satsynth.errors import FormatError, ValidationError
 from satsynth.generator import esc_like_spec, generate_table, scaled_spec
 from satsynth.schema import CategoricalSchema
 from satsynth.table import (
-    SparseContingencyTable, aggregate_microdata_csv, read_table, table_to_string, write_table,
+    SparseContingencyTable, aggregate_microdata_csv, read_table, write_table,
 )
 
 # characters that need quoting or trip tokenisers, plus any non-NUL code point
@@ -50,7 +50,9 @@ def _oracle_text(table) -> str:
 @settings(max_examples=150, deadline=None)
 @given(_tables())
 def test_write_matches_rowwise_writer(table):
-    assert table_to_string(table) == _oracle_text(table)
+    buf = io.StringIO()
+    table_module._write_table_stream(table, buf)
+    assert buf.getvalue() == _oracle_text(table)
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,6 +208,29 @@ def test_malformed_row_in_a_later_block_raises_the_rowwise_error(tmp_path, old, 
     assert got.value.line == expected.value.line
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_rowwise_reader_gets_only_the_body_from_the_failing_block(tmp_path, block):
+    # one padded count in the last row sent the whole body to the row-wise reader
+    text = _BASE.replace("structural\n", "structural\n" + "a001,y,0,0\n" * 10, 1)
+    text = text.replace("a002,y,0,1\n", "a002,x, 0 ,0\na002,y,0,1\n")
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    tails, check_rows = [], table_module._check_rows
+
+    def spy(fh, schema, lineno):
+        tails.append(fh.read())
+        return check_rows(io.StringIO(tails[-1], newline=""), schema, lineno)
+
+    with mock.patch.object(table_module, "_READ_BLOCK_BYTES", block), \
+            mock.patch.object(table_module, "_check_rows", spy):
+        back = read_table(str(path))
+    assert back.same_contents(read_table_rowwise(str(path)))
+    [tail] = tails
+    assert text.endswith(tail) and "a002,x, 0 ,0\n" in tail and len(tail) < 2 * block + 24
+    if block == 1:  # one row a block
+        assert tail == "a002,x, 0 ,0\na002,y,0,1\n"
+
+
 _ACCEPTED = {
     "crlf line ends": ("\n", "\r\n"),
     "cr line ends": (",0\n", ",0\r"),
@@ -256,7 +281,7 @@ def test_canonical_bodies_decode_without_the_rowwise_reader(tmp_path, old, new):
 def test_written_tables_decode_without_the_rowwise_reader(tmp_path_factory, table):
     """Every label write_table spells, quoted or bare, is read in the vectorised pass."""
     path = tmp_path_factory.mktemp("io") / "t.csv"
-    path.write_text(table_to_string(table), encoding="utf-8", newline="")
+    write_table(table, str(path))
     with mock.patch.object(table_module, "_check_rows", _refuse):
         assert read_table(str(path)).same_contents(table)
 
@@ -320,14 +345,14 @@ def test_field_over_csv_size_limit_is_a_format_error(tmp_path):
 def test_nul_in_labels_rejected(tmp_path):
     schema = CategoricalSchema([("A", ["a", "a\x00"])])
     path = tmp_path / "t.csv"
-    path.write_text(table_to_string(SparseContingencyTable(schema, [0], [1])), encoding="utf-8")
+    write_table(SparseContingencyTable(schema, [0], [1]), str(path))
     with pytest.raises(FormatError, match="NUL"):
         read_table(str(path))
 
 
 def test_empty_body_reads_as_empty_table(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text(table_to_string(SparseContingencyTable(_SCHEMA, [], [])), encoding="utf-8")
+    write_table(SparseContingencyTable(_SCHEMA, [], []), str(path))
     back = read_table(str(path))
     assert back.num_nonzero == 0 and back.n == 0
     assert np.array_equal(back.structural, np.empty(0, dtype=np.uint64))

@@ -12,8 +12,6 @@ from satsynth.table import CellSizeDistribution, SparseContingencyTable
 from satsynth.taumetrics import (
     TauReport,
     tau1_expected,
-    tau1_expected_range,
-    tau3_expected,
     tau4_expected,
     tau_analytic,
     tau_empirical,
@@ -43,11 +41,12 @@ def test_tau1_zero_dominates_tau2_zero_when_alpha_zero():
 
 
 def test_tau3_constants():
-    assert tau3_expected("poisson", 0.0, 0.0, 1) == pytest.approx(math.exp(-1), abs=5e-5)
+    tau3 = lambda fam, sigma, k: tau_analytic(ALL_ONES, fam, sigma, 0.0, k_report=1).tau3[k]
+    assert tau3("poisson", 0.0, 1) == pytest.approx(math.exp(-1), abs=5e-5)
     # sigma=1, k=1: (sigma k)^k / (1 + sigma k)^(k + 1/sigma) with unit gamma factor
-    assert tau3_expected("nbi", 1.0, 0.0, 1) == pytest.approx(0.25, rel=1e-14)
+    assert tau3("nbi", 1.0, 1) == pytest.approx(0.25, rel=1e-14)
     for fam in ("poisson", "nbi", "pig"):
-        assert tau3_expected(fam, 1.0, 0.0, 0) == 1.0
+        assert tau3(fam, 1.0, 0) == 1.0
 
 
 def test_tau4_all_ones_is_one():
@@ -85,7 +84,7 @@ def test_tau1_sums_to_one_over_sizes():
     dist = table2_reference_dist()
     for fam, sigma in (("poisson", 0.0), ("nbi", 1.0), ("pig", 1.0)):
         for alpha in (0.0, 0.02):
-            vals = tau1_expected_range(dist, fam, sigma, alpha, 600)
+            vals = tau_analytic(dist, fam, sigma, alpha, k_report=600).tau1
             assert vals.sum() >= 1 - 1e-9, (fam, sigma, alpha, vals.sum())
             # the range route must agree with the scalar route
             for k in (0, 1, 3):
