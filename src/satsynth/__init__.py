@@ -38,13 +38,7 @@ from .taumetrics import (
     tau_empirical,
     tau2_of_table,
 )
-from .tuning import (
-    TargetKind,
-    TuningResult,
-    TuningTarget,
-    alpha_star_match_zeros,
-    solve_alpha_for_tau4_target,
-)
+from .tuning import TuningResult, alpha_star_match_zeros, solve_alpha_for_tau4_target
 from .evaluation import (
     FrontierPoint,
     Interval,

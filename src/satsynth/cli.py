@@ -32,8 +32,8 @@ from .models import CountModelSpec, Family
 from .schema import CategoricalSchema
 from .synthesis import DEFAULT_CHUNK_CELLS, Provenance, SynthesisJob, SyntheticTable, synthesize
 from .table import aggregate_microdata_csv, read_table, utf8_errors, write_table
-from .taumetrics import tau2_of_table, tau_analytic, tau_empirical
-from .tuning import TargetKind, TuningTarget, solve
+from .taumetrics import tau1_expected, tau2_of_table, tau_analytic, tau_empirical
+from .tuning import TuningResult, alpha_star_match_zeros, solve_alpha_for_tau4_target
 
 
 def _read_text(path) -> str:
@@ -141,11 +141,14 @@ def cmd_generate_escsub(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    table = read_table(args.table)
-    dist = tau2_of_table(table)
-    kind = TargetKind.MATCH_ZEROS if args.target == "match-zeros" else TargetKind.TAU4_EQUALS
-    target = TuningTarget(kind, sigma_star=args.sigma, p=args.p)
-    result = solve(dist, args.family, target)
+    dist = tau2_of_table(read_table(args.table))
+    family = Family.coerce(args.family)
+    if args.target == "tau4":
+        result = solve_alpha_for_tau4_target(dist, family, args.sigma, args.p)
+    else:
+        alpha = alpha_star_match_zeros(dist, family, args.sigma)
+        residual = tau1_expected(dist, family, args.sigma, alpha, 0) - dist.proportion(0)
+        result = TuningResult(family.value, args.sigma, "match-zeros", alpha, residual, 0)
     print(result.to_json())
     return 0
 
@@ -198,6 +201,8 @@ def cmd_evaluate(args) -> int:
         p_list = [float(p) for p in args.p_list.split(",") if p]
     except ValueError:
         raise ValidationError(f"--p-list must be comma-separated numbers, got {args.p_list!r}") from None
+    if not p_list:
+        raise ValidationError(f"--p-list must hold at least one number, got {args.p_list!r}")
     synthetics = [_load_synthetic(p) for p in args.synthetic]
     rows = []
     for block, nonzero_only in (("all", False), ("nonzero", True)):
@@ -220,7 +225,7 @@ def cmd_frontier(args) -> int:
     table = read_table(args.table)
     variables = args.variables.split(",") if args.variables else list(table.schema.names)
     proj = table.project(variables)
-    terms = all_two_way_terms(proj.schema) if len(variables) > 1 else [(variables[0],)]
+    terms = all_two_way_terms(proj.schema)
     base_fit = fit_loglinear(proj, terms, cap=args.cap)
     base_iv = base_fit.intervals(args.level)
 

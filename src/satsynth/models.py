@@ -9,9 +9,11 @@ families, a dispersion ``sigma``:
 * PIG — Poisson-inverse Gaussian, an inverse-Gaussian mixture of
   Poissons, with the same mean/variance but heavier tails.
 
-``sigma = 0`` is the Poisson limit and is dispatched there.  All mass
-functions are evaluated in log space; the PIG pmf mixes factorially
-large and exponentially small factors and would overflow otherwise.
+``sigma = 0``, and a sigma so small that ``1 / sigma`` overflows, is the
+Poisson limit: :func:`effective_family` decides it, for the pmf and the
+samplers alike.  All mass functions are evaluated in log space; the PIG
+pmf mixes factorially large and exponentially small factors and would
+overflow otherwise.
 """
 
 from __future__ import annotations
@@ -64,10 +66,20 @@ class CountModelSpec:
 
     @property
     def effective_family(self) -> Family:
-        """Family actually used for evaluation; sigma=0 collapses to Poisson."""
-        if self.family is not Family.POISSON and self.sigma == 0.0:
-            return Family.POISSON
-        return self.family
+        """Family actually used for evaluation; see :func:`effective_family`."""
+        return effective_family(self.family, self.sigma)
+
+
+def effective_family(family: Family | str, sigma: float) -> Family:
+    """The family whose law (family, sigma) follows: Poisson for the Poisson
+    family, at sigma = 0, and wherever ``1 / sigma`` overflows float64
+    (sigma below about 5.6e-309), where NBI and PIG agree with Poisson to
+    float precision; otherwise ``family`` itself.
+    """
+    family = Family.coerce(family)
+    if family is Family.POISSON or sigma == 0.0 or 1.0 / float(sigma) == math.inf:
+        return Family.POISSON
+    return family
 
 
 def pig_c(mu, sigma):
@@ -149,12 +161,11 @@ def logpmf(family: Family | str, k, mu, sigma: float = 0.0):
     degenerate at zero for every family.
     """
     from scipy import special  # here, not at import: it adds ~0.25 s to start-up, and table work never needs it
-    family = Family.coerce(family)
+    family = effective_family(family, sigma)
     k, mu = _validate_pmf_args(k, mu, sigma)
     # mu = 0 is set below, and _log1p_product takes over where sigma * mu overflows
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # an NBI sigma whose 1/sigma overflows is the Poisson limit too
-        if family is Family.POISSON or sigma == 0.0 or (family is Family.NBI and 1.0 / float(sigma) == math.inf):
+        if family is Family.POISSON:
             out = k * np.log(mu) - mu - special.gammaln(k + 1.0)
         elif family is Family.NBI:
             log1p_sm = _log1p_product(sigma, mu)

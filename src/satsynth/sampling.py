@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ValidationError
-from .models import Family
+from .models import Family, effective_family
 
 SLOTS_PER_DRAW = 4  # one Philox counter block of 4 raw 64-bit words
 
@@ -271,8 +271,9 @@ def _inverse_gaussian_from_uniforms(mu, sigma, u_norm, u_pick):
     """
     from scipy import special  # see draw_counts
     z = special.ndtri(u_norm)
-    h = sigma * z * z
-    small_root = 2.0 * mu / (2.0 + h + np.sqrt(h * (h + 4.0)))
+    with np.errstate(over="ignore"):  # where h or h * (h + 4) overflows, the small root is its limit 0
+        h = sigma * z * z
+        small_root = 2.0 * mu / (2.0 + h + np.sqrt(h * (h + 4.0)))
     with np.errstate(divide="ignore"):
         large_root = np.where(small_root > 0.0, mu * mu / small_root, np.inf)
     take_small = u_pick <= mu / (mu + small_root)
@@ -292,8 +293,9 @@ def _cap_table(family: Family, sigma: float) -> np.ndarray:
         return special.gammaincinv(1.0 / sigma, edges) * sigma * (1.0 + _SCREEN_MARGIN)
     z = np.abs(special.ndtri(edges))
     z = np.maximum(z, np.concatenate(([np.inf], z[:-1])))
-    h = sigma * z * z
-    table = (2.0 + h + np.sqrt(h * (h + 4.0))) / 2.0 * (1.0 + _SCREEN_MARGIN)
+    with np.errstate(over="ignore"):  # an overflowing bound is inf: every draw of its bucket passes
+        h = sigma * z * z
+        table = (2.0 + h + np.sqrt(h * (h + 4.0))) / 2.0 * (1.0 + _SCREEN_MARGIN)
     return np.concatenate((table, np.ones(edges.size)))
 
 
@@ -328,17 +330,17 @@ def may_draw_nonzero(family: Family, sigma: float, mu, u: np.ndarray) -> np.ndar
       |ndtri| at the bucket's two edges.  The small root x is taken
       whenever u1 = ``u[:, 1]`` <= 1/2, since x <= mu makes its
       probability mu / (mu + x) >= 1/2, also after rounding; then b = 1.
-    * Poisson (and sigma = 0): lambda = mu, so b = 1 in every bucket.
+    * Poisson (and the Poisson limit, see :func:`~satsynth.models.effective_family`):
+      lambda = mu, so b = 1 in every bucket.
 
     The relative margin covers the special functions' rounding: scipy's
     gammaincinv exceeded its value at the upper bucket edge by at most
     7e-12 relative over 1/sigma in [1e-9, 1e9], and ndtri and the root
     arithmetic are good to a few ulp, against a margin of 1e-6.
     """
-    if np.ndim(mu) == 0 and mu == 0.0:  # every draw is 0: skip the bucket pass
-        return np.zeros(len(u), dtype=bool)
+    family = effective_family(family, sigma)
     with np.errstate(invalid="ignore"):  # inf * 0 at mu = 0: NaN, and mu > 0 drops it
-        if family is Family.POISSON or sigma == 0.0:
+        if family is Family.POISSON:
             slot, threshold = 0, np.exp(-mu) * _EXP_SLACK  # b = 1
         else:
             slot, table = (1 if family is Family.NBI else 2), _cap_table(family, sigma)
@@ -354,7 +356,9 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
 
     Parameters
     ----------
-    family, sigma : model family and dispersion (sigma=0 is Poisson).
+    family, sigma : model family and dispersion; where
+        :func:`~satsynth.models.effective_family` gives Poisson, the draw is
+        Poisson's, its count uniform in slot 0.
     mu : array of finite draw means (0 means a degenerate zero draw).
     u : ``(len(mu), SLOTS_PER_DRAW)`` uniforms in [0, 1), e.g. from
         :func:`uniform_block`.
@@ -364,7 +368,7 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     are 0.
     """
     from scipy import special  # here, not at import: it adds ~0.25 s to start-up (see models.logpmf)
-    family = Family.coerce(family)
+    family = effective_family(family, sigma)
     mu = np.asarray(mu, dtype=np.float64)
     if not np.all((mu >= 0.0) & (mu < np.inf)):  # False for NaN
         raise ValidationError("mu must be finite and >= 0")
@@ -382,10 +386,12 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     cells = np.flatnonzero(may_draw_nonzero(family, sigma, flat, u))
     mm = flat.take(cells)
     uu = u.take(cells, axis=0)
-    if family is Family.POISSON or sigma == 0.0:
+    if family is Family.POISSON:
         slot, lam = 0, mm
     elif family is Family.NBI:
-        slot, lam = 1, special.gammaincinv(1.0 / sigma, uu[:, 0]) * (sigma * mm)
+        g = special.gammaincinv(1.0 / sigma, uu[:, 0])
+        with np.errstate(over="ignore"):  # near sigma = 1e308, g = 0 meets sigma * mu = inf: lambda is 0
+            slot, lam = 1, np.multiply(g, sigma * mm, out=np.zeros_like(g), where=g > 0.0)
     else:
         slot, lam = 2, _inverse_gaussian_from_uniforms(mm, sigma, uu[:, 0], uu[:, 1])
     out = np.zeros(flat.size, dtype=np.int64)

@@ -89,10 +89,6 @@ class SyntheticTable:
     def n_syn(self) -> int:
         return self.table.n
 
-    @property
-    def schema(self):
-        return self.table.schema
-
 
 def expected_grand_total(table: SparseContingencyTable, job: SynthesisJob) -> float:
     """E[n_syn] = n + alpha * (number of random zeros)."""
@@ -164,8 +160,6 @@ def synthesize(
         if not (isinstance(value, (int, np.integer)) and value >= 1):
             raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
     spec = job.model
-    family = spec.effective_family
-    sigma = spec.sigma if family is not Family.POISSON else 0.0
     k = table.num_cells
     if spec.alpha == 0.0:
         nnz = table.num_nonzero
@@ -185,7 +179,7 @@ def synthesize(
         scratch = getattr(local, "scratch", None)
         if scratch is None and spec.alpha > 0.0:
             scratch = local.scratch = np.empty((min(chunk_cells, k), SLOTS_PER_DRAW))
-        return _chunk_draw(table, family, sigma, spec.alpha, job.master_seed, rep, *piece, scratch)
+        return _chunk_draw(table, spec.family, spec.sigma, spec.alpha, job.master_seed, rep, *piece, scratch)
 
     out: list[SyntheticTable] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -106,7 +106,7 @@ class SparseContingencyTable:
     @property
     def n(self) -> int:
         """Grand total of all counts."""
-        return int(self.count.sum()) if self.count.size else 0
+        return int(self.count.sum())
 
     @property
     def num_cells(self) -> int:
@@ -269,6 +269,8 @@ class CellSizeDistribution:
     def __post_init__(self):
         if (self.sizes < 0).any():
             raise ValidationError("cell sizes must be nonnegative")
+        if (np.diff(self.sizes) <= 0).any():  # proportion(k) searches them
+            raise ValidationError("cell sizes must ascend strictly")
         if not (np.isfinite(self.proportions).all() and (self.proportions >= 0).all()):
             raise ValidationError("proportions must be finite and nonnegative")
         total = float(self.proportions.sum())
@@ -302,15 +304,12 @@ class CellSizeDistribution:
     @classmethod
     def from_counts(cls, cells_per_size: Mapping[int, int]) -> "CellSizeDistribution":
         """Build from ``{size: number of cells}``."""
-        ks = sorted(int(k) for k in cells_per_size)
-        if not ks or ks[0] != 0:
-            ks = [0] + ks
-        sizes = np.array(ks, dtype=np.int64)
-        cells = np.array([int(cells_per_size.get(int(k), 0)) for k in sizes], dtype=np.int64)
-        total = cells.sum()
-        if total <= 0 or (cells < 0).any():
-            raise ValidationError("cell numbers must be nonnegative, with a positive total")
-        return cls(sizes, cells / total)
+        if not all(float(c).is_integer() and c >= 0 for c in cells_per_size.values()):  # refuses NaN
+            raise ValidationError("cell numbers must be nonnegative integers")
+        total = sum(int(c) for c in cells_per_size.values())
+        if total <= 0:
+            raise ValidationError("cell numbers must have a positive total")
+        return cls.from_proportions({k: int(c) / total for k, c in cells_per_size.items()})
 
 
 # -- structural zeros ---------------------------------------------------------------

@@ -275,11 +275,7 @@ def tau2_of_table(table: SparseContingencyTable) -> CellSizeDistribution:
     from the denominator."""
     if table.num_cells == table.num_structural_zeros:
         raise ValidationError("every cell is a structural zero")
-    uniq, freq = (
-        np.unique(table.count, return_counts=True)
-        if table.count.size
-        else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    )
+    uniq, freq = np.unique(table.count, return_counts=True)
     sizes = np.concatenate([[0], uniq]).astype(np.int64)
     cells = np.concatenate([[table.num_random_zeros], freq]).astype(np.int64)
     return CellSizeDistribution(sizes, cells / (table.num_cells - table.num_structural_zeros))

@@ -15,7 +15,6 @@ distribution before any synthesis happens:
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -23,29 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .models import Family, pmf
+from .models import Family, effective_family, pmf
 from .table import CellSizeDistribution
-from .taumetrics import TauCurve, tau1_expected
-
-
-class TargetKind(str, enum.Enum):
-    MATCH_ZEROS = "match-zeros"
-    TAU4_EQUALS = "tau4-equals"
-
-
-@dataclass(frozen=True)
-class TuningTarget:
-    kind: TargetKind
-    sigma_star: float = 0.0
-    p: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", TargetKind(self.kind))
-        if self.sigma_star < 0:
-            raise ValidationError("sigma_star must be >= 0")
-        if self.kind is TargetKind.TAU4_EQUALS:
-            if self.p is None or not (0.0 < self.p <= 1.0):
-                raise ValidationError("p must lie in (0, 1]")
+from .taumetrics import TauCurve
 
 
 @dataclass(frozen=True)
@@ -89,7 +68,7 @@ def alpha_star_match_zeros(
     zeros escaping to nonzero values; feasibility requires that mass to be
     smaller than the available zero proportion.
     """
-    family = Family.coerce(family)
+    family = effective_family(family, sigma_star)
     if sigma_star < 0:
         raise ValidationError("sigma_star must be >= 0")
     s = _shrink_weight_sum(dist, family, sigma_star)
@@ -99,8 +78,8 @@ def alpha_star_match_zeros(
             "relative to the mass collapsing onto them"
         )
     with np.errstate(over="ignore"):
-        if family is Family.POISSON or sigma_star == 0.0 or 1.0 / sigma_star == math.inf:
-            alpha = -math.log1p(-s)  # where 1/sigma overflows, the Poisson limit
+        if family is Family.POISSON:
+            alpha = -math.log1p(-s)
         elif family is Family.NBI:
             alpha = (np.float64(1.0 - s) ** -sigma_star - 1.0) / sigma_star
         else:  # PIG: invert c_alpha = 1/sigma - log(1 - s); alpha = (c^2 - 1/sigma^2) * sigma / 2
@@ -128,7 +107,7 @@ def solve_alpha_for_tau4_target(
     midpoint no longer splits it before the target is met.
     """
     family = Family.coerce(family)
-    if not (0.0 < p <= 1.0):
+    if p is None or not (0.0 < p <= 1.0):
         raise ValidationError("p must lie in (0, 1]")
     if sigma_star < 0:
         raise ValidationError("sigma_star must be >= 0")
@@ -141,7 +120,7 @@ def solve_alpha_for_tau4_target(
             f"{f0:.10g} at alpha = 0"
         )
     if abs(f0 - p) <= tol:
-        return TuningResult(family.value, sigma_star, TargetKind.TAU4_EQUALS.value, 0.0, f0 - p, 0, p)
+        return TuningResult(family.value, sigma_star, "tau4-equals", 0.0, f0 - p, 0, p)
 
     # bracket by doubling; tau4(1) must keep falling while above p
     lo, f_lo = 0.0, f0
@@ -170,7 +149,7 @@ def solve_alpha_for_tau4_target(
         iterations += 1
         if abs(fm - p) < tol:
             return TuningResult(
-                family.value, sigma_star, TargetKind.TAU4_EQUALS.value, mid, fm - p, iterations, p
+                family.value, sigma_star, "tau4-equals", mid, fm - p, iterations, p
             )
         if not lo < mid < hi:
             raise ConvergenceError(
@@ -187,20 +166,3 @@ def solve_alpha_for_tau4_target(
             lo, f_lo = mid, fm
         else:
             hi, f_hi = mid, fm
-
-
-def solve(dist: CellSizeDistribution, family: Family | str, target: TuningTarget) -> TuningResult:
-    """Dispatch on the target kind; returns a :class:`TuningResult`."""
-    family = Family.coerce(family)
-    if target.kind is TargetKind.MATCH_ZEROS:
-        alpha = alpha_star_match_zeros(dist, family, target.sigma_star)
-        achieved = tau1_expected(dist, family, target.sigma_star, alpha, 0)
-        return TuningResult(
-            family.value,
-            target.sigma_star,
-            TargetKind.MATCH_ZEROS.value,
-            alpha,
-            achieved - dist.proportion(0),
-            0,
-        )
-    return solve_alpha_for_tau4_target(dist, family, target.sigma_star, target.p)

@@ -149,6 +149,9 @@ def test_tune_match_zeros_json(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["alpha_star"] == pytest.approx(0.458675, abs=1e-6)
     assert abs(data["residual"]) < 1e-12
+    assert data["target"] == "match-zeros" and data["family"] == "poisson"
+    assert run("tune", "--table", path, "--family", "nbi", "--sigma", 1, "--target", "tau4", "--p", 0.9) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 0.9
 
 
 def test_tune_p_out_of_range(tmp_path, capsys):
@@ -159,6 +162,8 @@ def test_tune_p_out_of_range(tmp_path, capsys):
     code = run("tune", "--table", path, "--family", "poisson", "--target", "tau4", "--p", 1.5)
     assert code == 1
     assert "p must lie in" in capsys.readouterr().err
+    assert run("tune", "--table", path, "--family", "poisson", "--target", "tau4") == 1
+    assert capsys.readouterr().err == "error: p must lie in (0, 1]\n"
 
 
 def test_tune_infeasible_p_reports_maximum(tmp_path, capsys):
@@ -260,6 +265,10 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     assert run("tune", "--config", cfg, "--family", "nbi", "--sigma", "1.0") == 0
     over = json.loads(capsys.readouterr().out)
     assert over["family"] == "nbi" and over["sigma"] == 1.0
+    # a config value skips argparse's choices: the family is printed as it is coerced
+    cfg.write_text(f"table={path}\nfamily=NBI\ntarget=match-zeros\nsigma=1\n")
+    assert run("tune", "--config", cfg) == 0
+    assert json.loads(capsys.readouterr().out)["family"] == "nbi"
 
 
 def test_config_flag_without_path_is_a_typed_error(capsys):
@@ -311,6 +320,15 @@ def test_evaluate_p_list_that_is_not_numbers_is_a_typed_error(tmp_path, capsys):
     assert run("evaluate", "--table", path, "--synthetic", path, "--p-list", "a",
                "--out", tmp_path / "within.csv") == 1
     assert "error: --p-list must be comma-separated numbers, got 'a'" in capsys.readouterr().err
+
+
+def test_evaluate_empty_p_list_is_a_typed_error(tmp_path, capsys):
+    # wrote a report with a header and no rows, and exited 0
+    path = _small_table(tmp_path)
+    assert run("evaluate", "--table", path, "--synthetic", path, "--p-list", ",",
+               "--out", tmp_path / "within.csv") == 1
+    assert capsys.readouterr().err == "error: --p-list must hold at least one number, got ','\n"
+    assert not (tmp_path / "within.csv").exists()
 
 
 def test_config_value_that_does_not_parse_is_a_typed_error(tmp_path, capsys):
@@ -401,6 +419,16 @@ def test_file_error_is_one_error_line(tmp_path, capsys, argv, path, code):
     (tmp_path / "syn.csv.provenance.json").mkdir()
     assert run(*(token.format(**names) for token in argv.split())) == 1
     assert capsys.readouterr().err == f"error: {path.format(**names)}: {os.strerror(code)}\n"
+
+
+def test_synthesize_nbi_where_one_over_sigma_overflows_writes_counts(tmp_path):
+    # exited 0 with an empty replicate: every NBI count was 0 at sigma = 1e-310
+    src = Path(satsynth.__file__).resolve().parents[1]
+    argv = ["synthesize", "--table", _small_table(tmp_path), "--family", "nbi", "--sigma", "1e-310",
+            "--seed", 1, "--out-dir", tmp_path / "syn"]
+    subprocess.run([sys.executable, "-m", "satsynth.cli", *map(str, argv)], capture_output=True,
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    assert read_table(tmp_path / "syn" / "orig.synth.nbi.r0.csv").n > 0
 
 
 @pytest.mark.parametrize("sigma,target", [("1e-300", ["match-zeros"]), ("1e300", ["tau4", "--p", "0.3"])])

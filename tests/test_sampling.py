@@ -1,4 +1,5 @@
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import special, stats
 
 from satsynth import sampling
 from satsynth.errors import ValidationError
-from satsynth.models import Family, pmf_range
+from satsynth.models import Family, effective_family, pmf, pmf_range
 from satsynth.sampling import (
     _EXP_SLACK,
     _SCREEN_STEPS,
@@ -299,6 +300,33 @@ def test_few_large_mean_draws_fall_back_to_pdtrik(monkeypatch):
     got = poisson_inverse(u, lam)
     assert sum(reached) < 10
     np.testing.assert_array_equal(got, poisson_inverse_unscreened(u, lam))
+
+
+# the means reach the Poisson walk (above 60) and its pdtrik fallback (above 2**20)
+_LIMIT_MEANS = np.repeat([0.0, 1e-3, 0.5, 3.0, 60.0, 740.0, 2e4, 3e6], 8)
+
+
+@settings(max_examples=200, deadline=None)
+# 1/sigma overflows: gammaincinv(inf, u) made every NBI screen threshold NaN, so every count was 0
+@example(family=Family.NBI, sigma=1e-310, seed=1)
+@example(family=Family.PIG, sigma=5e-324, seed=1)  # pmf raised pig_c's ValidationError
+@example(family=Family.NBI, sigma=1.7e308, seed=1)  # lambda was 0 * inf = NaN
+@example(family=Family.PIG, sigma=1e300, seed=1)  # the roots and the screen bound overflowed
+@given(
+    st.sampled_from(list(Family)),
+    st.one_of(st.just(0.0), st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda e: 10.0**e)),
+    st.integers(0, 2**64 - 1),
+)
+def test_every_finite_sigma_draws_without_warnings_and_the_poisson_limit_exactly(family, sigma, seed):
+    u = uniform_block(seed, 0, 0, _LIMIT_MEANS.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        counts = draw_counts(family, _LIMIT_MEANS, sigma, u)
+        assert (counts >= 0).all()
+        if effective_family(family, sigma) is Family.POISSON:
+            np.testing.assert_array_equal(counts, draw_counts("poisson", _LIMIT_MEANS, 0.0, u))
+            ks, means = np.arange(6)[:, None], [0.0, 0.5, 3.0, 740.0]
+            np.testing.assert_array_equal(pmf(family, ks, means, sigma), pmf("poisson", ks, means))
 
 
 # -- the sure-zero screen changes no value --------------------------------------------

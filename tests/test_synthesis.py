@@ -142,6 +142,14 @@ def test_poisson_grand_total_dispersion():
     assert lo < disp < hi
 
 
+def test_nbi_where_one_over_sigma_overflows_synthesizes_the_poisson_limit():
+    # gammaincinv(1/sigma = inf, u) made every screen threshold NaN, and n_syn was 0 of 47,207
+    table = generate_table(scaled_spec(esc_like_spec(), 20_000), 1)
+    job = SynthesisJob(CountModelSpec("nbi", sigma=1e-310), master_seed=1)
+    n_syn = synthesize(table, job)[0].n_syn
+    assert abs(n_syn - expected_grand_total(table, job)) <= 6.0 * math.sqrt(table.n)  # Var(n_syn) = n
+
+
 def test_provenance_roundtrip_and_fields():
     table = small_table()
     job = SynthesisJob(CountModelSpec("pig", sigma=2.0, alpha=0.02), master_seed=4, m=3)

@@ -317,6 +317,19 @@ def test_distribution_refuses_negative_cell_numbers():
         CellSizeDistribution.from_counts({-1: 1, 0: 1})
 
 
+@pytest.mark.parametrize("cells", [float("nan"), 1.5])
+def test_distribution_refuses_cell_numbers_that_are_not_integers(cells):
+    # NaN raised a raw ValueError; 1.5 was cut to 1 and gave proportions 0.5 / 0.5
+    with pytest.raises(ValidationError, match="nonnegative integers"):
+        CellSizeDistribution.from_counts({0: cells, 1: 1})
+
+
+def test_distribution_refuses_sizes_that_do_not_ascend():
+    # proportion(1) searched [0, 2, 1] and answered 0.0
+    with pytest.raises(ValidationError, match="ascend strictly"):
+        CellSizeDistribution(np.array([0, 2, 1]), np.array([0.5, 0.25, 0.25]))
+
+
 def test_distribution_of_an_all_structural_table_is_refused(ab_schema):
     # divided 0 by 0 and gave a NaN proportion, then NaN taus
     table = SparseContingencyTable(ab_schema, [], [], [0, 1, 2, 3])

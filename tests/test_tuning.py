@@ -1,20 +1,13 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from satsynth.errors import ConvergenceError, InfeasibleError, ValidationError
+from satsynth.errors import ConvergenceError, InfeasibleError
 from satsynth.generator import esc_like_spec, generate_table
 from satsynth.table import CellSizeDistribution
 from satsynth.taumetrics import tau1_expected, tau2_of_table, tau4_expected
-from satsynth.tuning import (
-    TargetKind,
-    TuningTarget,
-    alpha_star_match_zeros,
-    solve,
-    solve_alpha_for_tau4_target,
-)
+from satsynth.tuning import alpha_star_match_zeros, solve_alpha_for_tau4_target
 from test_taumetrics import table2_reference_dist
 
 HALF = CellSizeDistribution.from_proportions({0: 0.5, 1: 0.5})
@@ -125,22 +118,6 @@ def test_tau4_target_below_monotone_region_aborts():
     # the alpha-term weight peaks and turns; targets below the dip abort
     with pytest.raises(InfeasibleError, match="stopped decreasing|no bracket"):
         solve_alpha_for_tau4_target(dist, "poisson", 0.0, 0.05)
-
-
-def test_target_validation_and_dispatch():
-    with pytest.raises(ValidationError):
-        TuningTarget(TargetKind.TAU4_EQUALS, 0.0, p=1.5)
-    with pytest.raises(ValidationError):
-        TuningTarget(TargetKind.TAU4_EQUALS, 0.0, p=None)
-    res = solve(HALF, "poisson", TuningTarget(TargetKind.MATCH_ZEROS, 0.0))
-    assert res.alpha_star == pytest.approx(0.458675, abs=1e-6)
-    assert abs(res.residual) < 1e-12
-    data = json.loads(res.to_json())
-    assert data["target"] == "match-zeros"
-    assert data["family"] == "poisson"
-
-    res2 = solve(HALF, "nbi", TuningTarget(TargetKind.TAU4_EQUALS, 1.0, p=0.9))
-    assert json.loads(res2.to_json())["p"] == 0.9
 
 
 @pytest.mark.parametrize("sigma", [1e4, 1e8, 1e160])
