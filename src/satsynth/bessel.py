@@ -37,7 +37,7 @@ def _log_k_half_scaled(n, t):
     than the output, read out whenever it is full: memory is
     O(t.size + output size), never orders x arguments.
     """
-    m = np.where(n >= 1, n, 1 - n)  # K is even in its order
+    m = np.maximum(n, 1 - n)  # K is even in its order
     # each output element's place in the (order, argument) ladder
     key = (m - 1) * t.size + np.arange(t.size).reshape(t.shape)
     shape, key = key.shape, key.ravel()
@@ -52,15 +52,17 @@ def _log_k_half_scaled(n, t):
     exponent = np.zeros(t.size, dtype=np.int64)
     out = np.empty(key.size)
     first = 1  # order held in the buffer's first row
+    row = seed  # order 1/2: mantissa 1, exponent 0
     for j in range(1, m_max + 1):
         if j >= 2:  # K_{j-1/2} = K_{j-5/2} + (2j - 3) / t * K_{j-3/2}
             mantissa, shift = np.frexp(prev + (2 * j - 3) / t * cur)
             prev, cur = np.ldexp(cur, -shift), mantissa
             exponent += shift
-        ladder[j - first] = seed + (exponent * _LN2 + np.log(cur))
+            row = seed + (exponent * _LN2 + np.log(cur))
+        ladder[j - first] = row
         if j - first + 1 == len(ladder) or j == m_max:
             lo, hi = (first - 1) * t.size, j * t.size
-            at = np.flatnonzero((key >= lo) & (key < hi))
+            at = slice(None) if len(ladder) == m_max else np.flatnonzero((key >= lo) & (key < hi))
             out[at] = ladder.ravel()[key[at] - lo]
             first = j + 1
     return out.reshape(shape)

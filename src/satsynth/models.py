@@ -27,6 +27,8 @@ import numpy as np
 from .bessel import _log_k_half_scaled
 from .errors import ValidationError
 
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # see LogPmf.__call__
+
 
 class Family(str, enum.Enum):
     POISSON = "poisson"
@@ -88,29 +90,24 @@ def pig_c(mu, sigma):
     Evaluated in float64; a sigma below about 1e-154 (c overflows) or, at
     mu = 0, above about 1e154 (c underflows to 0) is refused.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    if not np.all((mu >= 0.0) & (mu < np.inf)):
+    with np.errstate(**_QUIET):
+        return _pig_c(_valid_means(mu), sigma)
+
+
+def _valid_means(mu):
+    """``mu`` as float64 (a 0-d one as a scalar, cheaper to compute on), refused unless finite and >= 0."""
+    mu = np.asarray(mu, dtype=np.float64)[()]
+    if not ((mu >= 0.0) & (mu < np.inf)).all():
         raise ValidationError("mu must be finite and >= 0")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = np.sqrt(1.0 / np.float64(sigma) ** 2 + 2.0 * mu / sigma)
-    if not (sigma > 0.0 and np.all((c > 0.0) & (c < np.inf))):
+    return mu
+
+
+def _pig_c(mu, sigma):
+    """:func:`pig_c` at means known finite and >= 0, under the caller's errstate."""
+    c = np.sqrt(1.0 / np.float64(sigma) ** 2 + 2.0 * mu / sigma)
+    if not (sigma > 0.0 and ((c > 0.0) & (c < np.inf)).all()):
         raise ValidationError(f"sigma must be > 0 and keep the PIG auxiliary c in float64, got {sigma:g}")
     return c
-
-
-def _validate_pmf_args(k, mu, sigma):
-    k = np.asarray(k)
-    if (k != np.floor(k)).any():  # array methods: the np.any/np.all wrappers cost more per call
-        raise ValidationError("counts must be integers")
-    k = k.astype(np.int64)
-    if (k < 0).any():
-        raise ValidationError("counts must be >= 0")
-    mu = np.asarray(mu, dtype=np.float64)
-    if (mu < 0).any() or not np.isfinite(mu).all():
-        raise ValidationError("mu must be finite and >= 0")
-    if sigma < 0 or not math.isfinite(sigma):
-        raise ValidationError("sigma must be finite and >= 0")
-    return k, mu
 
 
 def _log_rising_ratio(k, r):
@@ -120,7 +117,7 @@ def _log_rising_ratio(k, r):
     as r grows, so from r = 100 on the two Stirling series are subtracted
     term by term instead (truncation error below 1e-20).
     """
-    from scipy import special  # see logpmf
+    from scipy import special  # see LogPmf
     if r < 100.0:
         return special.gammaln(k + r) - special.gammaln(r) - k * np.log(r)
     series = lambda x: (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x * x)) / (x * x)) / (x * x)) / x
@@ -136,48 +133,55 @@ def _log1p_product(x, y):
     return out if (out < np.inf).all() else np.where(out < np.inf, out, np.log(x) + np.log(y))
 
 
-def _pig_logpmf(k, mu, sigma):
-    """PIG log-mass at means mu > 0: with c = pig_c(mu, sigma), the log of
-    sqrt(2c/pi) * mu**k * exp(1/sigma) * K_{k-1/2}(c) / ((c*sigma)**k * k!).
+class LogPmf:
+    """log p(count = k | mean mu) of one (family, k, sigma) as a function of mu, in two stages.
 
-    K comes scaled by exp(c), and the pieces that cancel as sigma -> 0 are
-    exact: 1/sigma - c = -2mu / (1 + sigma*c), log(c*sigma) = log1p(2*mu*sigma) / 2.
+    Construction validates ``k`` and ``sigma``, resolves the family and computes the terms
+    free of mu (log k!, NBI's shape factor); a call adds only the mu terms, in the formula's
+    order, at means the caller has checked.  ``mu = 0`` is degenerate at zero for every family.
     """
-    from scipy import special  # see logpmf
-    c = pig_c(mu, sigma)
-    return (
-        0.5 * (np.log(2.0) + np.log(c) - np.log(np.pi))
-        + k * (np.log(mu) - 0.5 * _log1p_product(2.0 * mu, sigma))
-        - 2.0 * mu / (1.0 + sigma * c)
-        + _log_k_half_scaled(k, c)
-        - special.gammaln(k + 1.0)
-    )
+
+    def __init__(self, family: Family | str, k, sigma: float = 0.0):
+        from scipy import special  # here, not at import: it adds ~0.25 s to start-up, and table work never needs it
+        self.family, self.sigma = effective_family(family, sigma), sigma
+        k = np.asarray(k)
+        if (k != np.floor(k)).any():  # array methods: the np.any/np.all wrappers cost more per call
+            raise ValidationError("counts must be integers")
+        self.k = k.astype(np.int64)[()]  # a 0-d k becomes a scalar, whose arithmetic costs less
+        if (self.k < 0).any():
+            raise ValidationError("counts must be >= 0")
+        if sigma < 0 or not math.isfinite(sigma):
+            raise ValidationError("sigma must be finite and >= 0")
+        self._log_k_factorial = special.gammaln(self.k + 1.0)
+        if self.family is Family.NBI:
+            with np.errstate(**_QUIET):
+                self._log_rising = _log_rising_ratio(self.k, 1.0 / sigma)
+        self._at_zero = np.where(self.k == 0, 0.0, -np.inf)[()]
+
+    def __call__(self, mu):
+        k, sigma = self.k, self.sigma
+        with np.errstate(**_QUIET):  # mu = 0 is set apart below, and _log1p_product where sigma * mu overflows
+            if self.family is Family.POISSON:
+                out = k * np.log(mu) - mu - self._log_k_factorial
+            elif self.family is Family.NBI:
+                log1p_sm = _log1p_product(sigma, mu)
+                out = self._log_rising + k * (np.log(mu) - log1p_sm) - log1p_sm / sigma - self._log_k_factorial
+            else:  # log sqrt(2c/pi) mu**k exp(1/sigma) K_{k-1/2}(c) / ((c sigma)**k k!), K scaled by exp(c);
+                # exact as sigma -> 0: 1/sigma - c = -2mu / (1 + sigma c), log(c sigma) = log1p(2 mu sigma) / 2
+                c = _pig_c(mu, sigma)
+                out = (
+                    0.5 * (np.log(2.0) + np.log(c) - np.log(np.pi))
+                    + k * (np.log(mu) - 0.5 * _log1p_product(2.0 * mu, sigma))
+                    - 2.0 * mu / (1.0 + sigma * c)
+                    + _log_k_half_scaled(k, c)
+                    - self._log_k_factorial
+                )
+        return np.where(mu > 0.0, out, self._at_zero)
 
 
 def logpmf(family: Family | str, k, mu, sigma: float = 0.0):
-    """log p(count = k | mean mu) for the given family.
-
-    Broadcasts ``k`` against ``mu``.  ``mu = 0`` is the distribution
-    degenerate at zero for every family.
-    """
-    from scipy import special  # here, not at import: it adds ~0.25 s to start-up, and table work never needs it
-    family = effective_family(family, sigma)
-    k, mu = _validate_pmf_args(k, mu, sigma)
-    # mu = 0 is set below, and _log1p_product takes over where sigma * mu overflows
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if family is Family.POISSON:
-            out = k * np.log(mu) - mu - special.gammaln(k + 1.0)
-        elif family is Family.NBI:
-            log1p_sm = _log1p_product(sigma, mu)
-            out = (
-                _log_rising_ratio(k, 1.0 / sigma)
-                + k * (np.log(mu) - log1p_sm)
-                - log1p_sm / sigma
-                - special.gammaln(k + 1.0)
-            )
-        else:
-            out = _pig_logpmf(k, mu, sigma)
-    out = np.where(mu > 0.0, out, np.where(k == 0, 0.0, -np.inf))
+    """log p(count = k | mean mu) for the given family; see :class:`LogPmf`."""
+    out = LogPmf(family, k, sigma)(_valid_means(mu))
     return float(out) if out.ndim == 0 else out
 
 

@@ -367,7 +367,7 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     kernel (lambda = mu for Poisson) and the Poisson quantile; the others
     are 0.
     """
-    from scipy import special  # here, not at import: it adds ~0.25 s to start-up (see models.logpmf)
+    from scipy import special  # here, not at import: it adds ~0.25 s to start-up (see models.LogPmf)
     family = effective_family(family, sigma)
     mu = np.asarray(mu, dtype=np.float64)
     if not np.all((mu >= 0.0) & (mu < np.inf)):  # False for NaN

@@ -29,9 +29,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedResultError, ValidationError
-from .models import Family, pmf, pmf_range
+from .models import Family, LogPmf, pmf, pmf_range
 from .synthesis import SyntheticTable
 from .table import CellSizeDistribution, SparseContingencyTable
+
+
+MAX_K_REPORT = 2**20  # a report row per k, and k_report + 2 bins per replicate
+MAX_PMF_ENTRIES = 2**26  # tau_analytic's (k_report + 1) x (support + 1) pmf matrix: 512 MiB
+
+
+def _check_k_report(k_report: int, means: int = 1) -> None:
+    """Refuse, before anything of its size is built, a k_report below 0, above
+    MAX_K_REPORT or whose pmf matrix over ``means`` means tops MAX_PMF_ENTRIES."""
+    limit = min(MAX_K_REPORT, MAX_PMF_ENTRIES // means - 1)
+    if not 0 <= k_report <= limit:
+        raise ValidationError(f"k_report must be >= 0 and at most the limit {limit}, got {k_report}")
 
 
 def _means_weights(dist: CellSizeDistribution, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -46,24 +58,26 @@ class TauCurve:
     """tau1(k) and tau4(k) of one size histogram, family, sigma and k, as
     functions of alpha: the one analytic route of both.
 
-    Only the random zeros' mean depends on alpha.  The pmf of k at every
-    occupied size, and tau3(k) * tau2(k) for k >= 1, are computed once;
-    each alpha costs one scalar pmf, put in front of that column for the
-    same dot product with the weights as a full evaluation.  Nothing is
-    written after construction.
+    Only the random zeros' mean depends on alpha.  The pmf's terms free of
+    the mean (a :class:`LogPmf`), the pmf of k at every occupied size, and
+    tau3(k) * tau2(k) for k >= 1, are computed once; each alpha costs the
+    pmf's mean terms, put in front of that column for the dot product with
+    the weights of a full evaluation.  Nothing is written after construction.
     """
 
     def __init__(self, dist: CellSizeDistribution, family: Family | str, sigma: float, k: int):
-        self.family, self.sigma, self.k = Family.coerce(family), sigma, k
+        self._logpmf, self.k = LogPmf(family, k, sigma), k
         means, self._weights = _means_weights(dist, 0.0)
-        self._sizes = pmf(self.family, k, means[1:], sigma)
+        self._sizes = np.exp(self._logpmf(means[1:]))  # occupied sizes: finite and > 0
         self._tau2 = dist.proportion(k)
         if k >= 1:  # tau3(k) = pmf(k | k)
-            self._tau3_tau2 = float(pmf(self.family, k, float(k), sigma)) * self._tau2
+            self._tau3_tau2 = float(np.exp(self._logpmf(np.float64(k)))) * self._tau2
 
     def _at(self, alpha: float) -> tuple[float, float]:
         """(pmf(k | alpha), tau1(k)) at this alpha."""
-        p_alpha = float(pmf(self.family, self.k, float(alpha), self.sigma))
+        if not 0.0 <= alpha < math.inf:
+            raise ValidationError("alpha must be finite and >= 0")
+        p_alpha = float(np.exp(self._logpmf(np.float64(alpha))))
         return p_alpha, float(np.concatenate(([p_alpha], self._sizes)) @ self._weights)
 
     def tau1(self, alpha: float) -> float:
@@ -194,6 +208,7 @@ def tau_analytic(
     for k = 0 (a random zero must stay zero) and pmf(k | k) for k >= 1.
     """
     family = Family.coerce(family)
+    _check_k_report(k_report, dist.nonzero_sizes.size + 1)
     ks = np.arange(k_report + 1)
     means, weights = _means_weights(dist, alpha)
     t1 = pmf_range(family, k_report, means, sigma) @ weights
@@ -244,6 +259,7 @@ def tau_empirical(
     Structural zeros are excluded from every bucket.  A bucket with no
     qualifying cells in any replicate reports NaN.
     """
+    _check_k_report(k_report)
     if isinstance(synthetic, (SyntheticTable, SparseContingencyTable)):
         synthetic = [synthetic]
     if not synthetic:
@@ -258,8 +274,6 @@ def tau_empirical(
             tables.append(s)
     for t in tables:
         original.check_replicate(t)
-    if k_report < 0:
-        raise ValidationError("k_report must be >= 0")
     if original.num_cells == original.num_structural_zeros:
         raise UndefinedResultError("every cell is a structural zero")
     per_rep = np.array([_empirical_one(original, t, k_report) for t in tables])

@@ -111,6 +111,107 @@ def nbi_pmf_direct(k: int, mu: float, sigma: float) -> float:
     return math.exp(log_p)
 
 
+# -- the one-stage log pmf, frozen as the bit-identity reference -----------------------
+#
+# ``models.logpmf`` as it was before it was split into a (family, k, sigma)
+# stage and a mean stage, together with every helper it called, the
+# Bessel ladder included: the two-stage pmf must equal it bit for bit.
+
+
+def _pig_c_v1(mu, sigma):
+    mu = np.asarray(mu, dtype=np.float64)
+    if not np.all((mu >= 0.0) & (mu < np.inf)):
+        raise ValidationError("mu must be finite and >= 0")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = np.sqrt(1.0 / np.float64(sigma) ** 2 + 2.0 * mu / sigma)
+    if not (sigma > 0.0 and np.all((c > 0.0) & (c < np.inf))):
+        raise ValidationError(f"sigma must be > 0 and keep the PIG auxiliary c in float64, got {sigma:g}")
+    return c
+
+
+def _log_k_half_scaled_v1(n, t):
+    m = np.where(n >= 1, n, 1 - n)
+    key = (m - 1) * t.size + np.arange(t.size).reshape(t.shape)
+    shape, key = key.shape, key.ravel()
+    if key.size == 0:
+        return np.zeros(shape)
+    m_max = int(key.max()) // t.size + 1
+    ladder = np.empty((min(m_max, max(1, key.size // t.size)), t.size))
+    t = t.ravel()
+    seed = 0.5 * np.log(np.pi / 2.0) - 0.5 * np.log(t)
+    prev = cur = np.ones(t.size)
+    exponent = np.zeros(t.size, dtype=np.int64)
+    out = np.empty(key.size)
+    first = 1
+    for j in range(1, m_max + 1):
+        if j >= 2:
+            mantissa, shift = np.frexp(prev + (2 * j - 3) / t * cur)
+            prev, cur = np.ldexp(cur, -shift), mantissa
+            exponent += shift
+        ladder[j - first] = seed + (exponent * np.log(2.0) + np.log(cur))
+        if j - first + 1 == len(ladder) or j == m_max:
+            lo, hi = (first - 1) * t.size, j * t.size
+            at = np.flatnonzero((key >= lo) & (key < hi))
+            out[at] = ladder.ravel()[key[at] - lo]
+            first = j + 1
+    return out.reshape(shape)
+
+
+def _log_rising_ratio_v1(k, r):
+    if r < 100.0:
+        return special.gammaln(k + r) - special.gammaln(r) - k * np.log(r)
+    series = lambda x: (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x * x)) / (x * x)) / (x * x)) / x
+    t = k / r
+    with np.errstate(over="ignore"):
+        return r * (np.log1p(t) - t) + (k - 0.5) * np.log1p(t) + (series(k + r) - series(r))
+
+
+def _log1p_product_v1(x, y):
+    out = np.log1p(x * y)
+    return out if (out < np.inf).all() else np.where(out < np.inf, out, np.log(x) + np.log(y))
+
+
+def logpmf_v1(family: Family | str, k, mu, sigma: float = 0.0):
+    """log p(count = k | mean mu), evaluated in one pass as the package did
+    before the two-stage split."""
+    family = Family.coerce(family)
+    if family is Family.POISSON or sigma == 0.0 or 1.0 / float(sigma) == math.inf:
+        family = Family.POISSON
+    k = np.asarray(k)
+    if (k != np.floor(k)).any():
+        raise ValidationError("counts must be integers")
+    k = k.astype(np.int64)
+    if (k < 0).any():
+        raise ValidationError("counts must be >= 0")
+    mu = np.asarray(mu, dtype=np.float64)
+    if (mu < 0).any() or not np.isfinite(mu).all():
+        raise ValidationError("mu must be finite and >= 0")
+    if sigma < 0 or not math.isfinite(sigma):
+        raise ValidationError("sigma must be finite and >= 0")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if family is Family.POISSON:
+            out = k * np.log(mu) - mu - special.gammaln(k + 1.0)
+        elif family is Family.NBI:
+            log1p_sm = _log1p_product_v1(sigma, mu)
+            out = (
+                _log_rising_ratio_v1(k, 1.0 / sigma)
+                + k * (np.log(mu) - log1p_sm)
+                - log1p_sm / sigma
+                - special.gammaln(k + 1.0)
+            )
+        else:
+            c = _pig_c_v1(mu, sigma)
+            out = (
+                0.5 * (np.log(2.0) + np.log(c) - np.log(np.pi))
+                + k * (np.log(mu) - 0.5 * _log1p_product_v1(2.0 * mu, sigma))
+                - 2.0 * mu / (1.0 + sigma * c)
+                + _log_k_half_scaled_v1(k, c)
+                - special.gammaln(k + 1.0)
+            )
+    out = np.where(mu > 0.0, out, np.where(k == 0, 0.0, -np.inf))
+    return float(out) if out.ndim == 0 else out
+
+
 # -- moments and a truncation point of the pmf ----------------------------------------
 
 

@@ -447,3 +447,29 @@ def test_metrics_at_huge_pig_dispersion_writes_finite_values(tmp_path):
     assert all(math.isfinite(v) for row in values for v in row.values() if v is not None)
     # p(1 | mean 1) = exp(1/sigma - c) / (c * sigma) with c = sqrt(2 / sigma)
     assert values[1]["tau3"] == pytest.approx(1.0 / math.sqrt(2e300), rel=1e-12)
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_metrics_with_a_huge_k_max_is_one_error_line(tmp_path):
+    # was killed for memory with no error line; the 1 GiB address space makes
+    # a regression fail fast with a MemoryError instead of filling the machine
+    src = Path(satsynth.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    cli = [sys.executable, "-m", "satsynth.cli"]
+    table = tmp_path / "t.csv"
+    subprocess.run([*cli, "generate-escsub", "--seed", "1", "--cells", "2000", "--out", str(table)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    subprocess.run([*cli, "synthesize", "--table", str(table), "--family", "nbi", "--sigma", "1",
+                    "--alpha", "0.01", "--seed", "1", "--out-dir", str(tmp_path / "syn")],
+                   env=env, check=True, capture_output=True, timeout=120)
+    proc = subprocess.run([*cli, "metrics", "--table", str(table), "--synthetic",
+                           str(tmp_path / "syn" / "t.synth.nbi.r0.csv"), "--k-max", "100000000",
+                           "--out-prefix", str(tmp_path / "tau")],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: k_report must be >= 0 and at most the limit 1048576, got 100000000\n"

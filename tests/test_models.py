@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from satsynth.errors import ValidationError
@@ -15,7 +15,7 @@ from satsynth.models import (
     pmf_range,
 )
 
-from oracles import moments, nbi_pmf_direct, pig_pmf_quadrature, truncation_for_mass
+from oracles import logpmf_v1, moments, nbi_pmf_direct, pig_pmf_quadrature, truncation_for_mass
 
 
 def test_poisson_pmf_one_given_one():
@@ -227,3 +227,39 @@ def test_pmf_normalises_and_keeps_its_mean(family, sigma, mu):
     if sigma * mu <= 1.0:
         # the tail past k_max holds up to 1e-12 of mass at counts near k_max
         assert abs(np.arange(k_max + 1) @ probs - mu) <= 1e-10 * mu + 2e-12 * k_max
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+_ANY_SIGMA = st.one_of(st.just(0.0), _log_uniform(5e-324, 1.7e308))
+_ANY_MEAN = st.one_of(st.just(0.0), _log_uniform(1e-300, 1e12))
+
+
+def _outcome(f, *args):
+    """The log pmf's shape, dtype and bytes, or the ValidationError it raised."""
+    try:
+        out = np.asarray(f(*args))
+    except ValidationError:
+        return ValidationError
+    return out.shape, out.dtype, out.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@example(family=Family.POISSON, sigma=0.0, k=1, mu=0.02, means=[0.02, 7.5, 740.0])
+@example(family=Family.NBI, sigma=1e-3, k=1, mu=0.02, means=[0.02, 7.5, 740.0])  # the Stirling branch
+@example(family=Family.PIG, sigma=1.0, k=1, mu=0.02, means=[0.02, 7.5, 740.0])
+@given(
+    family=st.sampled_from(list(Family)),
+    sigma=_ANY_SIGMA,
+    k=st.integers(0, 50),
+    mu=_ANY_MEAN,
+    means=st.lists(_ANY_MEAN, min_size=1, max_size=8),
+)
+def test_two_stage_logpmf_is_the_one_pass_logpmf_bit_for_bit(family, sigma, k, mu, means):
+    assert _outcome(logpmf, family, k, mu, sigma) == _outcome(logpmf_v1, family, k, mu, sigma)
+    # every k of 0..50 against the means: a sum regrouped in either stage shows up here
+    ks, means = np.arange(51)[:, None], np.array(means)[None, :]
+    assert _outcome(logpmf, family, ks, means, sigma) == _outcome(logpmf_v1, family, ks, means, sigma)

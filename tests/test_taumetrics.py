@@ -10,6 +10,9 @@ from satsynth.schema import CategoricalSchema
 from satsynth.synthesis import SynthesisJob, synthesize
 from satsynth.table import CellSizeDistribution, SparseContingencyTable
 from satsynth.taumetrics import (
+    MAX_K_REPORT,
+    MAX_PMF_ENTRIES,
+    TauCurve,
     TauReport,
     tau1_expected,
     tau4_expected,
@@ -193,6 +196,40 @@ def test_empirical_rejects_negative_k_report():
     table = grid_table(10, {0: 5, 1: 1})
     with pytest.raises(ValidationError, match="k_report"):
         tau_empirical(table, table, k_report=-1)
+
+
+@pytest.mark.parametrize("k_report", [MAX_K_REPORT + 1, 10**18])
+def test_k_report_above_its_limit_is_refused_before_allocation(k_report):
+    # 10**18 reports would ask numpy for an 8-EB array: the check runs first
+    table = grid_table(10, {0: 5, 1: 1})
+    message = f"k_report must be >= 0 and at most the limit {MAX_K_REPORT}, got {k_report}"
+    with pytest.raises(ValidationError, match=message):
+        tau_empirical(table, table, k_report=k_report)
+    with pytest.raises(ValidationError, match=message):
+        tau_analytic(HALF_ZERO_HALF_ONE, "nbi", 1.0, 0.1, k_report=k_report)
+
+
+def test_analytic_pmf_matrix_above_its_limit_is_refused():
+    means = 100  # alpha and 99 occupied sizes
+    dist = CellSizeDistribution.from_counts({0: 1, **{j: 1 for j in range(1, means)}})
+    limit = MAX_PMF_ENTRIES // means - 1  # (limit + 1) * means entries fit, one more row does not
+    tau_analytic(dist, "poisson", 0.0, 0.1, k_report=0)
+    with pytest.raises(ValidationError, match=f"at most the limit {limit}, got {limit + 1}"):
+        tau_analytic(dist, "poisson", 0.0, 0.1, k_report=limit + 1)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("family,sigma", [("poisson", 0.0), ("nbi", 1.0), ("pig", 1.0)])
+def test_alpha_outside_its_domain_is_refused_at_every_evaluation(family, sigma, alpha):
+    dist = table2_reference_dist()
+    curve = TauCurve(dist, family, sigma, 1)
+    for evaluate in (curve.tau1, curve.tau4):
+        with pytest.raises(ValidationError):
+            evaluate(alpha)
+    with pytest.raises(ValidationError):
+        tau1_expected(dist, family, sigma, alpha, 1)
+    with pytest.raises(ValidationError):
+        tau4_expected(dist, family, sigma, alpha, 1)
 
 
 def test_empirical_undefined_when_every_cell_is_structural():
