@@ -244,6 +244,7 @@ def cmd_frontier(args) -> int:
         pct_diffs = []
         for syn in group:
             syn_table = syn.table if isinstance(syn, SyntheticTable) else syn
+            table.check_replicate(syn_table)
             fit = fit_loglinear(syn_table.project(variables), terms, cap=args.cap)
             skip = () if args.include_capped else tuple(base_fit.cap_hit | fit.cap_hit)
             overlaps.append(mean_ci_overlap(base_iv, fit.intervals(args.level), skip=skip))

@@ -131,20 +131,6 @@ class CategoricalSchema:
             flat //= size
         return tuple(reversed(out))
 
-    def flat_of_array(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`flat_of` for an ``(n, p)`` ordinal array."""
-        coords = np.asarray(coords)
-        shape = self.shape
-        if coords.ndim != 2 or coords.shape[1] != len(shape):
-            raise ValidationError(f"expected an (n, {len(shape)}) coordinate array")
-        flat = np.zeros(len(coords), dtype=np.uint64)
-        for j, size in enumerate(shape):
-            col = coords[:, j]
-            if col.size and (col.min() < 0 or col.max() >= size):
-                raise ValidationError(f"coordinate out of range for variable {self.names[j]!r}")
-            flat = flat * np.uint64(size) + col.astype(np.uint64)
-        return flat
-
     def coords_of_array(self, flat: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`coords_of`; returns an ``(n, p)`` int64 array."""
         rem = np.asarray(flat, dtype=np.uint64).copy()

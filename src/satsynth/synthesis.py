@@ -30,7 +30,7 @@ from .models import CountModelSpec, Family
 from .sampling import SLOTS_PER_DRAW, draw_counts, fill_uniform_block, may_draw_nonzero, uniform_rows
 from .table import SparseContingencyTable
 
-DEFAULT_CHUNK_CELLS = 1 << 18  # per-thread uniform scratch of 8 MB at alpha > 0
+DEFAULT_CHUNK_CELLS = 1 << 16  # per-thread uniform scratch of 2 MB at alpha > 0
 MAX_ALPHA_CELLS = 1 << 40  # alpha > 0 draws every cell; beyond this it would never finish
 
 

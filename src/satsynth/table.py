@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -184,8 +185,10 @@ class SparseContingencyTable:
             raise ValidationError("projection needs at least one variable")
         positions = [self.schema.variable_index(n) for n in names]
         sub = CategoricalSchema([self.schema.variables[i] for i in positions])
-        coords = self.schema.coords_of_array(self.index)[:, positions]
-        flat = sub.flat_of_array(coords)
+        shape, flat = self.schema.shape, np.zeros_like(self.index)
+        for i in positions:  # a kept variable's ordinal is (index // stride) % size
+            flat *= np.uint64(shape[i])
+            flat += self.index // np.uint64(math.prod(shape[i + 1:])) % np.uint64(shape[i])
         uniq, inverse = np.unique(flat, return_inverse=True)
         agg = np.zeros(uniq.size, dtype=np.int64)
         np.add.at(agg, inverse, self.count)
@@ -385,27 +388,36 @@ def _csv_field(label: str) -> str:
     return buf.getvalue()[:-3]
 
 
+def _merged_rows(table: SparseContingencyTable):
+    """The table's rows in flat-index order, as (cells, counts, structural mask)
+    blocks: the next ``_WRITE_BLOCK_ROWS`` of each index set, both cut at the
+    lesser last cell of one with more after it, one inserted into the other."""
+    index, structural, step = table.index, table.structural, _WRITE_BLOCK_ROWS
+    i = j = 0
+    while i < index.size or j < structural.size:
+        cells, zeros = index[i:i + step], structural[j:j + step]
+        tops = [w[-1] for w, at, whole in ((cells, i, index), (zeros, j, structural)) if at + step < whole.size]
+        if tops:
+            cells, zeros = (w[: np.searchsorted(w, min(tops), "right")] for w in (cells, zeros))
+        at = np.searchsorted(cells, zeros)
+        yield (np.insert(cells, at, zeros), np.insert(table.count[i:i + cells.size], at, 0),
+               np.insert(np.zeros(cells.size, dtype=bool), at, True))
+        i, j = i + cells.size, j + zeros.size
+
+
 def _write_table_stream(table: SparseContingencyTable, fh) -> None:
     schema = table.schema
     fh.write(f"# {_FORMAT_TAG}\n")
     fh.write(f"# schema: {schema.to_json()}\n")
     fh.write(f"# n: {table.n}\n")
     csv.writer(fh, lineterminator="\n").writerow(list(schema.names) + ["count", "structural"])
-    merged = np.concatenate([table.index, table.structural])
-    counts = np.concatenate([table.count, np.zeros(table.structural.size, dtype=np.int64)])
-    flags = np.concatenate(
-        [np.zeros(table.index.size, dtype=bool), np.ones(table.structural.size, dtype=bool)]
-    )
-    order = np.argsort(merged, kind="stable")
-    merged, counts, flags = merged[order], counts[order], flags[order]
     # each label quoted once, with its trailing comma, then gathered by ordinal
     fields = [np.array([_csv_field(c) + "," for c in cats]) for _, cats in schema.variables]
-    for lo in range(0, merged.size, _WRITE_BLOCK_ROWS):
-        block = slice(lo, lo + _WRITE_BLOCK_ROWS)
-        coords = schema.coords_of_array(merged[block])
-        values, inverse = np.unique(counts[block], return_inverse=True)
+    for cells, counts, flags in _merged_rows(table):
+        coords = schema.coords_of_array(cells)
+        values, inverse = np.unique(counts, return_inverse=True)
         tails = np.char.add(values.astype(str), ",0\n")[inverse]
-        tails[flags[block]] = "0,1\n"  # structural rows always hold count 0
+        tails[flags] = "0,1\n"  # structural rows always hold count 0
         lines = fields[0][coords[:, 0]]
         for j in range(1, len(fields)):
             lines = np.char.add(lines, fields[j][coords[:, j]])
@@ -531,33 +543,46 @@ def _decode_rows(body: bytes, schema: CategoricalSchema, tables: list):
     return (flat, count, structural) if ok.all() else None
 
 
-def _decode_body(data: bytes, start: int, schema: CategoricalSchema, lineno: int):
-    """Flat index, count and structural mask of every row of the body
-    ``data[start:]``, decoded in blocks of about ``_READ_BLOCK_BYTES``; from
-    the first block that cannot be, the rest is read by :func:`_check_rows`.
+def _decode_body(fh, data: bytearray, schema: CategoricalSchema, lineno: int):
+    """Flat index, count and structural mask of every row of the body: the
+    bytes in ``data``, then the rest of the binary file ``fh``.  It is read and
+    decoded in blocks of about ``_READ_BLOCK_BYTES``; from the first block
+    that cannot be, the rest is read by :func:`_check_rows`.
 
-    A block ends at the end of ``data`` or after the first LF past its size
+    A block ends at the end of the body or after the first LF past its size
     that follows an even number of its quotes, so no quoted field is split.
     The quotes are counted once, LF to LF.  A decoded block holds one CSV
     record per row and ends on a record boundary, so csv reads the rest as
     it would read the whole body.
     """
     tables = [_spellings(cats) for _, cats in schema.variables]
-    parts, lo = [], start
-    while lo < len(data) or not parts:  # an empty body is one empty block
-        counted, quotes, hi = lo, 0, lo + _READ_BLOCK_BYTES - 1
-        while (hi := data.find(b"\n", hi) + 1) > 0:
-            quotes += data.count(b'"', counted, hi)
-            counted = hi
-            if quotes % 2 == 0:
-                break
-        hi = hi or len(data)
-        parts.append(_decode_rows(data[lo:hi], schema, tables))
+    parts = []
+
+    def more() -> bool:  # append the file's next bytes; False at its end
+        chunk = fh.read(_READ_BLOCK_BYTES)
+        data.extend(chunk)
+        return bool(chunk)
+
+    while True:  # an empty body is one empty block
+        counted, quotes, hi = 0, 0, _READ_BLOCK_BYTES - 1
+        while (end := data.find(b"\n", hi) + 1) or more():
+            if end:
+                quotes += data.count(b'"', counted, end)
+                counted = hi = end
+                if quotes % 2 == 0:
+                    break
+        else:  # no such LF: the block is the rest of the body
+            end = len(data)
+        block = bytes(data[:end])
+        del data[:end]
+        parts.append(_decode_rows(block, schema, tables))
         if parts[-1] is None:  # blank lines, lone CRs, padded counts, errors ...: csv names the row
             lineno += sum(part[0].size for part in parts[:-1])
-            parts[-1] = _check_rows(io.StringIO(data[lo:].decode("utf-8"), newline=""), schema, lineno)
+            rest = io.StringIO((block + data + fh.read()).decode("utf-8"), newline="")
+            parts[-1] = _check_rows(rest, schema, lineno)
             break
-        lo = hi
+        if not (data or more()):
+            break
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -630,42 +655,52 @@ def utf8_errors(path: str):
 def _read_table_file(path: str, schema: CategoricalSchema | None) -> SparseContingencyTable:
     header_n: int | None = None
     with open(path, "rb") as fh:
-        data = fh.read()
-    lines = ((m.end(), m.group().decode("utf-8")) for m in _LINE.finditer(data))
-    lineno = 0
-    end, line = next(lines)
-    while line.startswith("#"):
+        data = bytearray()
+
+        def next_line() -> str:  # read on until it is whole: a CR may end a line or precede its LF
+            while (line := _LINE.match(data)).end() == len(data) and (chunk := fh.read(_READ_BLOCK_BYTES)):
+                data.extend(chunk)
+            text = line.group().decode("utf-8")
+            del data[: line.end()]
+            return text
+
+        lineno = 0
+        line = next_line()
+        while line.startswith("#"):
+            lineno += 1
+            body = line[1:].strip()
+            if body.startswith("schema:"):
+                schema_json = body[len("schema:"):].strip()
+                parsed = CategoricalSchema.from_json(schema_json)
+                if schema is None:
+                    schema = parsed
+            elif body.startswith("n:"):
+                try:
+                    header_n = int(body[len("n:"):].strip())
+                except ValueError:
+                    raise FormatError("unreadable n header", line=lineno) from None
+            line = next_line()
+        if schema is None:
+            raise FormatError("no schema header found and none supplied")
         lineno += 1
-        body = line[1:].strip()
-        if body.startswith("schema:"):
-            schema_json = body[len("schema:"):].strip()
-            parsed = CategoricalSchema.from_json(schema_json)
-            if schema is None:
-                schema = parsed
-        elif body.startswith("n:"):
-            try:
-                header_n = int(body[len("n:"):].strip())
-            except ValueError:
-                raise FormatError("unreadable n header", line=lineno) from None
-        end, line = next(lines)
-    if schema is None:
-        raise FormatError("no schema header found and none supplied")
-    lineno += 1
-    header = next(csv.reader([line])) if line else []
-    expected = list(schema.names) + ["count", "structural"]
-    if header != expected:
-        raise FormatError(f"header {header!r}, expected {expected!r}", line=lineno)
-    if any("\x00" in c for _, cats in schema.variables for c in cats):
-        raise FormatError("category labels containing NUL characters cannot be read")
-    flat, count, structural = _decode_body(data, end, schema, lineno)
+        header = next(csv.reader([line])) if line else []
+        expected = list(schema.names) + ["count", "structural"]
+        if header != expected:
+            raise FormatError(f"header {header!r}, expected {expected!r}", line=lineno)
+        if any("\x00" in c for _, cats in schema.variables for c in cats):
+            raise FormatError("category labels containing NUL characters cannot be read")
+        flat, count, structural = _decode_body(fh, data, schema, lineno)
     # explicit zero-count rows are optional random zeros and may repeat
-    seen = np.sort(flat[structural | (count > 0)])
-    dup = seen[1:][seen[1:] == seen[:-1]]
-    if dup.size:
-        raise FormatError(
-            f"duplicate cell {schema.labels_of(schema.coords_of(int(dup[0])))}"
-        )
     live = count > 0
+    seen = flat[live | structural]
+    if np.any(seen[1:] <= seen[:-1]):  # rows out of order, or a cell twice
+        seen.sort()
+        dup = seen[1:][seen[1:] == seen[:-1]]
+        if dup.size:
+            raise FormatError(
+                f"duplicate cell {schema.labels_of(schema.coords_of(int(dup[0])))}"
+            )
+    del seen
     table = SparseContingencyTable(schema, flat[live], count[live], flat[structural])
     if header_n is not None and header_n != table.n:
         raise FormatError(f"header n={header_n} but counts sum to {table.n}")

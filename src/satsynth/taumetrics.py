@@ -46,9 +46,15 @@ def _check_k_report(k_report: int, means: int = 1) -> None:
         raise ValidationError(f"k_report must be >= 0 and at most the limit {limit}, got {k_report}")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < math.inf:  # False for NaN
+        raise ValidationError("alpha must be finite and >= 0")
+
+
 def _means_weights(dist: CellSizeDistribution, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """``means = [alpha, sizes...]``, ``weights = [tau2(0), proportions...]``:
     the synthesis mean of each original cell group and its share of cells."""
+    _check_alpha(alpha)
     means = np.concatenate(([float(alpha)], dist.nonzero_sizes.astype(np.float64)))
     weights = np.concatenate(([dist.proportion(0)], dist.nonzero_proportions))
     return means, weights
@@ -75,8 +81,7 @@ class TauCurve:
 
     def _at(self, alpha: float) -> tuple[float, float]:
         """(pmf(k | alpha), tau1(k)) at this alpha."""
-        if not 0.0 <= alpha < math.inf:
-            raise ValidationError("alpha must be finite and >= 0")
+        _check_alpha(alpha)
         p_alpha = float(np.exp(self._logpmf(np.float64(alpha))))
         return p_alpha, float(np.concatenate(([p_alpha], self._sizes)) @ self._weights)
 

@@ -407,6 +407,38 @@ def write_table_rowwise(table: SparseContingencyTable, fh) -> None:
         fh.write(row_text.getvalue()[:-2] + "\n")
 
 
+def write_table_whole(table: SparseContingencyTable, fh) -> None:
+    """The canonical aggregated CSV as ``table._write_table_stream`` wrote it
+    before it merged block by block: the whole table's index, counts and
+    flags concatenated and argsorted, then formatted ``_WRITE_BLOCK_ROWS``
+    rows at a time."""
+    from satsynth.table import _FORMAT_TAG, _WRITE_BLOCK_ROWS, _csv_field
+
+    schema = table.schema
+    fh.write(f"# {_FORMAT_TAG}\n")
+    fh.write(f"# schema: {schema.to_json()}\n")
+    fh.write(f"# n: {table.n}\n")
+    csv.writer(fh, lineterminator="\n").writerow(list(schema.names) + ["count", "structural"])
+    merged = np.concatenate([table.index, table.structural])
+    counts = np.concatenate([table.count, np.zeros(table.structural.size, dtype=np.int64)])
+    flags = np.concatenate(
+        [np.zeros(table.index.size, dtype=bool), np.ones(table.structural.size, dtype=bool)]
+    )
+    order = np.argsort(merged, kind="stable")
+    merged, counts, flags = merged[order], counts[order], flags[order]
+    fields = [np.array([_csv_field(c) + "," for c in cats]) for _, cats in schema.variables]
+    for lo in range(0, merged.size, _WRITE_BLOCK_ROWS):
+        block = slice(lo, lo + _WRITE_BLOCK_ROWS)
+        coords = schema.coords_of_array(merged[block])
+        values, inverse = np.unique(counts[block], return_inverse=True)
+        tails = np.char.add(values.astype(str), ",0\n")[inverse]
+        tails[flags[block]] = "0,1\n"
+        lines = fields[0][coords[:, 0]]
+        for j in range(1, len(fields)):
+            lines = np.char.add(lines, fields[j][coords[:, j]])
+        fh.write("".join(np.char.add(lines, tails).tolist()))
+
+
 def read_table_rowwise(path: str, schema: CategoricalSchema | None = None) -> SparseContingencyTable:
     """Aggregated-CSV reader that checks and decodes one ``csv.reader`` row at a time.
 
@@ -557,6 +589,39 @@ def draw_counts_unscreened(family: str, mu, sigma: float, u: np.ndarray) -> np.n
     lam, u_count = mixing_unscreened(family, mu[live], sigma, u[live])
     out[live] = poisson_inverse_unscreened(u_count, lam)
     return out
+
+
+# -- projection through the coordinate array ------------------------------------------
+
+
+def flat_of_array(schema: CategoricalSchema, coords: np.ndarray) -> np.ndarray:
+    """Vectorised ``schema.flat_of`` for an ``(n, p)`` ordinal array."""
+    coords = np.asarray(coords)
+    shape = schema.shape
+    if coords.ndim != 2 or coords.shape[1] != len(shape):
+        raise ValidationError(f"expected an (n, {len(shape)}) coordinate array")
+    flat = np.zeros(len(coords), dtype=np.uint64)
+    for j, size in enumerate(shape):
+        col = coords[:, j]
+        if col.size and (col.min() < 0 or col.max() >= size):
+            raise ValidationError(f"coordinate out of range for variable {schema.names[j]!r}")
+        flat = flat * np.uint64(size) + col.astype(np.uint64)
+    return flat
+
+
+def project_by_coords(table: SparseContingencyTable, names: Sequence[str]) -> SparseContingencyTable:
+    """``SparseContingencyTable.project`` through the whole (rows x variables)
+    coordinate array, as it was before it read the ordinals off the flat index."""
+    if not names:
+        raise ValidationError("projection needs at least one variable")
+    positions = [table.schema.variable_index(n) for n in names]
+    sub = CategoricalSchema([table.schema.variables[i] for i in positions])
+    coords = table.schema.coords_of_array(table.index)[:, positions]
+    flat = flat_of_array(sub, coords)
+    uniq, inverse = np.unique(flat, return_inverse=True)
+    agg = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(agg, inverse, table.count)
+    return SparseContingencyTable(sub, uniq, agg)
 
 
 # -- original against synthetic by per-size set operations ----------------------------

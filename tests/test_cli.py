@@ -251,6 +251,28 @@ def test_frontier_level_outside_unit_interval_is_a_typed_error(tmp_path, capsys)
         assert "error: level must lie in (0, 1)" in capsys.readouterr().err
 
 
+def test_frontier_refuses_a_replicate_of_another_schema_as_metrics_and_evaluate_do(tmp_path, capsys):
+    # a projection of the other table raised KeyError for a category the original lacks
+    small, other = tmp_path / "small.csv", tmp_path / "small1k.csv"
+    assert run("generate-escsub", "--seed", 1, "--cells", 2000, "--out", small) == 0
+    assert run("generate-escsub", "--seed", 2, "--cells", 1000, "--out", other) == 0
+    capsys.readouterr()
+    for argv in (["metrics", "--out-prefix", tmp_path / "m", "--family", "poisson"],
+                 ["evaluate", "--out", tmp_path / "e.csv"],
+                 ["frontier", "--variables", "cell", "--out", tmp_path / "f.csv"]):
+        assert run(*argv, "--table", small, "--synthetic", other) == 1
+        assert capsys.readouterr().err == "error: synthetic table schema does not match the original\n"
+
+
+def test_metrics_with_a_bad_alpha_names_alpha(tmp_path, capsys):
+    path = _small_table(tmp_path)
+    for family, sigma in (("poisson", "0"), ("nbi", "1"), ("pig", "1")):
+        for alpha in ("-1", "nan", "inf"):
+            assert run("metrics", "--table", path, "--synthetic", path, "--family", family, "--sigma", sigma,
+                       "--alpha", alpha, "--out-prefix", tmp_path / "m") == 1
+            assert capsys.readouterr().err == "error: alpha must be finite and >= 0\n"
+
+
 def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     schema = CategoricalSchema([("cell", [f"c{i}" for i in range(100)])])
     table = SparseContingencyTable.from_dict(schema, {(i,): 1 for i in range(50)})

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
@@ -319,8 +319,42 @@ def sparse_tables_and_terms(draw):
     return SparseContingencyTable.from_dict(schema, flat), [(n,) for n in names] + chosen
 
 
+def _rounding_floor(fit, x: np.ndarray, labels: list[str]) -> np.ndarray:
+    """How far rounding alone leaves an IRLS fit from its MLE, per coefficient.
+
+    Each step solves ``I beta = X'W z`` for the whole of ``beta``, not for an
+    increment.  The right-hand side, of magnitude ``r = |X|' (mu (1 + |X| |beta|))``,
+    is formed with relative error about eps, and a backward-stable Cholesky
+    solve perturbs ``I`` by about ``eps |I|``, which adds ``eps |I| |beta|``,
+    the same ``r`` again.  So the step lands within ``eps |I^-1| r`` of the
+    MLE and no closer, however small its score: about 5e-8 where the
+    standard errors reach 1e2 and the capped terms sit at -20, 1e-11 where
+    they are near 1.
+    """
+    beta = np.array([fit.coefficients[l] for l in labels])
+    free = np.array([l not in fit.cap_hit for l in labels])
+    mu = fit.fitted.ravel()
+    xf = x[:, free]
+    floor = np.zeros(len(labels))
+    floor[free] = np.finfo(np.float64).eps * (
+        np.abs(np.linalg.inv((xf.T * mu) @ xf)) @ (xf.T @ (mu * (1.0 + x @ np.abs(beta))))
+    )
+    return floor
+
+
+_INTERCEPTS_TWO_FLOORS_APART = (  # the fits' intercepts differ by 1.02e-8 at tol = 1e-10
+    SparseContingencyTable(
+        CategoricalSchema([("v0", ["c0", "c1", "c2", "c3"]), ("v1", ["c0", "c1"]), ("v2", ["c0", "c1", "c2", "c3"])]),
+        [1, 2, 7, 8, 11, 14, 16, 19, 20, 22, 23, 25, 27, 28, 30],
+        [1, 1, 1, 1, 1, 1, 1, 1, 4, 41, 58, 40, 1, 2, 1],
+    ),
+    [("v0",), ("v1",), ("v2",), ("v0", "v2"), ("v0", "v1"), ("v1", "v2")],
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_tables_and_terms())
+@example(_INTERCEPTS_TWO_FLOORS_APART)
 def test_fit_matches_the_dense_irls_oracle(case):
     table, terms = case
 
@@ -346,11 +380,13 @@ def test_fit_matches_the_dense_irls_oracle(case):
         # no finite MLE: both fits stopped on a ray to infinity, at different points,
         # once a cell's mean fell to about tol, where the standard error is about 1e4
         return
-    # an interior MLE: at tol = 1e-10 both fits lie within about 1e-9 of it
+    # an interior MLE: at tol = 1e-10 each fit lies within about 1e-9 of it, or
+    # within its rounding floor where that is larger (an ill-conditioned fit)
     fit, ref = fit_loglinear(table, terms, tol=1e-10), dense(1e-10)
     assert fit.cap_hit == ref.cap_hit
-    for name in labels:
-        assert abs(fit.coefficients[name] - ref.coefficients[name]) <= 1e-8, name
+    floor = _rounding_floor(fit, x, labels) + _rounding_floor(ref, x, labels)
+    for name, apart in zip(labels, floor):
+        assert abs(fit.coefficients[name] - ref.coefficients[name]) <= 1e-8 + apart, name
         se, ref_se = fit.standard_errors[name], ref.standard_errors[name]
         assert se == ref_se or abs(se - ref_se) <= 1e-8 * ref_se, name
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,3 +375,18 @@ def test_alpha_above_zero_on_a_2_to_the_60_cell_table_is_a_typed_error():
         synthesize(table, job)
     at_zero = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.0), master_seed=3, m=1)
     assert synthesize(table, at_zero)[0].table.num_cells == 2**60
+
+
+def test_full_scale_nbi_match_zeros_at_two_threads_stays_under_30_mib():
+    # each worker holds one piece's uniforms: 2**16 cells of 4 words, 2 MiB;
+    # at 2**18-cell pieces the traced peak was 43 MiB
+    table = generate_table(esc_like_spec(), 1)
+    alpha = alpha_star_match_zeros(tau2_of_table(table), "nbi", 1.0)
+    job = SynthesisJob(CountModelSpec("nbi", 1.0, alpha), master_seed=1)
+    tracemalloc.start()
+    try:
+        synthesize(table, job, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20

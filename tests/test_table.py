@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import flat_of_array, project_by_coords
 from satsynth.errors import FormatError, ValidationError
 from satsynth.schema import CategoricalSchema
 from satsynth.table import (
@@ -74,7 +77,7 @@ def test_flat_index_bijection(data):
 def test_vectorised_flat_matches_scalar(ab_schema):
     flats = np.arange(4, dtype=np.uint64)
     coords = ab_schema.coords_of_array(flats)
-    back = ab_schema.flat_of_array(coords)
+    back = flat_of_array(ab_schema, coords)
     assert np.array_equal(back, flats)
 
 
@@ -283,6 +286,32 @@ def test_microdata_csv_roundtrip(tmp_path, ab_schema):
     micro.write_text("A,B\na,x\na,x\nb,y\n")
     table = aggregate_microdata_csv(str(micro), ab_schema)
     assert table.same_contents(SparseContingencyTable.from_dict(ab_schema, {(0, 0): 2, (1, 1): 1}))
+
+
+@st.composite
+def _wide_tables(draw):
+    """A table over up to 24 variables and up to 2**64 - 1 cells, its cells
+    drawn anywhere and next to the last, with structural zeros."""
+    sizes = draw(st.lists(st.integers(1, 16), min_size=1, max_size=24).filter(
+        lambda s: math.prod(s) < 2**64))
+    schema = CategoricalSchema([(f"v{i}", [f"c{j}" for j in range(s)]) for i, s in enumerate(sizes)])
+    k = schema.num_cells
+    cell = st.one_of(st.integers(0, k - 1), st.integers(max(0, k - 64), k - 1))
+    cells = draw(st.lists(cell, unique=True, max_size=60))
+    split = draw(st.integers(0, len(cells)))
+    counts = draw(st.lists(st.integers(1, 2**40), min_size=split, max_size=split))
+    names = draw(st.permutations(schema.names))[: draw(st.integers(1, len(sizes)))]
+    return SparseContingencyTable(schema, cells[:split], counts, cells[split:]), names
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_tables())
+@example((SparseContingencyTable(  # 15 * 2**60 cells, between 2**63 and 2**64
+    CategoricalSchema([(f"v{i}", [f"c{j}" for j in range(15 if i == 0 else 16)]) for i in range(16)]),
+    [0, 15 * 2**60 - 2, 15 * 2**60 - 1], [1, 2, 3], [2**63 + 5]), ["v15", "v0", "v7"]))
+def test_projection_matches_the_coordinate_array_oracle(case):
+    table, names = case
+    assert table.project(names).same_contents(project_by_coords(table, names))
 
 
 def test_projection_sums_counts():

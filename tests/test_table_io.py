@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import read_table_rowwise, write_table_rowwise
+from oracles import project_by_coords, read_table_rowwise, write_table_rowwise, write_table_whole
 from satsynth import table as table_module
 from satsynth.errors import FormatError, ValidationError
 from satsynth.generator import esc_like_spec, generate_table, scaled_spec
@@ -53,6 +53,28 @@ def test_write_matches_rowwise_writer(table):
     buf = io.StringIO()
     table_module._write_table_stream(table, buf)
     assert buf.getvalue() == _oracle_text(table)
+
+
+@st.composite
+def _runs_of_cells(draw):
+    """A one-variable table of up to 300 cells whose nonzero cells and
+    structural zeros come in runs, so either may fill a write block."""
+    kinds = "".join(draw(st.lists(st.tuples(st.sampled_from("0sc"), st.integers(1, 70)), min_size=1,
+                                  max_size=12).map(lambda runs: [kind * n for kind, n in runs])))[:300]
+    schema = CategoricalSchema([("cell", [f"c{i}" for i in range(len(kinds))])])
+    index = [i for i, k in enumerate(kinds) if k == "c"]
+    return SparseContingencyTable(schema, index, [i + 1 for i in index], [i for i, k in enumerate(kinds) if k == "s"])
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_tables(), _runs_of_cells()))
+def test_merging_writer_matches_the_whole_table_writer(block, table):
+    with mock.patch.object(table_module, "_WRITE_BLOCK_ROWS", block):
+        got, want = io.StringIO(), io.StringIO()
+        table_module._write_table_stream(table, got)
+        write_table_whole(table, want)
+    assert got.getvalue() == want.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,6 +347,29 @@ def test_full_scale_write_stays_under_20_megabytes(full_scale, tmp_path):
     out = tmp_path / "again.csv"
     assert _traced_peak(write_table, table, str(out)) < 20e6
     assert out.read_bytes() == Path(path).read_bytes()
+
+
+MIB = 2**20
+
+
+def test_full_scale_read_holds_one_block_not_the_file(full_scale):
+    # the 7.8 MB file held whole for the decode peaked at 23 MiB
+    table, path = full_scale
+    assert _traced_peak(read_table, path) < 18 * MIB
+
+
+def test_full_scale_write_merges_without_whole_table_copies(full_scale, tmp_path):
+    # concatenating and argsorting the index and structural zeros peaked at 13.4 MiB
+    table, _ = full_scale
+    assert _traced_peak(write_table, table, str(tmp_path / "again.csv")) < 6 * MIB
+
+
+def test_full_scale_projection_reads_ordinals_off_the_flat_index(full_scale):
+    # the (rows x variables) int64 coordinate array and its column copy peaked at 23.3 MiB
+    table, _ = full_scale
+    names = ["ethnicity", "age", "language"]
+    assert _traced_peak(table.project, names) < 17 * MIB
+    assert table.project(names).same_contents(project_by_coords(table, names))
 
 
 @pytest.mark.parametrize("count", ["1_000", "٥", "0x10"])

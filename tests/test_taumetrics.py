@@ -230,6 +230,8 @@ def test_alpha_outside_its_domain_is_refused_at_every_evaluation(family, sigma, 
         tau1_expected(dist, family, sigma, alpha, 1)
     with pytest.raises(ValidationError):
         tau4_expected(dist, family, sigma, alpha, 1)
+    with pytest.raises(ValidationError, match="^alpha must be finite and >= 0$"):  # not a bad mu
+        tau_analytic(dist, family, sigma, alpha)
 
 
 def test_empirical_undefined_when_every_cell_is_structural():
