@@ -30,7 +30,7 @@ from .generator import HistogramSpec, esc_like_spec, generate_table, scaled_spec
 from .loglin import all_two_way_terms, fit_loglinear
 from .models import CountModelSpec, Family
 from .schema import CategoricalSchema
-from .synthesis import DEFAULT_CHUNK_CELLS, Provenance, SynthesisJob, SyntheticTable, synthesize
+from .synthesis import Provenance, SynthesisJob, SyntheticTable, synthesize
 from .table import aggregate_microdata_csv, read_table, utf8_errors, write_table
 from .taumetrics import tau1_expected, tau2_of_table, tau_analytic, tau_empirical
 from .tuning import TuningResult, alpha_star_match_zeros, solve_alpha_for_tau4_target
@@ -54,18 +54,32 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,  # a store-true flag's config values
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """``raw`` as the flag would take it: split on whitespace for ``nargs="+"``,
+    a choice (or a store-true word) matched case-insensitively and stored
+    as spelled in the parser, else converted by the flag's type; anything
+    else is one ValidationError."""
+    words = raw.split() if action.nargs == "+" else [raw]
+    store_true = isinstance(action, argparse._StoreTrueAction)
+    known = _FLAG_WORDS if store_true else {c.lower(): c for c in action.choices or ()}
+    try:
+        values = [known[w.lower()] if known else (action.type or str)(w) for w in words]
+    except (KeyError, ValueError):
+        expected = f"one of {', '.join(known)}" if known else f"a valid {action.type.__name__}"
+        raise ValidationError(f"config {action.dest}={raw!r} is not {expected}") from None
+    if not values:
+        raise ValidationError(f"config {action.dest} needs at least one value")
+    return values if action.nargs == "+" else values[0]
+
+
 def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
     for action in parser._actions:  # noqa: SLF001 - argparse has no public hook
         if action.dest in config:
-            raw = config[action.dest]
-            if isinstance(action, argparse._StoreTrueAction):
-                action.default = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                try:
-                    action.default = action.type(raw) if action.type else raw
-                except ValueError:
-                    kind = action.type.__name__
-                    raise ValidationError(f"config {action.dest}={raw!r} is not a valid {kind}") from None
+            action.default = _config_value(action, config[action.dest])
             action.required = False
 
 
@@ -161,7 +175,7 @@ def cmd_synthesize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.table).stem
     t0 = time.perf_counter()
-    replicates = synthesize(table, job, threads=args.threads, chunk_cells=args.chunk_cells)
+    replicates = synthesize(table, job, threads=args.threads)
     dt = time.perf_counter() - t0
     for rep in replicates:
         path = out_dir / f"{stem}.synth.{args.family}.r{rep.provenance.replicate}.csv"
@@ -320,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--chunk-cells", type=int, default=DEFAULT_CHUNK_CELLS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synthesize)
 

@@ -63,26 +63,15 @@ def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarr
     occupies counter block ``start + i`` of the Philox stream keyed by
     (master_seed, stream), independent of how calls are chunked.  Both
     key words must lie in [0, 2**64), so that distinct seeds never share
-    a stream.
+    a stream.  Each uniform is the top 53 bits of one raw Philox word
+    times 2**-53, the same bits as ``random_raw`` shifted and scaled.
     """
-    if n < 0:
-        raise ValidationError("block length must be >= 0")
-    return fill_uniform_block(master_seed, stream, start, np.empty((n, SLOTS_PER_DRAW)))
-
-
-def fill_uniform_block(master_seed: int, stream: int, start: int, out: np.ndarray) -> np.ndarray:
-    """:func:`uniform_block` written into the C-contiguous float64 ``out`` of
-    shape ``(n, SLOTS_PER_DRAW)``; returns ``out``.
-
-    Each uniform is the top 53 bits of one raw Philox word times 2**-53,
-    the same bits as ``random_raw`` shifted and scaled.
-    """
+    if start < 0 or n < 0:
+        raise ValidationError(f"block start and length must be >= 0, got {start} and {n}")
     _check_key(master_seed, stream)
     key = np.array([master_seed, stream], dtype=np.uint64)
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[0] = start & _U64_MASK
-    counter[1] = (start >> 64) & _U64_MASK
-    return Generator(Philox(key=key, counter=counter)).random(out=out)
+    # an int counter is read as little-endian 64-bit words: [start mod 2**64, start >> 64, 0, 0]
+    return Generator(Philox(key=key, counter=start)).random((n, SLOTS_PER_DRAW))
 
 
 def _check_key(master_seed: int, stream: int) -> None:

@@ -18,7 +18,6 @@ of occupied rows whatever the size of the cell space.
 from __future__ import annotations
 
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -27,10 +26,10 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .models import CountModelSpec, Family
-from .sampling import SLOTS_PER_DRAW, draw_counts, fill_uniform_block, may_draw_nonzero, uniform_rows
+from .sampling import draw_counts, may_draw_nonzero, uniform_block, uniform_rows
 from .table import SparseContingencyTable
 
-DEFAULT_CHUNK_CELLS = 1 << 16  # per-thread uniform scratch of 2 MB at alpha > 0
+PIECE_CELLS = 1 << 16  # at most 2 MB of uniforms a piece
 MAX_ALPHA_CELLS = 1 << 40  # alpha > 0 draws every cell; beyond this it would never finish
 
 
@@ -104,15 +103,13 @@ def _chunk_draw(
     replicate: int,
     start: int,
     stop: int,
-    scratch: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one piece; returns (flat indices, counts) of its nonzero draws.
 
     At ``alpha = 0`` the piece is the occupied rows [start, stop) of
     ``table.index``: a random zero certainly draws 0, so only their blocks
-    are computed, and ``scratch`` is unused.  At ``alpha > 0`` it is the
-    cells [start, stop), whose uniforms are written into ``scratch`` (at
-    least ``stop - start`` rows); nothing returned is a view of it.
+    are computed.  At ``alpha > 0`` it is the cells [start, stop), whose
+    uniforms the piece computes and frees.
     """
     if alpha == 0.0:
         idx = table.index[start:stop]
@@ -126,7 +123,7 @@ def _chunk_draw(
     s_lo = int(np.searchsorted(table.structural, np.uint64(start)))
     s_hi = int(np.searchsorted(table.structural, np.uint64(stop)))
 
-    u = fill_uniform_block(master_seed, replicate, start, scratch[: stop - start])
+    u = uniform_block(master_seed, replicate, start, stop - start)
     draw = may_draw_nonzero(family, sigma, alpha, u)
     draw[nz_pos] = True
     draw[(table.structural[s_lo:s_hi] - np.uint64(start)).astype(np.int64)] = False
@@ -138,32 +135,25 @@ def _chunk_draw(
     return (cand[keep] + start).astype(np.uint64), counts[keep]
 
 
-def synthesize(
-    table: SparseContingencyTable,
-    job: SynthesisJob,
-    threads: int = 1,
-    chunk_cells: int = DEFAULT_CHUNK_CELLS,
-) -> list[SyntheticTable]:
+def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 1) -> list[SyntheticTable]:
     """Generate ``job.m`` independent synthetic replicates of ``table``.
 
-    A piece of work computes at most ``chunk_cells`` uniform blocks.  At
-    ``alpha > 0`` pieces are flat-index ranges of ``chunk_cells`` cells, and
-    each worker thread reuses one block of their uniforms, freed when the
-    call returns, and a table of more than ``MAX_ALPHA_CELLS`` cells is
-    refused.  At ``alpha = 0`` the occupied rows are cut into
-    ``max(threads, ceil(nnz / chunk_cells))`` near-equal ranges (at most
+    A piece of work computes at most ``PIECE_CELLS`` uniform blocks.  At
+    ``alpha > 0`` pieces are flat-index ranges of ``PIECE_CELLS`` cells,
+    and a table of more than ``MAX_ALPHA_CELLS`` cells is refused.  At
+    ``alpha = 0`` the occupied rows are cut into
+    ``max(threads, ceil(nnz / PIECE_CELLS))`` near-equal ranges (at most
     one per row), so the cell space's size does not matter.  With
     ``threads > 1`` pieces are dispatched to a thread pool.  Output is
-    identical for any thread count and chunk size.
+    identical for any thread count and piece size.
     """
-    for name, value in (("threads", threads), ("chunk_cells", chunk_cells)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
+        raise ValidationError(f"threads must be an integer >= 1, got {threads!r}")
     spec = job.model
     k = table.num_cells
     if spec.alpha == 0.0:
         nnz = table.num_nonzero
-        n = max(1, min(threads, nnz), -(-nnz // chunk_cells))  # one empty piece when nnz = 0
+        n = max(1, min(threads, nnz), -(-nnz // PIECE_CELLS))  # one empty piece when nnz = 0
         bounds = [nnz * i // n for i in range(n + 1)]
     elif k > MAX_ALPHA_CELLS:
         raise ValidationError(
@@ -171,23 +161,15 @@ def synthesize(
             "no such limit (geometric skipping of the zero cells, ROADMAP item 2, would lift it)"
         )
     else:
-        bounds = [*range(0, k, chunk_cells), k]
-    pieces = list(zip(bounds[:-1], bounds[1:]))
-    local = threading.local()
-
-    def work(rep: int, piece: tuple[int, int]):
-        scratch = getattr(local, "scratch", None)
-        if scratch is None and spec.alpha > 0.0:
-            scratch = local.scratch = np.empty((min(chunk_cells, k), SLOTS_PER_DRAW))
-        return _chunk_draw(table, spec.family, spec.sigma, spec.alpha, job.master_seed, rep, *piece, scratch)
-
+        bounds = [*range(0, k, PIECE_CELLS), k]
+    draw = partial(_chunk_draw, table, spec.family, spec.sigma, spec.alpha, job.master_seed)
     out: list[SyntheticTable] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # threads=1 runs the pieces on this thread: through the pool, peak RSS
         # on the full-scale table rose from 151 to about 175 MB
-        run = pool.map if threads > 1 and len(pieces) > 1 else map
+        run = pool.map if threads > 1 and len(bounds) > 2 else map
         for rep in range(job.m):
-            drawn = list(run(partial(work, rep), pieces))
+            drawn = list(run(partial(draw, rep), bounds[:-1], bounds[1:]))
             idx = np.concatenate([d[0] for d in drawn])
             cnt = np.concatenate([d[1] for d in drawn])
             syn = SparseContingencyTable(table.schema, idx, cnt, table.structural)

@@ -261,22 +261,23 @@ def tau_empirical(
 ) -> TauReport:
     """Empirical tau values, averaged over replicates when several are given.
 
-    Structural zeros are excluded from every bucket.  A bucket with no
-    qualifying cells in any replicate reports NaN.
+    Replicates with provenance must share one model (family, sigma,
+    alpha), which the report carries.  Structural zeros are excluded from
+    every bucket.  A bucket with no qualifying cells in any replicate
+    reports NaN.
     """
     _check_k_report(k_report)
     if isinstance(synthetic, (SyntheticTable, SparseContingencyTable)):
         synthetic = [synthetic]
     if not synthetic:
         raise ValidationError("need at least one synthetic table")
-    tables = []
-    family = sigma = alpha = None
-    for s in synthetic:
-        if isinstance(s, SyntheticTable):
-            tables.append(s.table)
-            family, sigma, alpha = s.provenance.family, s.provenance.sigma, s.provenance.alpha
-        else:
-            tables.append(s)
+    tables = [s.table if isinstance(s, SyntheticTable) else s for s in synthetic]
+    models = {(s.provenance.family, s.provenance.sigma, s.provenance.alpha)
+              for s in synthetic if isinstance(s, SyntheticTable)}
+    if len(models) > 1:  # their average would be reported under one model
+        models = ", ".join(sorted(map(str, models)))
+        raise ValidationError(f"replicates of different models (family, sigma, alpha): {models}")
+    family, sigma, alpha = models.pop() if models else (None, None, None)
     for t in tables:
         original.check_replicate(t)
     if original.num_cells == original.num_structural_zeros:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import satsynth
+from satsynth import synthesis
 from satsynth.cli import main
 from satsynth.generator import HistogramSpec, TailSpec
 from satsynth.schema import CategoricalSchema
@@ -97,11 +98,14 @@ def test_first_special_function_call_from_two_threads_draws_as_one_thread():
     code = ("import sys\n"
             "from satsynth.generator import esc_like_spec, generate_table, scaled_spec\n"
             "from satsynth.models import CountModelSpec\n"
+            "from satsynth import synthesis\n"
             "from satsynth.synthesis import SynthesisJob, synthesize\n"
             "table = generate_table(scaled_spec(esc_like_spec(), 20000), 1)\n"
             "job = SynthesisJob(CountModelSpec('nbi', 1.0, 0.05), 7)\n"
             "loaded = 'scipy.special' in sys.modules\n"
-            "two = synthesize(table, job, threads=2, chunk_cells=1024)[0].table\n"
+            "default, synthesis.PIECE_CELLS = synthesis.PIECE_CELLS, 1024\n"
+            "two = synthesize(table, job, threads=2)[0].table\n"
+            "synthesis.PIECE_CELLS = default\n"
             "one = synthesize(table, job, threads=1)[0].table\n"
             "print(loaded, two.same_contents(one), one.num_nonzero > 0)")
     assert _fresh_python(code) == "False True True"
@@ -116,7 +120,7 @@ def test_table_that_is_not_utf8_prints_an_error(tmp_path, capsys):
     assert "error: line 6: not valid UTF-8" in capsys.readouterr().err
 
 
-def test_generate_spec_and_synthesize_determinism(tmp_path, capsys):
+def test_generate_spec_and_synthesize_determinism(tmp_path, capsys, monkeypatch):
     spec = HistogramSpec({1: 60, 2: 25, 3: 10}, TailSpec(4, 5, 30), num_cells=400)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(spec.to_json())
@@ -126,10 +130,11 @@ def test_generate_spec_and_synthesize_determinism(tmp_path, capsys):
     assert t1.read_bytes() == t2.read_bytes()
 
     out1, out2 = tmp_path / "syn1", tmp_path / "syn2"
+    monkeypatch.setattr(synthesis, "PIECE_CELLS", 64)
     for threads, out in ((1, out1), (3, out2)):
         assert run("synthesize", "--table", t1, "--family", "nbi", "--sigma", 1.0,
                    "--alpha", 0.05, "--m", 2, "--seed", 11,
-                   "--threads", threads, "--chunk-cells", 64, "--out-dir", out) == 0
+                   "--threads", threads, "--out-dir", out) == 0
     for r in (0, 1):
         name = "t1.synth.nbi.r%d.csv" % r
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -198,6 +203,22 @@ def test_metrics_uses_sidecar_and_writes_aligned_reports(tmp_path):
     assert a_head == e_head == "k,tau1,tau2,tau3,tau4"
     a = json.loads((tmp_path / "tau.analytic.json").read_text())
     assert a["family"] == "pig" and a["sigma"] == 0.5 and a["alpha"] == 0.01
+
+
+def test_metrics_refuses_replicates_of_different_models(tmp_path, capsys):
+    # exited 0, and both reports named the last sidecar's model: family=nbi sigma=5.0 alpha=0.3
+    path = _small_table(tmp_path)
+    for family, sigma, alpha in (("poisson", 0, 0), ("nbi", 5, 0.3)):
+        assert run("synthesize", "--table", path, "--family", family, "--sigma", sigma, "--alpha", alpha,
+                   "--seed", 1, "--out-dir", tmp_path / family) == 0
+    capsys.readouterr()
+    reps = [tmp_path / "poisson" / "orig.synth.poisson.r0.csv", tmp_path / "nbi" / "orig.synth.nbi.r0.csv"]
+    assert run("metrics", "--table", path, "--synthetic", *reps, "--out-prefix", tmp_path / "tau") == 1
+    assert capsys.readouterr().err == (
+        "error: replicates of different models (family, sigma, alpha): "
+        "('nbi', 5.0, 0.3), ('poisson', 0.0, 0.0)\n"
+    )
+    assert not (tmp_path / "tau.empirical.csv").exists()
 
 
 def test_evaluate_table_layout(tmp_path):
@@ -358,6 +379,46 @@ def test_config_value_that_does_not_parse_is_a_typed_error(tmp_path, capsys):
     cfg.write_text("seed=abc\n")
     assert run("generate-escsub", "--config", cfg, "--out", tmp_path / "t.csv") == 1
     assert "error: config seed='abc' is not a valid int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["metrics", "evaluate", "frontier"])
+def test_config_synthetic_paths_are_split_on_whitespace(tmp_path, capsys, command):
+    # the value was one string, read a character at a time: "error: /: Is a directory"
+    path = _small_table(tmp_path)
+    out = {"metrics": "--out-prefix", "evaluate": "--out", "frontier": "--out"}[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"synthetic = {path}  {path}\nfamily = poisson\n")
+    assert run(command, "--config", cfg, "--table", path, out, tmp_path / "report") == 0
+    assert capsys.readouterr().err == ""
+    if command == "metrics":
+        assert "replicates=2" in (tmp_path / "report.empirical.csv").read_text()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("target = banana", "config target='banana' is not one of match-zeros, tau4"),
+    ("family = gamma", "config family='gamma' is not one of poisson, nbi, pig"),
+])
+def test_config_value_outside_a_flags_choices_is_a_typed_error(tmp_path, capsys, line, message):
+    # target=banana skipped argparse's choices and ran match-zeros with exit 0
+    path = _small_table(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"table = {path}\nfamily = nbi\nsigma = 1\ntarget = match-zeros\n{line}\n")
+    code = run("tune", "--config", cfg)
+    err = capsys.readouterr().err
+    assert (code, err.count("\n")) == (1, 1) and err.startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("include_capped = maybe", "config include_capped='maybe' is not one of 1, true, yes, on, 0, false, no, off"),
+    ("synthetic =", "config synthetic needs at least one value"),
+])
+def test_config_store_true_word_or_empty_path_list_is_a_typed_error(tmp_path, capsys, line, message):
+    path = _small_table(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    # a bad config value is refused even where a flag would override it, as a bad int is
+    assert run("frontier", "--config", cfg, "--table", path, "--synthetic", path, "--out", tmp_path / "f.csv") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

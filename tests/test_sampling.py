@@ -204,6 +204,13 @@ def test_uniform_block_refuses_seeds_outside_64_bits(seed):
     assert uniform_block(2**64 - 1, 2**64 - 1, 0, 4).shape == (4, SLOTS_PER_DRAW)
 
 
+@pytest.mark.parametrize("start,n", [(-1, 4), (0, -1)])
+def test_uniform_block_refuses_a_negative_start_or_length(start, n):
+    # start=-1 used to alias counter block 2**128 - 1
+    with pytest.raises(ValidationError, match="block start and length must be >= 0"):
+        uniform_block(3, 0, start, n)
+
+
 def _is_quantile(k: int, u: float, lam: float) -> bool:
     return k >= 0 and special.pdtr(k, lam) >= u and (k == 0 or special.pdtr(k - 1, lam) < u)
 

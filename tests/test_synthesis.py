@@ -74,15 +74,17 @@ def test_expected_grand_total():
     assert expected_grand_total(one, SynthesisJob(CountModelSpec("nbi", sigma=3.0), master_seed=1)) == 7.0
 
 
-def test_deterministic_across_threads_and_chunking():
+def test_deterministic_across_threads_and_chunking(monkeypatch):
     schema = line_schema(5000)
     rng = np.random.default_rng(0)
     idx = np.sort(rng.choice(5000, 800, replace=False))
     table = SparseContingencyTable(schema, idx, rng.integers(1, 30, 800))
     job = SynthesisJob(CountModelSpec("pig", sigma=1.0, alpha=0.05), master_seed=123, m=2)
-    base = synthesize(table, job, threads=1, chunk_cells=512)
+    monkeypatch.setattr(synthesis, "PIECE_CELLS", 512)
+    base = synthesize(table, job, threads=1)
     for threads, chunk in ((1, 5000), (4, 512), (3, 100), (2, 977)):
-        other = synthesize(table, job, threads=threads, chunk_cells=chunk)
+        monkeypatch.setattr(synthesis, "PIECE_CELLS", chunk)
+        other = synthesize(table, job, threads=threads)
         for a, b in zip(base, other):
             assert a.table.same_contents(b.table), (threads, chunk)
 
@@ -179,12 +181,12 @@ def test_fractional_replicate_count_is_refused(m):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
-@pytest.mark.parametrize("kwargs", [{"threads": 1.5}, {"threads": 2.0}, {"chunk_cells": 7.5}])
-def test_fractional_threads_or_chunk_size_is_refused(alpha, kwargs):
+@pytest.mark.parametrize("threads", [1.5, 2.0])
+def test_fractional_threads_are_refused(alpha, threads):
     # threads=1.5 reached range() or the thread pool as a raw TypeError
     job = SynthesisJob(CountModelSpec("poisson", alpha=alpha), master_seed=0)
-    with pytest.raises(ValidationError, match="must be an integer"):
-        synthesize(small_table(), job, **kwargs)
+    with pytest.raises(ValidationError, match="threads must be an integer"):
+        synthesize(small_table(), job, threads=threads)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -207,7 +209,7 @@ def test_cli_synthesize_refuses_a_negative_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("family,sigma,seed", [("poisson", 0.0, 11), ("nbi", 1.0, 12), ("pig", 1.0, 13)])
-def test_screened_synthesis_equals_unscreened_draws_at_alpha_star(family, sigma, seed):
+def test_screened_synthesis_equals_unscreened_draws_at_alpha_star(monkeypatch, family, sigma, seed):
     k = 60_000
     rng = np.random.default_rng(seed)
     cells = rng.choice(k, 6_100, replace=False)
@@ -219,8 +221,9 @@ def test_screened_synthesis_equals_unscreened_draws_at_alpha_star(family, sigma,
     mu[idx] = table.count
     want = draw_counts_unscreened(family, mu, sigma, uniform_block(seed, 0, 0, k))
     job = SynthesisJob(CountModelSpec(family, sigma=sigma, alpha=alpha), master_seed=seed)
+    monkeypatch.setattr(synthesis, "PIECE_CELLS", 1 << 14)
     for threads in (1, 2):
-        syn = synthesize(table, job, threads=threads, chunk_cells=1 << 14)[0].table
+        syn = synthesize(table, job, threads=threads)[0].table
         got = np.zeros(k, dtype=np.int64)
         got[syn.index.astype(np.int64)] = syn.count
         np.testing.assert_array_equal(got, want)
@@ -228,7 +231,7 @@ def test_screened_synthesis_equals_unscreened_draws_at_alpha_star(family, sigma,
 
 @st.composite
 def _small_jobs(draw):
-    """A random line table with occupied cells and structural zeros, a model and a chunking."""
+    """A random line table with occupied cells and structural zeros, a model and a piece size."""
     k = draw(st.integers(1, 120))
     cells = np.array(draw(st.permutations(range(k))), dtype=np.int64)
     n_occ = draw(st.integers(0, k))
@@ -247,7 +250,7 @@ def _small_jobs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_small_jobs())
 def test_synthesis_equals_unscreened_draws_on_random_tables(case):
-    table, job, chunk_cells = case
+    table, job, piece_cells = case
     k = table.num_cells
     mu = np.full(k, job.model.alpha)
     mu[table.structural.astype(np.int64)] = 0.0
@@ -256,7 +259,10 @@ def test_synthesis_equals_unscreened_draws_on_random_tables(case):
     want = [draw_counts_unscreened(family, mu, sigma, uniform_block(job.master_seed, r, 0, k))
             for r in range(job.m)]
     for threads in (1, 2):
-        for r, rep in enumerate(synthesize(table, job, threads=threads, chunk_cells=chunk_cells)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "PIECE_CELLS", piece_cells)
+            reps = synthesize(table, job, threads=threads)
+        for r, rep in enumerate(reps):
             got = np.zeros(k, dtype=np.int64)
             got[rep.table.index.astype(np.int64)] = rep.table.count
             np.testing.assert_array_equal(got, want[r], err_msg=f"threads={threads} replicate {r}")
@@ -290,19 +296,20 @@ def test_stream_v1_draws_do_not_drift(stand_in_table, family, sigma, alpha, dige
 
 def test_alpha_zero_never_fills_a_whole_chunk_of_uniforms(monkeypatch):
     starts = []
-    fill = synthesis.fill_uniform_block
+    block = synthesis.uniform_block
 
-    def counted(master_seed, stream, start, out):
+    def counted(master_seed, stream, start, n):
         starts.append(start)
-        return fill(master_seed, stream, start, out)
+        return block(master_seed, stream, start, n)
 
-    monkeypatch.setattr(synthesis, "fill_uniform_block", counted)
+    monkeypatch.setattr(synthesis, "uniform_block", counted)
+    monkeypatch.setattr(synthesis, "PIECE_CELLS", 5)
     table = small_table()
     for family, sigma in (("poisson", 0.0), ("nbi", 1.0), ("pig", 1.0)):
         for threads in (1, 2):
-            synthesize(table, SynthesisJob(CountModelSpec(family, sigma, 0.0), 3, m=2), threads, chunk_cells=5)
+            synthesize(table, SynthesisJob(CountModelSpec(family, sigma, 0.0), 3, m=2), threads)
     assert starts == []
-    synthesize(table, SynthesisJob(CountModelSpec("nbi", 1.0, 0.5), 3, m=2), chunk_cells=5)
+    synthesize(table, SynthesisJob(CountModelSpec("nbi", 1.0, 0.5), 3, m=2))
     assert sorted(starts) == [0, 0, 5, 5, 10, 10, 15, 15]
 
 
@@ -319,7 +326,7 @@ def _count_pieces(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("family,sigma", [("poisson", 0.0), ("nbi", 1.0), ("pig", 1.0)])
-def test_alpha_zero_is_deterministic_across_threads_and_pieces(family, sigma):
+def test_alpha_zero_is_deterministic_across_threads_and_pieces(monkeypatch, family, sigma):
     rng = np.random.default_rng(1)
     idx = np.sort(rng.choice(5000, 300, replace=False))
     table = SparseContingencyTable(line_schema(5000), idx, rng.integers(1, 30, idx.size), [idx[0] + 1])
@@ -327,7 +334,8 @@ def test_alpha_zero_is_deterministic_across_threads_and_pieces(family, sigma):
     base = synthesize(table, job)
     for threads in (1, 2, 3, 4):
         for chunk in (1, 7, idx.size, idx.size + 1):
-            for a, b in zip(base, synthesize(table, job, threads=threads, chunk_cells=chunk)):
+            monkeypatch.setattr(synthesis, "PIECE_CELLS", chunk)
+            for a, b in zip(base, synthesize(table, job, threads=threads)):
                 assert a.table.same_contents(b.table), (threads, chunk)
 
 
@@ -339,9 +347,10 @@ def test_alpha_zero_on_a_2_to_the_60_cell_table_draws_only_the_occupied_rows(mon
     job = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.0), master_seed=3, m=2)
     want = [draw_counts("nbi", table.count, 1.0, uniform_rows(3, r, idx)) for r in range(2)]
     calls = _count_pieces(monkeypatch)
-    for threads, chunk in ((1, 64), (3, 64), (3, synthesis.DEFAULT_CHUNK_CELLS)):
+    for threads, chunk in ((1, 64), (3, 64), (3, synthesis.PIECE_CELLS)):
         calls.clear()
-        reps = synthesize(table, job, threads=threads, chunk_cells=chunk)
+        monkeypatch.setattr(synthesis, "PIECE_CELLS", chunk)
+        reps = synthesize(table, job, threads=threads)
         for r, rep in enumerate(reps):
             keep = want[r] > 0
             np.testing.assert_array_equal(rep.table.index, idx[keep])
@@ -367,7 +376,7 @@ def test_alpha_zero_with_no_or_few_occupied_rows(monkeypatch):
 
 
 def test_alpha_above_zero_on_a_2_to_the_60_cell_table_is_a_typed_error():
-    # a list of every chunk_cells range of 2**60 cells would raise MemoryError
+    # a list of every PIECE_CELLS range of 2**60 cells would raise MemoryError
     schema = CategoricalSchema([(f"v{j}", ["0", "1"]) for j in range(60)])
     table = SparseContingencyTable(schema, [5, 2**59], [3, 1])
     job = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.01), master_seed=3, m=1)
@@ -390,3 +399,18 @@ def test_full_scale_nbi_match_zeros_at_two_threads_stays_under_30_mib():
     finally:
         tracemalloc.stop()
     assert peak < 30 * 2**20
+
+
+def test_full_scale_nbi_match_zeros_at_two_threads_stays_under_13_mib():
+    # each piece computes its own 2 MiB of uniforms and drops them when it ends;
+    # a per-thread buffer that lived for the whole call peaked at 14.5 MiB
+    table = generate_table(esc_like_spec(), 1)
+    alpha = alpha_star_match_zeros(tau2_of_table(table), "nbi", 1.0)
+    job = SynthesisJob(CountModelSpec("nbi", 1.0, alpha), master_seed=1)
+    tracemalloc.start()
+    try:
+        synthesize(table, job, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20
