@@ -33,6 +33,7 @@ from .table import SparseContingencyTable
 MAX_DENSE_CELLS = 100_000
 MAX_TERMS = 2_000
 MAX_HALVINGS = 60
+_EPS = np.finfo(np.float64).eps
 
 Term = tuple[str, ...]
 
@@ -114,10 +115,10 @@ class LoglinFit:
     loglik: float
 
     def intervals(self, level: float = 0.95) -> dict[str, Interval]:
-        from scipy import special  # here, not at import, as scipy.linalg in fit_loglinear
+        from statistics import NormalDist  # here, not at import: it adds ~4 ms to CLI start-up
         if not 0.0 < level < 1.0:
             raise ValidationError(f"level must lie in (0, 1), got {level}")
-        z = float(special.ndtri(0.5 + level / 2.0))  # what stats.norm.ppf evaluates
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
         out = {}
         for name, est in self.coefficients.items():
             se = self.standard_errors[name]
@@ -142,7 +143,9 @@ def fit_loglinear(
     ``X beta`` and ``X' v`` are sums over every cell's active columns, and
     so is ``X' W X`` over their pairs unless those outnumber the entries
     of the dense design, which is then formed for ``X' W X`` alone.
-    ``X' W X`` is Cholesky-factored once per step.  A step
+    ``X' W X`` is Cholesky-factored, ``L L'``, once per step, and counts as
+    singular where ``min(diag(L))**2 <= p * eps * max(diag(X' W X))``; a
+    step then leaves the directions of zero information as they are.  A step
     that raises the Poisson deviance beyond rounding is halved until it
     does not (Marschner 2011, glm2).  The fit maximises the likelihood
     over coefficients no lower than ``-cap``: a term with a zero observed
@@ -165,7 +168,6 @@ def fit_loglinear(
     a coefficient that moves along a direction of zero information has
     an infinite standard error.
     """
-    from scipy import linalg  # here, not at import: only fits need it, and it adds ~60 ms to CLI start-up
     if not 0.0 < cap < math.inf:  # False for NaN
         raise ValidationError(f"cap must be positive and finite, got {cap}")
     if max_iter < 1:
@@ -234,10 +236,12 @@ def fit_loglinear(
     for step in itertools.count():
         free = ~frozen
         info = information(mu, free)
-        try:
-            chol = linalg.cho_factor(info)
-        except linalg.LinAlgError:  # near-singular on the way to a cap
-            chol = None  # so the step below is the minimum-norm one
+        try:  # None where singular: on the way to a cap or along a ray to infinity
+            chol = np.linalg.cholesky(info)
+            if np.diag(chol).min(initial=1.0) ** 2 <= len(info) * _EPS * np.diag(info).max(initial=0.0):
+                chol = None
+        except np.linalg.LinAlgError:
+            chol = None
         score = xt_dot(y - mu)
         worst = float(np.max(np.abs(score[free]) / bound[free], initial=0.0))
         if step and worst <= 1.0 and gain <= gain_bound:
@@ -259,8 +263,10 @@ def fit_loglinear(
             )
         offset = x_dot(np.where(frozen, beta, 0.0))
         rhs = xt_dot(mu * (eta - offset) + (y - mu))[free]
-        target = linalg.lstsq(info, rhs)[0] if chol is None else linalg.cho_solve(chol, rhs)
-        delta = target - beta[free]
+        if chol is None:  # the least-norm step, which moves along no direction of zero information
+            delta = np.linalg.lstsq(info, rhs - info @ beta[free])[0]
+        else:
+            delta = _solve_lower(chol.T[::-1, ::-1], _solve_lower(chol, rhs)[::-1])[::-1] - beta[free]
         for _ in range(MAX_HALVINGS):
             trial = beta.copy()
             trial[free] += delta
@@ -282,7 +288,7 @@ def fit_loglinear(
     if chol is None:  # some combination of estimates runs off to infinity
         se[free] = _singular_standard_errors(info)
     else:
-        se[free] = np.sqrt(np.diag(linalg.cho_solve(chol, np.eye(int(free.sum())))))
+        se[free] = np.sqrt(np.sum(_solve_lower(chol, np.eye(len(chol))) ** 2, axis=0))  # diag(L^-T L^-1)
     return LoglinFit(
         coefficients=dict(zip(labels, beta.tolist())),
         standard_errors=dict(zip(labels, se.tolist())),
@@ -290,6 +296,16 @@ def fit_loglinear(
         cap_hit=frozenset(l for l, f in zip(labels, frozen) if f),
         loglik=poisson_loglik(y, mu),
     )
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray, block: int = 64) -> np.ndarray:
+    """x with ``chol @ x = b``, ``chol`` lower-triangular, by blocks of rows: numpy has no triangular
+    solve.  A back substitution in ``chol.T`` is a forward one in ``chol.T[::-1, ::-1]``."""
+    x = np.array(b, dtype=np.float64)
+    for i in range(0, len(chol), block):
+        x[i : i + block] -= chol[i : i + block, :i] @ x[:i]
+        x[i : i + block] = np.linalg.solve(chol[i : i + block, i : i + block], x[i : i + block])
+    return x
 
 
 def _singular_standard_errors(info: np.ndarray) -> np.ndarray:
@@ -300,12 +316,10 @@ def _singular_standard_errors(info: np.ndarray) -> np.ndarray:
     infinite standard error, the others the square root of their
     diagonal entry of the pseudo-inverse.
     """
-    from scipy import linalg  # see fit_loglinear
-    eps = np.finfo(np.float64).eps
-    lam, vec = linalg.eigh(info)
-    null = lam <= lam[-1] * len(lam) * eps
+    lam, vec = np.linalg.eigh(info)
+    null = lam <= lam[-1] * len(lam) * _EPS
     var = (vec[:, ~null] ** 2) @ (1.0 / lam[~null])
-    on_ray = np.abs(vec[:, null]).max(axis=1, initial=0.0) > math.sqrt(eps)
+    on_ray = np.abs(vec[:, null]).max(axis=1, initial=0.0) > math.sqrt(_EPS)
     return np.where(on_ray, math.inf, np.sqrt(var))
 
 

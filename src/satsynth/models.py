@@ -30,6 +30,11 @@ from .errors import ValidationError
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # see LogPmf.__call__
 
 
+def _log_gamma(x):
+    """log Gamma(x) for x > 0 by :func:`math.lgamma`: a scalar directly, an array element by element."""
+    return np.frompyfunc(math.lgamma, 1, 1)(x).astype(np.float64) if isinstance(x, np.ndarray) else math.lgamma(x)
+
+
 class Family(str, enum.Enum):
     POISSON = "poisson"
     NBI = "nbi"
@@ -117,9 +122,8 @@ def _log_rising_ratio(k, r):
     as r grows, so from r = 100 on the two Stirling series are subtracted
     term by term instead (truncation error below 1e-20).
     """
-    from scipy import special  # see LogPmf
     if r < 100.0:
-        return special.gammaln(k + r) - special.gammaln(r) - k * np.log(r)
+        return _log_gamma(k + r) - _log_gamma(r) - k * np.log(r)
     series = lambda x: (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x * x)) / (x * x)) / (x * x)) / x
     t = k / r
     with np.errstate(over="ignore"):  # x * x = inf leaves each term its limit 0
@@ -142,7 +146,6 @@ class LogPmf:
     """
 
     def __init__(self, family: Family | str, k, sigma: float = 0.0):
-        from scipy import special  # here, not at import: it adds ~0.25 s to start-up, and table work never needs it
         self.family, self.sigma = effective_family(family, sigma), sigma
         k = np.asarray(k)
         if (k != np.floor(k)).any():  # array methods: the np.any/np.all wrappers cost more per call
@@ -152,7 +155,7 @@ class LogPmf:
             raise ValidationError("counts must be >= 0")
         if sigma < 0 or not math.isfinite(sigma):
             raise ValidationError("sigma must be finite and >= 0")
-        self._log_k_factorial = special.gammaln(self.k + 1.0)
+        self._log_k_factorial = _log_gamma(self.k + 1.0)
         if self.family is Family.NBI:
             with np.errstate(**_QUIET):
                 self._log_rising = _log_rising_ratio(self.k, 1.0 / sigma)

@@ -18,6 +18,7 @@ of occupied rows whatever the size of the cell space.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -71,10 +72,25 @@ class Provenance:
 
     @classmethod
     def from_json(cls, text: str) -> "Provenance":
+        """Parse a sidecar; a :class:`FormatError` names a field missing, extra, or of the wrong type or domain."""
         try:
-            return cls(**json.loads(text))
-        except (ValueError, TypeError) as exc:  # not JSON, not an object, or a field missing
+            f = json.loads(text)
+        except ValueError as exc:
             raise FormatError(f"malformed provenance sidecar: {exc}") from None
+        if not isinstance(f, dict) or f.keys() != cls.__dataclass_fields__.keys():
+            raise FormatError(f"malformed provenance sidecar: fields must be {', '.join(cls.__dataclass_fields__)}")
+        real = lambda v: type(v) in (int, float) and 0.0 <= v <= sys.float_info.max  # no bool, NaN or inf
+        for name, ok, domain in (
+            ("family", lambda v: v in [family.value for family in Family], "poisson, nbi or pig"),
+            ("sigma", real, "a finite number >= 0"),
+            ("alpha", real, "a finite number >= 0"),
+            ("m", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+            ("master_seed", lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)"),
+            ("replicate", lambda v: type(v) is int and 0 <= v < f["m"], "an integer in [0, m)"),
+        ):
+            if not ok(f[name]):
+                raise FormatError(f"malformed provenance sidecar: {name} must be {domain}, got {f[name]!r}")
+        return cls(**f)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,50 @@ def test_generating_a_table_and_its_tau2_leaves_scipy_special_unloaded():
     assert _fresh_python(code) == "False"
 
 
+_SCIPY_FREE_RUN = """\
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+else:
+    import scipy.linalg, scipy.special
+from satsynth.cli import main
+out = []
+for argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        out.append([main(argv), buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_tune_metrics_evaluate_and_frontier_run_without_scipy(tmp_path):
+    """Each command gives the same exit code, output and files with scipy
+    unimportable as with it loaded; only synthesize's samplers need it."""
+    table = tmp_path / "t.csv"
+    assert run("generate-escsub", "--seed", 1, "--cells", 1000, "--out", table) == 0
+    assert run("synthesize", "--table", table, "--family", "nbi", "--sigma", 1, "--alpha", 0.05,
+               "--m", 2, "--seed", 3, "--out-dir", tmp_path / "syn") == 0
+    synthetic = ["--synthetic", *(str(tmp_path / "syn" / f"t.synth.nbi.r{r}.csv") for r in (0, 1))]
+    commands = [["tune", "--table", str(table), "--family", family, "--sigma", "0.5", *target]
+                for family in ("poisson", "nbi", "pig")
+                for target in (["--target", "match-zeros"], ["--target", "tau4", "--p", "0.3"])]
+    commands += [["metrics", "--table", str(table), *synthetic, "--out-prefix", "tau"],
+                 ["evaluate", "--table", str(table), *synthetic, "--out", "within.csv"],
+                 ["frontier", "--table", str(table), *synthetic, "--out", "frontier.csv"]]
+    src = Path(satsynth.__file__).resolve().parents[1]
+    runs = {}
+    for mode in ("blocked", "loaded"):
+        (tmp_path / mode).mkdir()
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, mode, json.dumps(commands)],
+                              cwd=tmp_path / mode, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / mode).iterdir())}
+        runs[mode] = json.loads(proc.stdout), files
+    assert [code for code, _ in runs["blocked"][0]] == [0] * len(commands)
+    assert len(runs["blocked"][1]) == 8  # two metrics reports in CSV and JSON; evaluate's and frontier's, each with a sidecar
+    assert runs["blocked"] == runs["loaded"]
+
+
 def test_first_special_function_call_from_two_threads_draws_as_one_thread():
     code = ("import sys\n"
             "from satsynth.generator import esc_like_spec, generate_table, scaled_spec\n"
@@ -349,6 +393,28 @@ def test_malformed_provenance_sidecar_is_a_typed_error(tmp_path, capsys, sidecar
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "syn.csv.provenance.json" in err, err
         assert "malformed provenance sidecar" in err
+
+
+_GOOD_SIDECAR = {"family": "nbi", "sigma": 1.0, "alpha": 0.0, "m": 2, "master_seed": 3, "replicate": 0}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigma", "1"), ("sigma", [1]), ("sigma", math.nan), ("sigma", -1), ("sigma", True), ("m", "2"),
+     ("family", "NBI"), ("alpha", math.inf), ("master_seed", 2**64), ("replicate", 2), ("sigma", 10**400)],
+)
+def test_provenance_field_of_the_wrong_type_or_domain_is_one_error_line(tmp_path, capsys, field, value):
+    # "sigma": "1" ended metrics in a TypeError traceback
+    schema = CategoricalSchema([("A", ["a1", "a2"]), ("B", ["b1", "b2"])])
+    table = SparseContingencyTable.from_dict(schema, {(0, 0): 1, (0, 1): 5, (1, 0): 7, (1, 1): 3})
+    orig, syn = tmp_path / "orig.csv", tmp_path / "syn.csv"
+    write_table(table, str(orig))
+    write_table(table, str(syn))
+    (tmp_path / "syn.csv.provenance.json").write_text(json.dumps({**_GOOD_SIDECAR, field: value}))
+    assert run("metrics", "--table", orig, "--synthetic", syn, "--out-prefix", tmp_path / "tau") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path / 'syn.csv.provenance.json'}: "), err
+    assert f"malformed provenance sidecar: {field} must be " in err, err
 
 
 def _small_table(tmp_path) -> Path:

@@ -266,12 +266,16 @@ def test_margin_spec_closure_and_validation():
         MarginSpec([("A", "A")])
 
 
-def test_intervals_use_the_normal_quantile_without_scipy_stats():
-    from scipy import stats
+def test_intervals_use_the_stdlib_normal_quantile_within_3_ulp_of_ndtri():
+    from statistics import NormalDist
+
+    from scipy import special
 
     fit = fit_loglinear(random_table(np.random.default_rng(5), (3, 2)), [("v0",), ("v1",)])
-    for level in (0.5, 0.9, 0.95, 0.99):
-        z = float(stats.norm.ppf(0.5 + level / 2.0))
+    for level in (0.5, 0.9, 0.95, 0.99, 0.999):
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
+        ref = float(special.ndtri(0.5 + level / 2.0))
+        assert abs(z - ref) <= 3 * math.ulp(ref), level
         for name, iv in fit.intervals(level).items():
             est, se = fit.coefficients[name], fit.standard_errors[name]
             assert (iv.lower, iv.upper) == (est - z * se, est + z * se)

@@ -1,16 +1,17 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from satsynth import synthesis
 from satsynth.cli import main
-from satsynth.errors import ValidationError
+from satsynth.errors import FormatError, ValidationError
 from satsynth.generator import esc_like_spec, generate_table, scaled_spec
 from satsynth.models import CountModelSpec
 from satsynth.schema import CategoricalSchema
@@ -161,6 +162,27 @@ def test_provenance_roundtrip_and_fields():
     p = reps[1].provenance
     assert Provenance.from_json(p.to_json()) == p
     assert p.family == "pig" and p.m == 3 and p.master_seed == 4
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(field="m", value=1)  # the smallest m; replicate 0 stays in range
+@given(field=st.sampled_from(["family", "sigma", "alpha", "m", "master_seed", "replicate"]), value=_JSON_VALUES)
+def test_provenance_sidecar_field_parses_into_its_domain_or_is_a_format_error(field, value):
+    fields = {"family": "nbi", "sigma": 1.0, "alpha": 0.0, "m": 2, "master_seed": 3, "replicate": 0, field: value}
+    try:
+        p = Provenance.from_json(json.dumps(fields))
+    except FormatError as exc:
+        assert str(exc).startswith(f"malformed provenance sidecar: {field} must be "), exc
+        return
+    SynthesisJob(CountModelSpec(p.family, p.sigma, p.alpha), master_seed=p.master_seed, m=p.m)
+    assert type(p.replicate) is int and 0 <= p.replicate < p.m
 
 
 def test_job_validation():
