@@ -33,7 +33,6 @@ from .table import SparseContingencyTable
 MAX_DENSE_CELLS = 100_000
 MAX_TERMS = 2_000
 MAX_HALVINGS = 60
-_EPS = np.finfo(np.float64).eps
 
 Term = tuple[str, ...]
 
@@ -116,8 +115,8 @@ class LoglinFit:
 
     def intervals(self, level: float = 0.95) -> dict[str, Interval]:
         from statistics import NormalDist  # here, not at import: it adds ~4 ms to CLI start-up
-        if not 0.0 < level < 1.0:
-            raise ValidationError(f"level must lie in (0, 1), got {level}")
+        if not (0.0 < level and 0.5 + level / 2.0 < 1.0):  # the largest float below 1 rounds up to 1 here
+            raise ValidationError(f"level must lie in (0, 1) with 0.5 + level / 2 below 1, got {level!r}")
         z = NormalDist().inv_cdf(0.5 + level / 2.0)
         out = {}
         for name, est in self.coefficients.items():
@@ -143,9 +142,7 @@ def fit_loglinear(
     ``X beta`` and ``X' v`` are sums over every cell's active columns, and
     so is ``X' W X`` over their pairs unless those outnumber the entries
     of the dense design, which is then formed for ``X' W X`` alone.
-    ``X' W X`` is Cholesky-factored, ``L L'``, once per step, and counts as
-    singular where ``min(diag(L))**2 <= p * eps * max(diag(X' W X))``; a
-    step then leaves the directions of zero information as they are.  A step
+    ``X' W X`` is Cholesky-factored once per step.  A step
     that raises the Poisson deviance beyond rounding is halved until it
     does not (Marschner 2011, glm2).  The fit maximises the likelihood
     over coefficients no lower than ``-cap``: a term with a zero observed
@@ -238,7 +235,7 @@ def fit_loglinear(
         info = information(mu, free)
         try:  # None where singular: on the way to a cap or along a ray to infinity
             chol = np.linalg.cholesky(info)
-            if np.diag(chol).min(initial=1.0) ** 2 <= len(info) * _EPS * np.diag(info).max(initial=0.0):
+            if np.diag(chol).min(initial=1) ** 2 <= len(info) * np.finfo(float).eps * np.diag(info).max(initial=0):
                 chol = None
         except np.linalg.LinAlgError:
             chol = None
@@ -263,10 +260,8 @@ def fit_loglinear(
             )
         offset = x_dot(np.where(frozen, beta, 0.0))
         rhs = xt_dot(mu * (eta - offset) + (y - mu))[free]
-        if chol is None:  # the least-norm step, which moves along no direction of zero information
-            delta = np.linalg.lstsq(info, rhs - info @ beta[free])[0]
-        else:
-            delta = _solve_lower(chol.T[::-1, ::-1], _solve_lower(chol, rhs)[::-1])[::-1] - beta[free]
+        delta = (np.linalg.lstsq(info, rhs - info @ beta[free])[0] if chol is None  # least norm
+                 else _solve_lower(chol.T[::-1, ::-1], _solve_lower(chol, rhs)[::-1])[::-1] - beta[free])
         for _ in range(MAX_HALVINGS):
             trial = beta.copy()
             trial[free] += delta
@@ -285,10 +280,8 @@ def fit_loglinear(
         gain = prior_loss - loss
 
     se = np.full(p, math.inf)
-    if chol is None:  # some combination of estimates runs off to infinity
-        se[free] = _singular_standard_errors(info)
-    else:
-        se[free] = np.sqrt(np.sum(_solve_lower(chol, np.eye(len(chol))) ** 2, axis=0))  # diag(L^-T L^-1)
+    se[free] = (_singular_standard_errors(info) if chol is None  # estimates running off to infinity
+                else np.sqrt(np.sum(_solve_lower(chol, np.eye(len(chol))) ** 2, axis=0)))  # diag(L^-T L^-1)
     return LoglinFit(
         coefficients=dict(zip(labels, beta.tolist())),
         standard_errors=dict(zip(labels, se.tolist())),
@@ -298,13 +291,12 @@ def fit_loglinear(
     )
 
 
-def _solve_lower(chol: np.ndarray, b: np.ndarray, block: int = 64) -> np.ndarray:
-    """x with ``chol @ x = b``, ``chol`` lower-triangular, by blocks of rows: numpy has no triangular
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with ``chol @ x = b``, ``chol`` lower-triangular, by blocks of 64 rows: numpy has no triangular
     solve.  A back substitution in ``chol.T`` is a forward one in ``chol.T[::-1, ::-1]``."""
     x = np.array(b, dtype=np.float64)
-    for i in range(0, len(chol), block):
-        x[i : i + block] -= chol[i : i + block, :i] @ x[:i]
-        x[i : i + block] = np.linalg.solve(chol[i : i + block, i : i + block], x[i : i + block])
+    for i in range(0, len(chol), 64):
+        x[i : i + 64] = np.linalg.solve(chol[i : i + 64, i : i + 64], x[i : i + 64] - chol[i : i + 64, :i] @ x[:i])
     return x
 
 
@@ -316,10 +308,11 @@ def _singular_standard_errors(info: np.ndarray) -> np.ndarray:
     infinite standard error, the others the square root of their
     diagonal entry of the pseudo-inverse.
     """
+    eps = np.finfo(np.float64).eps
     lam, vec = np.linalg.eigh(info)
-    null = lam <= lam[-1] * len(lam) * _EPS
+    null = lam <= lam[-1] * len(lam) * eps
     var = (vec[:, ~null] ** 2) @ (1.0 / lam[~null])
-    on_ray = np.abs(vec[:, null]).max(axis=1, initial=0.0) > math.sqrt(_EPS)
+    on_ray = np.abs(vec[:, null]).max(axis=1, initial=0.0) > math.sqrt(eps)
     return np.where(on_ray, math.inf, np.sqrt(var))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # see LogPmf.__
 
 def _log_gamma(x):
     """log Gamma(x) for x > 0 by :func:`math.lgamma`: a scalar directly, an array element by element."""
-    return np.frompyfunc(math.lgamma, 1, 1)(x).astype(np.float64) if isinstance(x, np.ndarray) else math.lgamma(x)
+    return (np.fromiter(map(math.lgamma, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+            if isinstance(x, np.ndarray) else math.lgamma(x))
 
 
 class Family(str, enum.Enum):
@@ -66,10 +68,9 @@ class CountModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family.coerce(self.family))
-        if not (self.sigma >= 0.0) or not math.isfinite(self.sigma):
-            raise ValidationError("sigma must be finite and >= 0")
-        if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
-            raise ValidationError("alpha must be finite and >= 0")
+        for name in ("sigma", "alpha"):
+            if not 0.0 <= getattr(self, name) <= sys.float_info.max:  # False for NaN, and huge ints
+                raise ValidationError(f"{name} must be finite and >= 0")
 
     @property
     def effective_family(self) -> Family:

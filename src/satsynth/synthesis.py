@@ -18,7 +18,6 @@ of occupied rows whatever the size of the cell space.
 from __future__ import annotations
 
 import json
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -72,25 +71,19 @@ class Provenance:
 
     @classmethod
     def from_json(cls, text: str) -> "Provenance":
-        """Parse a sidecar; a :class:`FormatError` names a field missing, extra, or of the wrong type or domain."""
         try:
             f = json.loads(text)
-        except ValueError as exc:
+            if not isinstance(f, dict) or f.keys() != cls.__dataclass_fields__.keys():
+                raise ValidationError(f"fields must be {', '.join(cls.__dataclass_fields__)}")
+            for name, kinds in zip(cls.__dataclass_fields__, [(str,)] + [(int, float)] * 2 + [(int,)] * 3):
+                if type(f[name]) not in kinds:  # type, not isinstance: true is no number
+                    raise ValidationError(f"{name} must be {'/'.join(k.__name__ for k in kinds)}, got {f[name]!r}")
+            job = SynthesisJob(CountModelSpec(f["family"], f["sigma"], f["alpha"]), f["master_seed"], f["m"])
+            if not 0 <= f["replicate"] < job.m:
+                raise ValidationError(f"replicate must be in [0, m), got {f['replicate']}")
+        except (ValueError, ValidationError) as exc:  # not JSON, or a field of the wrong type or domain
             raise FormatError(f"malformed provenance sidecar: {exc}") from None
-        if not isinstance(f, dict) or f.keys() != cls.__dataclass_fields__.keys():
-            raise FormatError(f"malformed provenance sidecar: fields must be {', '.join(cls.__dataclass_fields__)}")
-        real = lambda v: type(v) in (int, float) and 0.0 <= v <= sys.float_info.max  # no bool, NaN or inf
-        for name, ok, domain in (
-            ("family", lambda v: v in [family.value for family in Family], "poisson, nbi or pig"),
-            ("sigma", real, "a finite number >= 0"),
-            ("alpha", real, "a finite number >= 0"),
-            ("m", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-            ("master_seed", lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)"),
-            ("replicate", lambda v: type(v) is int and 0 <= v < f["m"], "an integer in [0, m)"),
-        ):
-            if not ok(f[name]):
-                raise FormatError(f"malformed provenance sidecar: {name} must be {domain}, got {f[name]!r}")
-        return cls(**f)
+        return cls(**{**f, "family": job.model.family.value})
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -401,7 +402,8 @@ _GOOD_SIDECAR = {"family": "nbi", "sigma": 1.0, "alpha": 0.0, "m": 2, "master_se
 @pytest.mark.parametrize(
     "field, value",
     [("sigma", "1"), ("sigma", [1]), ("sigma", math.nan), ("sigma", -1), ("sigma", True), ("m", "2"),
-     ("family", "NBI"), ("alpha", math.inf), ("master_seed", 2**64), ("replicate", 2), ("sigma", 10**400)],
+     ("family", "nb"), ("family", 2), ("alpha", math.inf), ("master_seed", 2**64), ("replicate", 2), ("m", 0),
+     ("sigma", 10**400)],
 )
 def test_provenance_field_of_the_wrong_type_or_domain_is_one_error_line(tmp_path, capsys, field, value):
     # "sigma": "1" ended metrics in a TypeError traceback
@@ -414,7 +416,7 @@ def test_provenance_field_of_the_wrong_type_or_domain_is_one_error_line(tmp_path
     assert run("metrics", "--table", orig, "--synthetic", syn, "--out-prefix", tmp_path / "tau") == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path / 'syn.csv.provenance.json'}: "), err
-    assert f"malformed provenance sidecar: {field} must be " in err, err
+    assert re.search(rf"malformed provenance sidecar: .*\b{field}\b", err), err
 
 
 def _small_table(tmp_path) -> Path:

@@ -244,7 +244,7 @@ def test_design_rejects_terms_that_alias_columns():
 
 def test_intervals_require_level_strictly_inside_unit_interval():
     fit = fit_loglinear(two_by_two(10, 20, 30, 40), [("A",), ("B",)])
-    for level in (0.0, 1.0, 1.5, -0.5, math.nan):
+    for level in (0.0, 1.0, 1.5, -0.5, math.nan, 1.0 - 2.0**-53):  # the last rounds 0.5 + level / 2 up to 1
         with pytest.raises(ValidationError, match="level"):
             fit.intervals(level)
     assert all(math.isfinite(iv.length) and iv.length > 0 for iv in fit.intervals(0.999).values())
