@@ -38,6 +38,7 @@ ESC_LIKE_CELL_SIZE_FREQUENCIES: dict[int, int] = {
 }
 ESC_LIKE_TAIL = {"start": 11, "cells": 67_512, "total": 7_468_867}
 ESC_LIKE_N = 8_190_870
+MAX_LINE_CELLS = 1 << 20  # a spec without a schema gets one label per cell: 2**22 took 1 GB
 
 
 def esc_like_schema() -> CategoricalSchema:
@@ -89,6 +90,8 @@ class HistogramSpec:
         if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer))):
             raise ValidationError(f"num_cells must be an integer, got {n!r}")
         k = self.schema.num_cells if self.schema is not None else self.num_cells
+        if self.schema is None and k > MAX_LINE_CELLS:
+            raise ValidationError(f"num_cells without a schema must be <= 2**20 (one label per cell), got {k}")
         if self.num_cells is not None and self.schema is not None and self.schema.num_cells != self.num_cells:
             raise ValidationError("num_cells disagrees with the schema's cell count")
         declared = sum(c for s, c in self.cells_per_size.items())

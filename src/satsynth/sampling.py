@@ -18,12 +18,11 @@ Construction mirrors the mixture definitions of the families:
 
 Most cells of an administrative-scale table draw 0, so one screen,
 :func:`may_draw_nonzero`, rules out from each draw's mean and uniforms the
-draws that certainly give 0.  ``draw_counts`` runs the mixing kernel and
-the Poisson quantile only on the rest, and synthesis uses the same screen
-at the random zeros' common mean alpha, so most of them never reach
-``draw_counts``.  The screen skips computation only: it never changes a
-value, and every cell's count is still a function of its own counter
-block.
+draws that certainly give 0.  :func:`draw_screened` runs the mixing kernel
+and the Poisson quantile on the rest; ``draw_counts`` and synthesis each
+screen a draw once, then pass the survivors to it.  The screen skips
+computation only: it never changes a value, and every cell's count is
+still a function of its own counter block.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ _WALK_TAIL, _WALK_CAP, _WALK_MARGIN = 1e-9, 2.0**20, 1e-6
 _SCREEN_STEPS = 256
 _SCREEN_MARGIN = 1e-6
 _EXP_SLACK = 1.0 - 2.0**-48
+_COUNT_SLOT = {Family.POISSON: 0, Family.NBI: 1, Family.PIG: 2}  # the uniform the Poisson stage inverts
 
 
 def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarray:
@@ -129,7 +129,7 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Where ``pdtrik`` fails (NaN, e.g. for lam >= ~1e12) or the quantile
     passes 2**63, the integer quantile is found by bisection on ``pdtr``.
     """
-    from scipy import special  # see draw_counts
+    from scipy import special  # see draw_screened
     k = np.ceil(special.pdtrik(u, lam))
     below = np.maximum(k - 1.0, 0.0)
     k = np.where(special.pdtr(below, lam) >= u, below, k)
@@ -143,7 +143,7 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def _poisson_quantile_bisect(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Smallest k below 2**63 - 1 with ``pdtr(k, lam) >= u``; raises if there is none."""
-    from scipy import special  # see draw_counts
+    from scipy import special  # see draw_screened
     hi = np.full(u.shape, np.iinfo(np.int64).max - 1, dtype=np.int64)  # hi - lo stays in int64
     if np.any(~(special.pdtr(hi.astype(np.float64), lam) >= u)):
         raise ValidationError(
@@ -169,7 +169,7 @@ def _poisson_quantile_walk(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     ``pdtr(k) - pdtr(k - 1)`` of either end take :func:`_poisson_quantile`:
     every value equals it.
     """
-    from scipy import special  # see draw_counts
+    from scipy import special  # see draw_screened
     ok = (u > _WALK_TAIL) & (u < 1.0 - _WALK_TAIL) & (lam <= _WALK_CAP)
     uw, lw = u[ok], lam[ok]
     z = special.ndtri(uw)
@@ -258,7 +258,7 @@ def _inverse_gaussian_from_uniforms(mu, sigma, u_norm, u_pick):
     root is mu**2 / x.  ``u_pick`` selects between them with probability
     mu / (mu + x) for the small root.
     """
-    from scipy import special  # see draw_counts
+    from scipy import special  # see draw_screened
     z = special.ndtri(u_norm)
     with np.errstate(over="ignore"):  # where h or h * (h + 4) overflows, the small root is its limit 0
         h = sigma * z * z
@@ -276,7 +276,7 @@ def _cap_table(family: Family, sigma: float) -> np.ndarray:
     hold the bound 1 of the small root, which every bucket takes when
     u1 <= 1/2.
     """
-    from scipy import special  # see draw_counts
+    from scipy import special  # see draw_screened
     edges = np.arange(_SCREEN_STEPS + 1) / _SCREEN_STEPS
     if family is Family.NBI:
         return special.gammaincinv(1.0 / sigma, edges) * sigma * (1.0 + _SCREEN_MARGIN)
@@ -301,11 +301,11 @@ def _screen_bucket(family: Family, u: np.ndarray) -> np.ndarray:
 def may_draw_nonzero(family: Family, sigma: float, mu, u: np.ndarray) -> np.ndarray:
     """Which draws may be nonzero: a boolean mask over the rows of ``u``.
 
-    ``mu`` is one mean per row, or one mean for every row (the random
-    zeros' alpha); ``u`` holds uniforms in [0, 1).  A draw is False only
-    where it is certainly 0: its mean is 0, or its count uniform lies
-    below ``exp(-b * mu) * _EXP_SLACK`` for a factor b with
-    lambda <= b * mu, hence below exp(-lambda), where Poisson(lambda) is 0.
+    ``mu`` is one mean per row (a scalar serves every row); ``u`` holds
+    uniforms in [0, 1).  A draw is False only where it is certainly 0: its
+    mean is 0, or its count uniform lies below ``exp(-b * mu) * _EXP_SLACK``
+    for a factor b with lambda <= b * mu, hence below exp(-lambda), where
+    Poisson(lambda) is 0.
 
     ``j = ceil(u0 * S)`` puts u0 = ``u[:, 0]`` in ((j-1)/S, j/S] (u0 = 0 in
     j = 0).  Within a bucket each family's lambda is monotone in u0, so
@@ -329,15 +329,9 @@ def may_draw_nonzero(family: Family, sigma: float, mu, u: np.ndarray) -> np.ndar
     """
     family = effective_family(family, sigma)
     with np.errstate(invalid="ignore"):  # inf * 0 at mu = 0: NaN, and mu > 0 drops it
-        if family is Family.POISSON:
-            slot, threshold = 0, np.exp(-mu) * _EXP_SLACK  # b = 1
-        else:
-            slot, table = (1 if family is Family.NBI else 2), _cap_table(family, sigma)
-            if np.ndim(mu) == 0:  # one exponential per bucket
-                threshold = (np.exp(-table * mu) * _EXP_SLACK).take(_screen_bucket(family, u))
-            else:
-                threshold = np.exp(-table.take(_screen_bucket(family, u)) * mu) * _EXP_SLACK
-    return (u[:, slot] >= threshold) & (mu > 0.0)
+        b = 1.0 if family is Family.POISSON else _cap_table(family, sigma).take(_screen_bucket(family, u))
+        threshold = np.exp(-b * mu) * _EXP_SLACK
+    return (u[:, _COUNT_SLOT[family]] >= threshold) & (mu > 0.0)
 
 
 def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.ndarray:
@@ -352,11 +346,9 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     u : ``(len(mu), SLOTS_PER_DRAW)`` uniforms in [0, 1), e.g. from
         :func:`uniform_block`.
 
-    Only the draws that pass :func:`may_draw_nonzero` run the mixing
-    kernel (lambda = mu for Poisson) and the Poisson quantile; the others
-    are 0.
+    Only the draws that pass :func:`may_draw_nonzero` reach
+    :func:`draw_screened`; the others are 0.
     """
-    from scipy import special  # here, not at import: it adds ~0.25 s to start-up, and only synthesize draws
     family = effective_family(family, sigma)
     mu = np.asarray(mu, dtype=np.float64)
     if not np.all((mu >= 0.0) & (mu < np.inf)):  # False for NaN
@@ -373,16 +365,21 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
 
     flat = mu.reshape(-1)
     cells = np.flatnonzero(may_draw_nonzero(family, sigma, flat, u))
-    mm = flat.take(cells)
-    uu = u.take(cells, axis=0)
-    if family is Family.POISSON:
-        slot, lam = 0, mm
-    elif family is Family.NBI:
-        g = special.gammaincinv(1.0 / sigma, uu[:, 0])
-        with np.errstate(over="ignore"):  # near sigma = 1e308, g = 0 meets sigma * mu = inf: lambda is 0
-            slot, lam = 1, np.multiply(g, sigma * mm, out=np.zeros_like(g), where=g > 0.0)
-    else:
-        slot, lam = 2, _inverse_gaussian_from_uniforms(mm, sigma, uu[:, 0], uu[:, 1])
     out = np.zeros(flat.size, dtype=np.int64)
-    out[cells] = poisson_inverse(uu[:, slot], lam)
+    out[cells] = draw_screened(family, flat.take(cells), sigma, u.take(cells, axis=0))
     return out.reshape(mu.shape)
+
+
+def draw_screened(family: Family, mu: np.ndarray, sigma: float, u: np.ndarray) -> np.ndarray:
+    """The counts of screened draws (see :func:`may_draw_nonzero`), unchecked: ``family`` is
+    already :func:`~satsynth.models.effective_family`'s, and ``mu`` holds one mean per row of ``u``."""
+    from scipy import special  # here, not at import: it adds ~0.25 s to start-up, and only synthesize draws
+    if family is Family.POISSON:
+        lam = mu
+    elif family is Family.NBI:
+        g = special.gammaincinv(1.0 / sigma, u[:, 0])
+        with np.errstate(over="ignore"):  # near sigma = 1e308, g = 0 meets sigma * mu = inf: lambda is 0
+            lam = np.multiply(g, sigma * mu, out=np.zeros_like(g), where=g > 0.0)
+    else:
+        lam = _inverse_gaussian_from_uniforms(mu, sigma, u[:, 0], u[:, 1])
+    return poisson_inverse(u[:, _COUNT_SLOT[family]], lam)

@@ -7,10 +7,10 @@ depends only on (master seed, replicate index, cell flat index) — never
 on chunking or worker count — because each cell owns a fixed counter
 block of the keyed Philox stream (see :mod:`satsynth.sampling`).
 
-Only the occupied cells and the random zeros whose uniforms pass
-:func:`~satsynth.sampling.may_draw_nonzero` at ``alpha`` reach the
-sampler; every other cell certainly draws 0.  At ``alpha = 0`` no random
-zero can pass, so only the occupied cells' counter blocks are computed
+Only the draws that pass :func:`~satsynth.sampling.may_draw_nonzero` at
+their own mean (``alpha`` for a random zero) reach the sampler; every other
+cell certainly draws 0.  At ``alpha = 0`` no random zero can pass, so only
+the occupied cells' counter blocks are computed
 (:func:`~satsynth.sampling.uniform_rows`), and the work is cut into ranges
 of occupied rows whatever the size of the cell space.
 """
@@ -26,11 +26,12 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .models import CountModelSpec, Family
-from .sampling import draw_counts, may_draw_nonzero, uniform_block, uniform_rows
+from .sampling import draw_screened, may_draw_nonzero, uniform_block, uniform_rows
 from .table import SparseContingencyTable
 
 PIECE_CELLS = 1 << 16  # at most 2 MB of uniforms a piece
 MAX_ALPHA_CELLS = 1 << 40  # alpha > 0 draws every cell; beyond this it would never finish
+MAX_THREADS = 256  # a pool may start one OS thread per piece
 
 
 @dataclass(frozen=True)
@@ -118,30 +119,26 @@ def _chunk_draw(
     At ``alpha = 0`` the piece is the occupied rows [start, stop) of
     ``table.index``: a random zero certainly draws 0, so only their blocks
     are computed.  At ``alpha > 0`` it is the cells [start, stop), whose
-    uniforms the piece computes and frees.
+    uniforms the piece computes and frees; a structural zero's mean is 0.
     """
     if alpha == 0.0:
-        idx = table.index[start:stop]
-        counts = draw_counts(family, table.count[start:stop], sigma, uniform_rows(master_seed, replicate, idx))
-        keep = counts > 0
-        return idx[keep], counts[keep]
-    lo = int(np.searchsorted(table.index, np.uint64(start)))
-    hi = int(np.searchsorted(table.index, np.uint64(stop)))
-    # subtract in uint64 first: chunk-relative offsets are small, raw indices may not be
-    nz_pos = (table.index[lo:hi] - np.uint64(start)).astype(np.int64)
-    s_lo = int(np.searchsorted(table.structural, np.uint64(start)))
-    s_hi = int(np.searchsorted(table.structural, np.uint64(stop)))
-
-    u = uniform_block(master_seed, replicate, start, stop - start)
-    draw = may_draw_nonzero(family, sigma, alpha, u)
-    draw[nz_pos] = True
-    draw[(table.structural[s_lo:s_hi] - np.uint64(start)).astype(np.int64)] = False
-    cand = np.flatnonzero(draw)
-    mu = np.full(cand.size, alpha)
-    mu[np.searchsorted(cand, nz_pos)] = table.count[lo:hi]
-    counts = draw_counts(family, mu, sigma, u.take(cand, axis=0))
+        cells = table.index[start:stop]
+        mu = table.count[start:stop].astype(np.float64)
+        u = uniform_rows(master_seed, replicate, cells)
+    else:
+        cells = np.arange(start, stop, dtype=np.uint64)
+        mu = np.full(stop - start, alpha)
+        ends = np.array([start, stop], dtype=np.uint64)
+        lo, hi = table.index.searchsorted(ends)
+        # subtract in uint64 first: chunk-relative offsets are small, raw indices may not be
+        mu[(table.index[lo:hi] - ends[0]).astype(np.int64)] = table.count[lo:hi]
+        lo, hi = table.structural.searchsorted(ends)
+        mu[(table.structural[lo:hi] - ends[0]).astype(np.int64)] = 0.0
+        u = uniform_block(master_seed, replicate, start, stop - start)
+    cand = np.flatnonzero(may_draw_nonzero(family, sigma, mu, u))
+    counts = draw_screened(family, mu.take(cand), sigma, u.take(cand, axis=0))
     keep = counts > 0
-    return (cand[keep] + start).astype(np.uint64), counts[keep]
+    return cells[cand[keep]], counts[keep]
 
 
 def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 1) -> list[SyntheticTable]:
@@ -153,11 +150,11 @@ def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 
     ``alpha = 0`` the occupied rows are cut into
     ``max(threads, ceil(nnz / PIECE_CELLS))`` near-equal ranges (at most
     one per row), so the cell space's size does not matter.  With
-    ``threads > 1`` pieces are dispatched to a thread pool.  Output is
-    identical for any thread count and piece size.
+    ``threads`` in 2 .. ``MAX_THREADS`` pieces are dispatched to a thread
+    pool.  Output is identical for any thread count and piece size.
     """
-    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
-        raise ValidationError(f"threads must be an integer >= 1, got {threads!r}")
+    if not (isinstance(threads, (int, np.integer)) and 1 <= threads <= MAX_THREADS):
+        raise ValidationError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads!r}")
     spec = job.model
     k = table.num_cells
     if spec.alpha == 0.0:
@@ -171,7 +168,7 @@ def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 
         )
     else:
         bounds = [*range(0, k, PIECE_CELLS), k]
-    draw = partial(_chunk_draw, table, spec.family, spec.sigma, spec.alpha, job.master_seed)
+    draw = partial(_chunk_draw, table, spec.effective_family, spec.sigma, spec.alpha, job.master_seed)
     out: list[SyntheticTable] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # threads=1 runs the pieces on this thread: through the pool, peak RSS

@@ -26,6 +26,7 @@ from .schema import CategoricalSchema, Coords
 _I64_MAX = 2**63 - 1
 
 _FORMAT_TAG = "satsynth-table v1"
+MAX_DENSE_CELLS = 1 << 25  # to_dense's int64 array: 256 MB
 
 
 def _as_sorted_u64(values, what: str) -> tuple[np.ndarray, np.ndarray | None]:
@@ -164,10 +165,10 @@ class SparseContingencyTable:
 
     # -- dense views (desk scale only) ----------------------------------------
 
-    def to_dense(self, max_cells: int = 1 << 25) -> np.ndarray:
-        if self.num_cells > max_cells:
+    def to_dense(self) -> np.ndarray:
+        if self.num_cells > MAX_DENSE_CELLS:
             raise ValidationError(
-                f"table has {self.num_cells} cells; dense view capped at {max_cells}"
+                f"table has {self.num_cells} cells; dense view capped at {MAX_DENSE_CELLS}"
             )
         out = np.zeros(self.num_cells, dtype=np.int64)
         out[self.index.astype(np.int64)] = self.count
@@ -624,16 +625,16 @@ def _check_rows(fh, schema: CategoricalSchema, lineno: int) -> tuple[np.ndarray,
     return np.array(flats, dtype=np.uint64), np.array(counts, dtype=np.int64), np.array(flags, dtype=bool)
 
 
-def read_table(path: str, schema: CategoricalSchema | None = None) -> SparseContingencyTable:
+def read_table(path: str) -> SparseContingencyTable:
     """Read an aggregated-CSV table.
 
-    The schema is taken from the ``# schema:`` header comment unless one is
-    passed explicitly.  Rejects malformed rows, duplicate cells, negative or
-    overflowing counts, nonzero structural rows and bytes that are not
-    UTF-8, naming the line.
+    The schema is taken from the first ``# schema:`` header comment.
+    Rejects malformed rows, duplicate cells, negative or overflowing
+    counts, nonzero structural rows and bytes that are not UTF-8, naming
+    the line.
     """
     with utf8_errors(path):
-        return _read_table_file(path, schema)
+        return _read_table_file(path)
 
 
 @contextmanager
@@ -652,8 +653,9 @@ def utf8_errors(path: str):
         raise
 
 
-def _read_table_file(path: str, schema: CategoricalSchema | None) -> SparseContingencyTable:
+def _read_table_file(path: str) -> SparseContingencyTable:
     header_n: int | None = None
+    schema: CategoricalSchema | None = None
     with open(path, "rb") as fh:
         data = bytearray()
 
@@ -670,8 +672,7 @@ def _read_table_file(path: str, schema: CategoricalSchema | None) -> SparseConti
             lineno += 1
             body = line[1:].strip()
             if body.startswith("schema:"):
-                schema_json = body[len("schema:"):].strip()
-                parsed = CategoricalSchema.from_json(schema_json)
+                parsed = CategoricalSchema.from_json(body[len("schema:"):].strip())
                 if schema is None:
                     schema = parsed
             elif body.startswith("n:"):
@@ -681,7 +682,7 @@ def _read_table_file(path: str, schema: CategoricalSchema | None) -> SparseConti
                     raise FormatError("unreadable n header", line=lineno) from None
             line = next_line()
         if schema is None:
-            raise FormatError("no schema header found and none supplied")
+            raise FormatError("no schema header found")
         lineno += 1
         header = next(csv.reader([line])) if line else []
         expected = list(schema.names) + ["count", "structural"]

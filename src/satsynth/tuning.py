@@ -26,6 +26,8 @@ from .models import Family, effective_family, pmf
 from .table import CellSizeDistribution
 from .taumetrics import TauCurve
 
+ALPHA_CAP = 1e6  # the tau4 solve's bracket search stops here
+
 
 @dataclass(frozen=True)
 class TuningResult:
@@ -96,7 +98,6 @@ def solve_alpha_for_tau4_target(
     sigma_star: float,
     p: float,
     tol: float = 1e-10,
-    alpha_cap: float = 1e6,
 ) -> TuningResult:
     """alpha* with expected tau4(1) = p, by bracketed bisection.
 
@@ -133,13 +134,13 @@ def solve_alpha_for_tau4_target(
                 f"(value {f_lo:.10g} < requested {p}); target not reachable "
                 "in the monotone region"
             )
-        if hi >= alpha_cap:
+        if hi >= ALPHA_CAP:
             raise InfeasibleError(
-                f"no bracket below alpha = {alpha_cap:g}; smallest tau4(1) seen "
+                f"no bracket below alpha = {ALPHA_CAP:g}; smallest tau4(1) seen "
                 f"is {f_hi:.10g} > requested {p}"
             )
         lo, f_lo = hi, f_hi
-        hi = min(hi * 2.0, alpha_cap)
+        hi = min(hi * 2.0, ALPHA_CAP)
         f_hi = f(hi)
         iterations += 1
 

@@ -521,6 +521,25 @@ def test_generate_escsub_zero_cells_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["--cells", "--spec"])
+def test_generate_escsub_refuses_a_schema_less_table_above_2_to_the_20_cells(tmp_path, capsys, monkeypatch, source):
+    # resolved_schema made one label per cell: 2**22 cells took about 1 GB, and 5e7 a MemoryError
+    def refuse(spec):
+        raise AssertionError(f"built a {spec.total_cells}-label schema")
+
+    monkeypatch.setattr(HistogramSpec, "resolved_schema", refuse)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"cells_per_size": {"1": 2}, "num_cells": 1048577}')
+    argv = ["--cells", 2**20 + 1] if source == "--cells" else ["--spec", spec]
+    out = tmp_path / "t.csv"
+    assert run("generate-escsub", *argv, "--seed", 1, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: num_cells without a schema must be <= 2**20 (one label per cell), got 1048577\n"
+    )
+    assert not out.exists()
+    HistogramSpec({1: 2}, None, num_cells=2**20)
+
+
 @pytest.mark.parametrize("bad", ["microdata", "schema", "spec", "config"])
 def test_input_file_that_is_not_utf8_is_a_typed_error(workdir, capsys, bad):
     files = {"microdata": workdir / "micro.csv", "schema": workdir / "schema.json",

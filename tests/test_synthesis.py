@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from satsynth import synthesis
+from satsynth import sampling, synthesis
 from satsynth.cli import main
 from satsynth.errors import FormatError, ValidationError
 from satsynth.generator import esc_like_spec, generate_table, scaled_spec
@@ -214,6 +214,25 @@ def test_fractional_threads_are_refused(alpha, threads):
         synthesize(small_table(), job, threads=threads)
 
 
+def test_more_threads_than_the_bound_are_refused_before_a_pool_is_built(monkeypatch):
+    # synthesize submitted one piece per thread, up to nnz of them, to a pool of `threads` workers
+    pools = []
+    real = synthesis.ThreadPoolExecutor
+
+    def recorder(*args, **kwargs):
+        pools.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "ThreadPoolExecutor", recorder)
+    table = small_table()  # 5 occupied cells: at most 5 pieces, hence threads, at alpha = 0
+    job = SynthesisJob(CountModelSpec("poisson"), master_seed=0)
+    with pytest.raises(ValidationError, match=r"threads must be an integer in \[1, 256\], got 257"):
+        synthesize(table, job, threads=257)
+    assert pools == []
+    assert synthesize(table, job, threads=256)[0].table.same_contents(synthesize(table, job)[0].table)
+    assert pools == [{"max_workers": 256}, {"max_workers": 1}]
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_master_seed_outside_64_bits_is_refused(seed):
     # 2**64 used to give the replicate of seed 0, and -1 that of 2**64 - 1
@@ -231,6 +250,42 @@ def test_cli_synthesize_refuses_a_negative_seed(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert "error: master_seed must be in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_cli_synthesize_refuses_too_many_threads(tmp_path, capsys, monkeypatch):
+    from satsynth.table import write_table
+
+    monkeypatch.setattr(synthesis, "ThreadPoolExecutor", None)  # building a pool would raise a TypeError
+    path = tmp_path / "t.csv"
+    write_table(small_table(), str(path))
+    code = main(["synthesize", "--table", str(path), "--family", "poisson", "--seed", "1", "--threads", "257",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: threads must be an integer in [1, 256], got 257\n"
+
+
+def test_an_alpha_star_replicate_screens_each_piece_once(monkeypatch):
+    # _chunk_draw screened the random zeros at alpha, then draw_counts screened the candidates again
+    calls = {"screen": 0, "cap": 0}
+    screen, cap = sampling.may_draw_nonzero, sampling._cap_table
+
+    def counted_screen(*args):
+        calls["screen"] += 1
+        return screen(*args)
+
+    def counted_cap(*args):
+        calls["cap"] += 1
+        return cap(*args)
+
+    monkeypatch.setattr(sampling, "may_draw_nonzero", counted_screen)
+    monkeypatch.setattr(synthesis, "may_draw_nonzero", counted_screen)
+    monkeypatch.setattr(sampling, "_cap_table", counted_cap)
+    monkeypatch.setattr(synthesis, "PIECE_CELLS", 1 << 12)
+    table = generate_table(scaled_spec(esc_like_spec(), 20_000), 1)
+    alpha = alpha_star_match_zeros(tau2_of_table(table), "nbi", 1.0)
+    synthesize(table, SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=alpha), master_seed=1))
+    pieces = math.ceil(table.num_cells / synthesis.PIECE_CELLS)
+    assert pieces == 5 and calls == {"screen": pieces, "cap": pieces}
 
 
 @pytest.mark.parametrize("family,sigma,seed", [("poisson", 0.0, 11), ("nbi", 1.0, 12), ("pig", 1.0, 13)])
