@@ -93,14 +93,14 @@ def _provenance_header(args: argparse.Namespace, extra: dict | None = None) -> l
     return [f"{k}={v}" for k, v in items.items()]
 
 
-def _write_report(path: str, header: list[str], rows: list[dict], columns: list[str]) -> None:
+def _write_report(path: str, header: list[str], rows: list[dict]) -> None:
+    """A CSV whose columns are the first row's keys (all rows share them), plus a ``.json`` sidecar."""
     buf = io.StringIO()
     for line in header:
         buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
+    writer = csv.DictWriter(buf, rows[0], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
     sidecar = Path(path).with_suffix(Path(path).suffix + ".json")
     sidecar.write_text(
@@ -171,12 +171,12 @@ def cmd_synthesize(args) -> int:
     table = read_table(args.table)
     spec = CountModelSpec(args.family, sigma=args.sigma, alpha=args.alpha)
     job = SynthesisJob(spec, master_seed=args.seed, m=args.m)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.table).stem
     t0 = time.perf_counter()
     replicates = synthesize(table, job, threads=args.threads)
     dt = time.perf_counter() - t0
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once synthesize has accepted the job
+    stem = Path(args.table).stem
     for rep in replicates:
         path = out_dir / f"{stem}.synth.{args.family}.r{rep.provenance.replicate}.csv"
         write_table(rep.table, str(path))
@@ -230,7 +230,7 @@ def cmd_evaluate(args) -> int:
                 {"block": block, "p": p, "proportion": accum[p] / len(synthetics)}
             )
     header = _provenance_header(args, {"replicates": len(synthetics)})
-    _write_report(args.out, header, rows, ["block", "p", "proportion"])
+    _write_report(args.out, header, rows)
     print(f"wrote {args.out}")
     return 0
 
@@ -271,18 +271,11 @@ def cmd_frontier(args) -> int:
                 )
             )
         point = frontier_point(table, group, overlaps, label=label)
-        row = point.as_row()
-        row["trimmed_pct_diff"] = float(np.mean(pct_diffs))
-        row["n_overlap_terms"] = len(base_iv)
-        rows.append(row)
+        rows.append({**point.as_row(), "trimmed_pct_diff": float(np.mean(pct_diffs)),
+                     "n_overlap_terms": len(base_iv)})
 
     header = _provenance_header(args, {"variables": ",".join(variables)})
-    _write_report(
-        args.out,
-        header,
-        rows,
-        ["label", "utility", "privacy", "utility_raw", "trimmed_pct_diff", "n_overlap_terms"],
-    )
+    _write_report(args.out, header, rows)
     print(f"wrote {args.out} ({len(rows)} point(s))")
     return 0
 
@@ -298,37 +291,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"satsynth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", help="key=value config file; flags override it")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key=value config file; flags override it")
+    table = argparse.ArgumentParser(add_help=False, parents=[config])
+    table.add_argument("--table", required=True)
+    replicates = argparse.ArgumentParser(add_help=False, parents=[table])
+    replicates.add_argument("--synthetic", required=True, nargs="+")
+    families = [f.value for f in Family]
 
-    p = sub.add_parser("aggregate", help="cross-tabulate a microdata CSV")
-    add_config(p)
+    p = sub.add_parser("aggregate", parents=[config], help="cross-tabulate a microdata CSV")
     p.add_argument("--microdata", required=True)
     p.add_argument("--schema", required=True, help="schema JSON file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_aggregate)
 
-    p = sub.add_parser("generate-escsub", help="generate a table with a target cell-size histogram")
-    add_config(p)
+    p = sub.add_parser("generate-escsub", parents=[config], help="generate a table with a target cell-size histogram")
     p.add_argument("--spec", help="histogram spec JSON; defaults to the built-in full-scale spec")
     p.add_argument("--cells", type=int, help="rescale the spec to this many cells")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate_escsub)
 
-    p = sub.add_parser("tune", help="solve for the pseudocount hitting a target")
-    add_config(p)
-    p.add_argument("--table", required=True)
-    p.add_argument("--family", required=True, choices=[f.value for f in Family])
+    p = sub.add_parser("tune", parents=[table], help="solve for the pseudocount hitting a target")
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--target", required=True, choices=["match-zeros", "tau4"])
     p.add_argument("--p", type=float, help="target tau4(1) for --target tau4")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("synthesize", help="draw synthetic replicates of a table")
-    add_config(p)
-    p.add_argument("--table", required=True)
-    p.add_argument("--family", required=True, choices=[f.value for f in Family])
+    p = sub.add_parser("synthesize", parents=[table], help="draw synthetic replicates of a table")
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--m", type=int, default=1)
@@ -337,29 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("metrics", help="analytic and empirical tau tables")
-    add_config(p)
-    p.add_argument("--table", required=True)
-    p.add_argument("--synthetic", required=True, nargs="+")
-    p.add_argument("--family", choices=[f.value for f in Family])
+    p = sub.add_parser("metrics", parents=[replicates], help="analytic and empirical tau tables")
+    p.add_argument("--family", choices=families)
     p.add_argument("--sigma", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--k-max", type=int, default=3)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("evaluate", help="within-p%% closeness report")
-    add_config(p)
-    p.add_argument("--table", required=True)
-    p.add_argument("--synthetic", required=True, nargs="+")
+    p = sub.add_parser("evaluate", parents=[replicates], help="within-p%% closeness report")
     p.add_argument("--p-list", default="0.5,1,5,10,50")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("frontier", help="risk-utility frontier points")
-    add_config(p)
-    p.add_argument("--table", required=True)
-    p.add_argument("--synthetic", required=True, nargs="+")
+    p = sub.add_parser("frontier", parents=[replicates], help="risk-utility frontier points")
     p.add_argument("--variables", help="comma list of variables for the utility model")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--cap", type=float, default=20.0)
@@ -382,8 +365,13 @@ def main(argv: list[str] | None = None) -> int:
             if pos == len(argv):
                 raise ValidationError("--config needs a file path")
             config = _load_config(argv[pos])
-            for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-                _apply_config(action, config)
+            commands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
+            flags = {action.dest for command in commands for action in command._actions}  # noqa: SLF001
+            for key in config:
+                if key not in flags:
+                    raise ValidationError(f"config key {key!r} is not a flag of any command")
+            for command in commands:
+                _apply_config(command, config)
         args = parser.parse_args(argv)
         return args.func(args)
     except SatsynthError as exc:

@@ -9,7 +9,7 @@ risk-utility frontier (utility = mean CI overlap, privacy = 1 - tau4(1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -184,12 +184,7 @@ class FrontierPoint:
     utility_raw: float
 
     def as_row(self) -> dict:
-        return {
-            "label": self.label,
-            "utility": self.utility,
-            "privacy": self.privacy,
-            "utility_raw": self.utility_raw,
-        }
+        return asdict(self)
 
 
 def frontier_point(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,16 +40,9 @@ class TuningResult:
     p: float | None = None
 
     def to_json(self) -> str:
-        out = {
-            "family": self.family,
-            "sigma": self.sigma,
-            "target": self.target,
-            "alpha_star": self.alpha_star,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
-        if self.p is not None:
-            out["p"] = self.p
+        out = asdict(self)
+        if self.p is None:
+            del out["p"]
         return json.dumps(out, indent=2)
 
 

@@ -476,6 +476,16 @@ def test_config_value_outside_a_flags_choices_is_a_typed_error(tmp_path, capsys,
     assert (code, err.count("\n")) == (1, 1) and err.startswith(f"error: {message}"), err
 
 
+def test_config_key_that_is_no_commands_flag_is_one_error_line(tmp_path, capsys):
+    # a misspelled key was dropped: tune exited 0 and printed sigma 0.0 with the Poisson-limit alpha*
+    path = _small_table(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"table = {path}\nfamily = nbi\nsgima = 1\ntarget = match-zeros\n")
+    assert run("tune", "--config", cfg) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: config key 'sgima' is not a flag of any command\n")
+
+
 @pytest.mark.parametrize("line,message", [
     ("include_capped = maybe", "config include_capped='maybe' is not one of 1, true, yes, on, 0, false, no, off"),
     ("synthetic =", "config synthetic needs at least one value"),
@@ -589,6 +599,15 @@ def test_file_error_is_one_error_line(tmp_path, capsys, argv, path, code):
     (tmp_path / "syn.csv.provenance.json").mkdir()
     assert run(*(token.format(**names) for token in argv.split())) == 1
     assert capsys.readouterr().err == f"error: {path.format(**names)}: {os.strerror(code)}\n"
+
+
+def test_synthesize_refused_by_its_checks_leaves_no_out_dir(tmp_path, capsys):
+    # --out-dir was made before synthesize checked threads, so the refused run left it behind
+    out = tmp_path / "newdir"
+    assert run("synthesize", "--table", _small_table(tmp_path), "--family", "poisson", "--seed", 1,
+               "--threads", 257, "--out-dir", out) == 1
+    assert capsys.readouterr().err == "error: threads must be an integer in [1, 256], got 257\n"
+    assert not out.exists()
 
 
 def test_synthesize_nbi_where_one_over_sigma_overflows_writes_counts(tmp_path):

@@ -252,3 +252,11 @@ def test_frontier_clips_plot_coordinate_keeps_raw():
     pt2 = frontier_point(table, table, overlaps=[-1.0, -0.2], label="y")
     assert pt2.utility == 0.0
     assert pt2.utility_raw == pytest.approx(-0.6)
+
+
+def test_frontier_point_row_keys_in_report_column_order():
+    # `satsynth frontier` writes its report's first columns in this order
+    table = grid_table(40, {i: 1 for i in range(10)})
+    row = frontier_point(table, table, overlaps=[0.5], label="x").as_row()
+    assert list(row) == ["label", "utility", "privacy", "utility_raw"]
+    assert row == {"label": "x", "utility": 0.5, "privacy": 0.0, "utility_raw": 0.5}

@@ -7,7 +7,7 @@ from satsynth.errors import ConvergenceError, InfeasibleError
 from satsynth.generator import esc_like_spec, generate_table
 from satsynth.table import CellSizeDistribution
 from satsynth.taumetrics import tau1_expected, tau2_of_table, tau4_expected
-from satsynth.tuning import alpha_star_match_zeros, solve_alpha_for_tau4_target
+from satsynth.tuning import TuningResult, alpha_star_match_zeros, solve_alpha_for_tau4_target
 from test_taumetrics import table2_reference_dist
 
 HALF = CellSizeDistribution.from_proportions({0: 0.5, 1: 0.5})
@@ -165,3 +165,13 @@ def test_tau4_target_pins_on_full_scale_histogram(esc_full_dist, family, sigma):
 @pytest.mark.parametrize("family,sigma", list(MATCH_ZEROS_PINS))
 def test_match_zeros_pins_on_full_scale_histogram(esc_full_dist, family, sigma):
     assert repr(alpha_star_match_zeros(esc_full_dist, family, sigma)) == MATCH_ZEROS_PINS[family, sigma]
+
+
+def test_tuning_result_json_bytes_with_and_without_p():
+    # `satsynth tune` prints these bytes; p is left out when it is None
+    with_p = TuningResult("nbi", 1.0, "tau4-equals", 0.25, -1e-12, 31, 0.3).to_json()
+    assert with_p == ('{\n  "family": "nbi",\n  "sigma": 1.0,\n  "target": "tau4-equals",\n  "alpha_star": 0.25,'
+                      '\n  "residual": -1e-12,\n  "iterations": 31,\n  "p": 0.3\n}')
+    without_p = TuningResult("poisson", 0.0, "match-zeros", 0.458675, 0.0, 0).to_json()
+    assert without_p == ('{\n  "family": "poisson",\n  "sigma": 0.0,\n  "target": "match-zeros",'
+                         '\n  "alpha_star": 0.458675,\n  "residual": 0.0,\n  "iterations": 0\n}')
