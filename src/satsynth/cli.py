@@ -367,6 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             config = _load_config(argv[pos])
             commands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
             flags = {action.dest for command in commands for action in command._actions}  # noqa: SLF001
+            flags -= {"help", "config"}  # -h and --config themselves: no config value sets them
             for key in config:
                 if key not in flags:
                     raise ValidationError(f"config key {key!r} is not a flag of any command")

@@ -2,8 +2,8 @@
 
 Each draw consumes a fixed number of uniform variates (at most
 ``SLOTS_PER_DRAW``), so a draw is a pure function of its uniform block.
-Synthesis exploits this: cell i of replicate r reads the Philox counter
-block i of the stream keyed by (master seed, r), which makes every cell
+Synthesis exploits this: occupied cell i of replicate r reads the Philox
+counter block i of the stream keyed by (master seed, r), which makes its
 value reproducible bit-for-bit under any chunking or thread schedule.
 
 Construction mirrors the mixture definitions of the families:

@@ -2,35 +2,39 @@
 
 Every cell is drawn independently from the chosen family with mean equal
 to its original count; random zeros get mean ``alpha`` instead, and
-structural zeros stay zero.  Replicates are independent.  A cell's draw
-depends only on (master seed, replicate index, cell flat index) — never
-on chunking or worker count — because each cell owns a fixed counter
-block of the keyed Philox stream (see :mod:`satsynth.sampling`).
-
-Only the draws that pass :func:`~satsynth.sampling.may_draw_nonzero` at
-their own mean (``alpha`` for a random zero) reach the sampler; every other
-cell certainly draws 0.  At ``alpha = 0`` no random zero can pass, so only
-the occupied cells' counter blocks are computed
-(:func:`~satsynth.sampling.uniform_rows`), and the work is cut into ranges
-of occupied rows whatever the size of the cell space.
+structural zeros stay zero.  Replicates are independent.  Stream v2 (see
+README, Reproducibility model) splits the Philox stream keyed by (master
+seed, replicate index) in two, so output never depends on pieces or worker
+count.  An occupied cell draws from the counter block of its flat index
+(:func:`~satsynth.sampling.uniform_rows`), screened by
+:func:`~satsynth.sampling.may_draw_nonzero`: the same count at every alpha.
+The random zeros, ranked in flat-index order, escape with probability
+p = 1 - pmf(0 | alpha) by geometric skipping (Devroye, *Non-Uniform Random
+Variate Generation*, 1986, ch. X) in blocks of ranks that read the counter
+blocks from 2**64 on, and an escape's count inverts the zero-truncated CDF.
+A replicate costs O(occupied cells + escapes).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .models import CountModelSpec, Family
+from .models import CountModelSpec, Family, logpmf, pmf_range
 from .sampling import draw_screened, may_draw_nonzero, uniform_block, uniform_rows
 from .table import SparseContingencyTable
 
-PIECE_CELLS = 1 << 16  # at most 2 MB of uniforms a piece
-MAX_ALPHA_CELLS = 1 << 40  # alpha > 0 draws every cell; beyond this it would never finish
+STREAM_VERSION = 2  # 1: every cell drew from its own counter block at alpha > 0
+PIECE_CELLS = 1 << 15  # occupied rows a piece draws: 1 MiB of uniforms
+ZERO_BLOCK_ESCAPES = 1 << 14  # expected escapes in a block of random-zero ranks
+MAX_ESCAPES = 1 << 28  # expected escapes a replicate may hold: 4 GiB of (index, count)
 MAX_THREADS = 256  # a pool may start one OS thread per piece
 
 
@@ -61,6 +65,7 @@ class Provenance:
     m: int
     master_seed: int
     replicate: int
+    stream: int = STREAM_VERSION
 
     @property
     def label(self) -> str:
@@ -74,14 +79,17 @@ class Provenance:
     def from_json(cls, text: str) -> "Provenance":
         try:
             f = json.loads(text)
+            f = {"stream": 1, **f} if isinstance(f, dict) else f  # a sidecar without it was written by stream 1
             if not isinstance(f, dict) or f.keys() != cls.__dataclass_fields__.keys():
                 raise ValidationError(f"fields must be {', '.join(cls.__dataclass_fields__)}")
-            for name, kinds in zip(cls.__dataclass_fields__, [(str,)] + [(int, float)] * 2 + [(int,)] * 3):
+            for name, kinds in zip(cls.__dataclass_fields__, [(str,)] + [(int, float)] * 2 + [(int,)] * 4):
                 if type(f[name]) not in kinds:  # type, not isinstance: true is no number
                     raise ValidationError(f"{name} must be {'/'.join(k.__name__ for k in kinds)}, got {f[name]!r}")
             job = SynthesisJob(CountModelSpec(f["family"], f["sigma"], f["alpha"]), f["master_seed"], f["m"])
             if not 0 <= f["replicate"] < job.m:
                 raise ValidationError(f"replicate must be in [0, m), got {f['replicate']}")
+            if not 1 <= f["stream"] <= STREAM_VERSION:
+                raise ValidationError(f"stream must be in [1, {STREAM_VERSION}], got {f['stream']}")
         except (ValueError, ValidationError) as exc:  # not JSON, or a field of the wrong type or domain
             raise FormatError(f"malformed provenance sidecar: {exc}") from None
         return cls(**{**f, "family": job.model.family.value})
@@ -104,39 +112,100 @@ def expected_grand_total(table: SparseContingencyTable, job: SynthesisJob) -> fl
     return float(table.n) + job.model.alpha * table.num_random_zeros
 
 
+@dataclass(frozen=True)
+class _Escapes:
+    """How ``zeros`` random zeros escape: ``log_q`` is log pmf(0 | alpha), and
+    ``cdf`` the zero-truncated CDF of an escape's count over 1 .. cdf.size."""
+
+    zeros: int
+    log_q: float
+    cdf: np.ndarray
+    width: int  # ranks in a block: ZERO_BLOCK_ESCAPES escapes expected, and at most 2**62
+
+    def draw(self, master_seed: int, replicate: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+        """The escaping ranks among [block * width, min((block + 1) * width, zeros)), ascending, and
+        their counts.  Escape i reads a gap, then a count uniform, from counter block (block + 1) * 2**64 + i // 2."""
+        n = min(self.width, self.zeros - block * self.width)
+        mean = n * -math.expm1(self.log_q)
+        batch = 2 * math.ceil(mean / 2 + 4 * math.sqrt(mean) + 8)  # escapes a pass draws, two per counter block
+        ranks, counts, end = [], [], 0  # end: the rank after the last escape drawn
+        while True:
+            u = uniform_block(master_seed, replicate, ((block + 1) << 64) + len(ranks) * batch // 2, batch // 2)
+            u = u.reshape(-1, 2)
+            with np.errstate(over="ignore"):  # a gap past n as p -> 0 is capped at n
+                gap = np.minimum(np.floor(np.log1p(-u[:, 0]) / self.log_q), n).astype(np.uint64)
+            # below 2**63 up to the first rank past the block, as gap <= n <= 2**62
+            rank = np.cumsum(gap) + np.arange(end, end + batch, dtype=np.uint64)
+            inside = rank < n
+            keep = batch if inside.all() else int(inside.argmin())
+            ranks.append(rank[:keep] + np.uint64(block * self.width))
+            counts.append(self.cdf.searchsorted(u[:keep, 1], side="right") + 1)
+            if keep < batch:
+                return np.concatenate(ranks), np.concatenate(counts)
+            end = int(rank[-1]) + 1
+
+
+def _escapes(table: SparseContingencyTable, family: Family, sigma: float, alpha: float) -> _Escapes | None:
+    """The random zeros' law at ``alpha`` > 0, or None where none escapes; a ``ValidationError``
+    past ``MAX_ESCAPES`` expected escapes or ``taumetrics.MAX_PMF_ENTRIES`` entries of the CDF."""
+    from .taumetrics import MAX_PMF_ENTRIES  # taumetrics imports this module
+
+    zeros, log_q = table.num_random_zeros, float(logpmf(family, 0, alpha, sigma))
+    if zeros * -math.expm1(log_q) > MAX_ESCAPES:
+        raise ValidationError(f"alpha = {alpha:g} expects {zeros * -math.expm1(log_q):.4g} of the {zeros} random "
+                              f"zeros to escape, above the {MAX_ESCAPES} (2**28) a replicate may hold")
+    if not zeros:
+        return None
+    # the pmf over 1 .. 2k, k doubled until the terms past k vanish beside the total; PIG's tail
+    # falls as (1 + 1 / (2 sigma alpha))**-k, NBI's and Poisson's faster
+    k = math.ceil(min(MAX_PMF_ENTRIES, alpha + 8.0 * math.sqrt(alpha) + 40.0 * (1.0 + 2.0 * sigma * alpha)))
+    while True:
+        if 2 * k >= MAX_PMF_ENTRIES:
+            raise ValidationError(f"an escape's count at alpha = {alpha:g} needs over {MAX_PMF_ENTRIES} pmf entries")
+        pmf = pmf_range(family, 2 * k, alpha, sigma)[1:]
+        p = pmf.sum()
+        if pmf[k:].sum() <= 2.0**-53 * p:
+            # 1 - pmf(0) cancels where p < 1/2, and PIG's log pmf(0) is good to about 1e-16 only absolutely
+            log_q, cdf = math.log1p(-p) if p < 0.5 else log_q, np.cumsum(pmf)
+            if not log_q < 0.0:  # every term underflows, so p < 1e-300: no zero escapes
+                return None
+            width = math.ceil(min(2.0**62, ZERO_BLOCK_ESCAPES / -math.expm1(log_q)))
+            return _Escapes(zeros, log_q, cdf / cdf[-1], width)
+        k *= 2
+
+
+def _merged(a: np.ndarray, b: np.ndarray, at: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """``b`` at the places ``at`` and ``a`` at the places ``rest``, in one new array."""
+    out = np.empty(rest.size, dtype=a.dtype)
+    out[at], out[rest] = b, a
+    return out
+
+
 def _chunk_draw(
     table: SparseContingencyTable,
     family: Family,
     sigma: float,
-    alpha: float,
+    escapes: _Escapes | None,
     master_seed: int,
     replicate: int,
     start: int,
     stop: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one piece; returns (flat indices, counts) of its nonzero draws.
+    """Draw one piece; returns (flat indices, counts) of its nonzero draws, ascending.
 
-    At ``alpha = 0`` the piece is the occupied rows [start, stop) of
-    ``table.index``: a random zero certainly draws 0, so only their blocks
-    are computed.  At ``alpha > 0`` it is the cells [start, stop), whose
-    uniforms the piece computes and frees; a structural zero's mean is 0.
+    Without ``escapes`` the piece is the occupied rows [start, stop) of
+    ``table.index``, each drawn from its own counter block.  With it the
+    piece is the random-zero block ``start``, whose escapes it returns by
+    rank.
     """
-    if alpha == 0.0:
-        cells = table.index[start:stop]
-        mu = table.count[start:stop].astype(np.float64)
-        u = uniform_rows(master_seed, replicate, cells)
-    else:
-        cells = np.arange(start, stop, dtype=np.uint64)
-        mu = np.full(stop - start, alpha)
-        ends = np.array([start, stop], dtype=np.uint64)
-        lo, hi = table.index.searchsorted(ends)
-        # subtract in uint64 first: chunk-relative offsets are small, raw indices may not be
-        mu[(table.index[lo:hi] - ends[0]).astype(np.int64)] = table.count[lo:hi]
-        lo, hi = table.structural.searchsorted(ends)
-        mu[(table.structural[lo:hi] - ends[0]).astype(np.int64)] = 0.0
-        u = uniform_block(master_seed, replicate, start, stop - start)
+    if escapes is not None:
+        return escapes.draw(master_seed, replicate, start)
+    cells = table.index[start:stop]
+    mu = table.count[start:stop].astype(np.float64)
+    u = uniform_rows(master_seed, replicate, cells)
     cand = np.flatnonzero(may_draw_nonzero(family, sigma, mu, u))
-    counts = draw_screened(family, mu.take(cand), sigma, u.take(cand, axis=0))
+    u = u.take(cand, axis=0)  # and drop the rows the screen rules out
+    counts = draw_screened(family, mu.take(cand), sigma, u)
     keep = counts > 0
     return cells[cand[keep]], counts[keep]
 
@@ -144,40 +213,42 @@ def _chunk_draw(
 def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 1) -> list[SyntheticTable]:
     """Generate ``job.m`` independent synthetic replicates of ``table``.
 
-    A piece of work computes at most ``PIECE_CELLS`` uniform blocks.  At
-    ``alpha > 0`` pieces are flat-index ranges of ``PIECE_CELLS`` cells,
-    and a table of more than ``MAX_ALPHA_CELLS`` cells is refused.  At
-    ``alpha = 0`` the occupied rows are cut into
-    ``max(threads, ceil(nnz / PIECE_CELLS))`` near-equal ranges (at most
-    one per row), so the cell space's size does not matter.  With
-    ``threads`` in 2 .. ``MAX_THREADS`` pieces are dispatched to a thread
-    pool.  Output is identical for any thread count and piece size.
+    The occupied rows are cut into ``max(threads, ceil(nnz / PIECE_CELLS))``
+    near-equal ranges (at most one per row), and each block of random zeros
+    is a piece too.  With ``threads`` in 2 .. ``MAX_THREADS`` pieces go to
+    a thread pool.  Output is identical for any thread count and piece size.
     """
     if not (isinstance(threads, (int, np.integer)) and 1 <= threads <= MAX_THREADS):
         raise ValidationError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads!r}")
     spec = job.model
-    k = table.num_cells
-    if spec.alpha == 0.0:
-        nnz = table.num_nonzero
-        n = max(1, min(threads, nnz), -(-nnz // PIECE_CELLS))  # one empty piece when nnz = 0
-        bounds = [nnz * i // n for i in range(n + 1)]
-    elif k > MAX_ALPHA_CELLS:
-        raise ValidationError(
-            f"alpha > 0 draws every cell, and the table has {k} > 2**40 cells; alpha = 0 has "
-            "no such limit (geometric skipping of the zero cells, ROADMAP item 2, would lift it)"
-        )
-    else:
-        bounds = [*range(0, k, PIECE_CELLS), k]
-    draw = partial(_chunk_draw, table, spec.effective_family, spec.sigma, spec.alpha, job.master_seed)
+    escapes = _escapes(table, spec.effective_family, spec.sigma, spec.alpha) if spec.alpha > 0.0 else None
+    nnz = table.num_nonzero
+    n = max(1, min(threads, nnz), -(-nnz // PIECE_CELLS))  # one empty piece when nnz = 0
+    bounds = [nnz * i // n for i in range(n + 1)]
+    blocks = range(-(-escapes.zeros // escapes.width) if escapes else 0)
+    kinds = [None] * n + [escapes] * len(blocks)
+    starts, stops = bounds[:-1] + [*blocks], bounds[1:] + [b + 1 for b in blocks]
+    draw = partial(_chunk_draw, table, spec.effective_family, spec.sigma)
     out: list[SyntheticTable] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # threads=1 runs the pieces on this thread: through the pool, peak RSS
         # on the full-scale table rose from 151 to about 175 MB
-        run = pool.map if threads > 1 and len(bounds) > 2 else map
+        run = pool.map if threads > 1 and len(kinds) > 1 else map
         for rep in range(job.m):
-            drawn = list(run(partial(draw, rep), bounds[:-1], bounds[1:]))
-            idx = np.concatenate([d[0] for d in drawn])
-            cnt = np.concatenate([d[1] for d in drawn])
+            drawn = list(run(draw, kinds, repeat(job.master_seed), repeat(rep), starts, stops))
+            idx, cnt = (np.concatenate([d[j] for d in drawn[:n]]) for j in (0, 1))
+            if blocks:  # map the escapes from rank to flat index and merge them into the occupied cells' draws
+                ranks, esc_cnt = (np.concatenate([d[j] for d in drawn[n:]]) for j in (0, 1))
+                del drawn  # each copy's source goes once it is copied: the peak stays near two outputs
+                taken = np.insert(table.index, table.index.searchsorted(table.structural), table.structural)
+                taken -= np.arange(taken.size, dtype=np.uint64)  # the random zeros below each taken cell
+                esc = ranks + taken.searchsorted(ranks, side="right").astype(np.uint64)
+                del taken
+                at = idx.searchsorted(esc) + np.arange(esc.size)  # their places in the merged arrays
+                rest = np.ones(idx.size + esc.size, dtype=bool)
+                rest[at] = False
+                idx = _merged(idx, esc, at, rest)  # np.insert's temporaries took 3 MiB more
+                cnt = _merged(cnt, esc_cnt, at, rest)
             syn = SparseContingencyTable(table.schema, idx, cnt, table.structural)
             prov = Provenance(
                 family=spec.family.value,

@@ -185,7 +185,7 @@ def test_generate_spec_and_synthesize_determinism(tmp_path, capsys, monkeypatch)
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     sidecar = json.loads((out1 / "t1.synth.nbi.r0.csv.provenance.json").read_text())
     assert sidecar == {"family": "nbi", "sigma": 1.0, "alpha": 0.05,
-                       "m": 2, "master_seed": 11, "replicate": 0}
+                       "m": 2, "master_seed": 11, "replicate": 0, "stream": 2}
     wall = capsys.readouterr().out
     assert "wall time" in wall
 
@@ -484,6 +484,17 @@ def test_config_key_that_is_no_commands_flag_is_one_error_line(tmp_path, capsys)
     assert run("tune", "--config", cfg) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: config key 'sgima' is not a flag of any command\n")
+
+
+@pytest.mark.parametrize("key", ["help", "config"])
+def test_config_key_naming_help_or_config_is_one_error_line(tmp_path, capsys, key):
+    # both are dests of every command's parser: help = 1 became the -h action's default and was ignored
+    path = _small_table(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"table = {path}\nfamily = nbi\nsigma = 1\ntarget = match-zeros\n{key} = 1\n")
+    assert run("tune", "--config", cfg) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: config key {key!r} is not a flag of any command\n")
 
 
 @pytest.mark.parametrize("line,message", [

@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import re
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from satsynth import sampling, synthesis
 from satsynth.cli import main
 from satsynth.errors import FormatError, ValidationError
 from satsynth.generator import esc_like_spec, generate_table, scaled_spec
-from satsynth.models import CountModelSpec
+from satsynth.models import CountModelSpec, Family, logpmf, pmf
 from satsynth.schema import CategoricalSchema
 from satsynth.synthesis import (
     Provenance,
@@ -25,7 +27,7 @@ from satsynth.synthesis import (
 )
 from satsynth.sampling import draw_counts, uniform_block, uniform_rows
 from satsynth.table import SparseContingencyTable
-from satsynth.taumetrics import tau2_of_table
+from satsynth.taumetrics import MAX_PMF_ENTRIES, tau2_of_table
 from satsynth.tuning import alpha_star_match_zeros
 
 from oracles import draw_counts_unscreened
@@ -165,6 +167,21 @@ def test_provenance_roundtrip_and_fields():
     assert p.family == "pig" and p.m == 3 and p.master_seed == 4
 
 
+def test_sidecar_names_stream_2_and_one_without_stream_reads_as_stream_1():
+    prov = synthesize(small_table(), SynthesisJob(CountModelSpec("nbi", 1.0, 0.5), master_seed=4))[0].provenance
+    fields = json.loads(prov.to_json())
+    assert fields["stream"] == synthesis.STREAM_VERSION == 2 and Provenance.from_json(prov.to_json()) == prov
+    del fields["stream"]
+    assert Provenance.from_json(json.dumps(fields)) == Provenance(**fields, stream=1)
+
+
+@pytest.mark.parametrize("stream", [3, 0, "2", 2.0, None])
+def test_sidecar_stream_outside_the_known_versions_is_a_format_error(stream):
+    fields = {"family": "nbi", "sigma": 1.0, "alpha": 0.0, "m": 2, "master_seed": 3, "replicate": 0, "stream": stream}
+    with pytest.raises(FormatError, match=r"malformed provenance sidecar: stream must be"):
+        Provenance.from_json(json.dumps(fields))
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -264,8 +281,8 @@ def test_cli_synthesize_refuses_too_many_threads(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: threads must be an integer in [1, 256], got 257\n"
 
 
-def test_an_alpha_star_replicate_screens_each_piece_once(monkeypatch):
-    # _chunk_draw screened the random zeros at alpha, then draw_counts screened the candidates again
+def test_an_alpha_star_replicate_screens_only_the_occupied_pieces_once_each(monkeypatch):
+    # stream v1 screened every cell, in 2**16-cell pieces; v2 reaches the random zeros by skipping
     calls = {"screen": 0, "cap": 0}
     screen, cap = sampling.may_draw_nonzero, sampling._cap_table
 
@@ -280,33 +297,95 @@ def test_an_alpha_star_replicate_screens_each_piece_once(monkeypatch):
     monkeypatch.setattr(sampling, "may_draw_nonzero", counted_screen)
     monkeypatch.setattr(synthesis, "may_draw_nonzero", counted_screen)
     monkeypatch.setattr(sampling, "_cap_table", counted_cap)
-    monkeypatch.setattr(synthesis, "PIECE_CELLS", 1 << 12)
+    monkeypatch.setattr(synthesis, "PIECE_CELLS", 1 << 10)
     table = generate_table(scaled_spec(esc_like_spec(), 20_000), 1)
     alpha = alpha_star_match_zeros(tau2_of_table(table), "nbi", 1.0)
     synthesize(table, SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=alpha), master_seed=1))
-    pieces = math.ceil(table.num_cells / synthesis.PIECE_CELLS)
-    assert pieces == 5 and calls == {"screen": pieces, "cap": pieces}
+    pieces = math.ceil(table.num_nonzero / synthesis.PIECE_CELLS)
+    assert pieces == 2 and calls == {"screen": pieces, "cap": pieces}
 
 
-@pytest.mark.parametrize("family,sigma,seed", [("poisson", 0.0, 11), ("nbi", 1.0, 12), ("pig", 1.0, 13)])
-def test_screened_synthesis_equals_unscreened_draws_at_alpha_star(monkeypatch, family, sigma, seed):
-    k = 60_000
-    rng = np.random.default_rng(seed)
-    cells = rng.choice(k, 6_100, replace=False)
-    idx, structural = np.sort(cells[:6_000]), np.sort(cells[6_000:])
-    table = SparseContingencyTable(line_schema(k), idx, rng.geometric(0.3, idx.size), structural)
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("family,sigma", [("poisson", 0.0), ("nbi", 1.0), ("pig", 1.0)])
+def test_alpha_star_leaves_every_occupied_cell_its_alpha_zero_count(family, sigma, seed):
+    table = generate_table(scaled_spec(esc_like_spec(), 60_000), 1)
     alpha = alpha_star_match_zeros(tau2_of_table(table), family, sigma)
-    mu = np.full(k, alpha)
-    mu[structural] = 0.0
-    mu[idx] = table.count
-    want = draw_counts_unscreened(family, mu, sigma, uniform_block(seed, 0, 0, k))
-    job = SynthesisJob(CountModelSpec(family, sigma=sigma, alpha=alpha), master_seed=seed)
-    monkeypatch.setattr(synthesis, "PIECE_CELLS", 1 << 14)
-    for threads in (1, 2):
-        syn = synthesize(table, job, threads=threads)[0].table
-        got = np.zeros(k, dtype=np.int64)
-        got[syn.index.astype(np.int64)] = syn.count
-        np.testing.assert_array_equal(got, want)
+    at_zero, at_star = (synthesize(table, SynthesisJob(CountModelSpec(family, sigma, a), master_seed=seed))[0].table
+                        for a in (0.0, alpha))
+    np.testing.assert_array_equal(at_star.counts_at(table.index), at_zero.counts_at(table.index))
+    escapes = np.setdiff1d(at_star.index, table.index)
+    assert escapes.size == at_star.num_nonzero - at_zero.num_nonzero > 0
+    assert np.intersect1d(escapes, table.structural).size == 0
+
+
+_ESCAPE_LAW_GRID = [(family, sigma, alpha)
+                    for family, sigmas in (("poisson", [0.0]), ("nbi", [0.1, 1.0, 4.0]), ("pig", [0.1, 1.0, 4.0]))
+                    for sigma in sigmas for alpha in (1e-12, 1e-6, 0.03, 1.0, 20.0)]
+
+
+def _escape_probability(family: str, sigma: float, alpha: float) -> float:
+    """1 - pmf(0 | alpha) from each family's closed form for pmf(0): PIG's logpmf(0) sums
+    terms that cancel, so it is good to about 1e-16 absolutely, not relatively."""
+    log_q = {"poisson": -alpha, "nbi": -math.log1p(sigma * alpha) / (sigma or 1.0),
+             "pig": -2.0 * alpha / (1.0 + math.sqrt(1.0 + 2.0 * sigma * alpha))}[family]
+    return -math.expm1(log_q)
+
+
+@pytest.mark.parametrize("family,sigma,alpha", _ESCAPE_LAW_GRID)
+def test_escape_count_cdf_steps_are_the_zero_truncated_pmf(family, sigma, alpha):
+    table = SparseContingencyTable(line_schema(100), [3], [2])
+    law = synthesis._escapes(table, Family.coerce(family), sigma, alpha)
+    p = _escape_probability(family, sigma, alpha)
+    assert -math.expm1(law.log_q) == pytest.approx(p, rel=1e-13)
+    k = np.arange(1, law.cdf.size + 1)
+    want = pmf(family, k, alpha, sigma) / p
+    # a step below the CDF's ulp keeps only the summation's absolute accuracy
+    np.testing.assert_allclose(np.diff(law.cdf, prepend=0.0), want, rtol=1e-12, atol=2.0**-50)
+    assert law.cdf[-1] == 1.0 and abs(want.sum() - 1.0) < 1e-12  # the mass past the CDF's end is negligible
+
+
+@pytest.mark.parametrize("family,sigma,alpha", [("poisson", 0.0, 0.1), ("nbi", 1.0, 0.2), ("pig", 2.0, 0.5)])
+def test_each_blocks_escape_count_is_binomial(monkeypatch, family, sigma, alpha):
+    monkeypatch.setattr(synthesis, "ZERO_BLOCK_ESCAPES", 64)
+    rng = np.random.default_rng(3)
+    cells = rng.choice(22_000, 2_000, replace=False)
+    table = SparseContingencyTable(line_schema(22_000), np.sort(cells[:1_900]), rng.integers(1, 9, 1_900),
+                                   np.sort(cells[1_900:]))
+    zeros, p = table.num_random_zeros, -math.expm1(logpmf(family, 0, alpha, sigma))
+    width = math.ceil(64 / p)
+    taken = np.union1d(table.index, table.structural)
+    counts = []  # escapes per (replicate, block)
+    for rep in synthesize(table, SynthesisJob(CountModelSpec(family, sigma, alpha), master_seed=8, m=60)):
+        escapes = np.setdiff1d(rep.table.index, table.index)
+        ranks = escapes - np.searchsorted(taken, escapes).astype(np.uint64)  # rank among the random zeros
+        counts.append(np.bincount((ranks // np.uint64(width)).astype(np.int64), minlength=-(-zeros // width)))
+    counts = np.array(counts)
+    full = counts[:, :zeros // width].ravel()
+    observed = np.bincount(full, minlength=width + 1)
+    expected = stats.binom.pmf(np.arange(width + 1), width, p) * full.size
+    lo, hi = stats.binom.ppf([1e-3, 1 - 1e-3], width, p).astype(int)  # the tails pooled into two bins
+    obs = np.r_[observed[:lo].sum(), observed[lo:hi + 1], observed[hi + 1:].sum()]
+    exp = np.r_[expected[:lo].sum(), expected[lo:hi + 1], expected[hi + 1:].sum()]
+    assert stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 1e-4
+    n_last = zeros % width  # the last block is short
+    assert abs(counts[:, -1].mean() - n_last * p) < 5 * math.sqrt(n_last * p * (1 - p) / len(counts))
+
+
+@pytest.mark.parametrize("family,sigma", [("poisson", 0.0), ("nbi", 1.0), ("pig", 1.0)])
+def test_alpha_above_zero_is_deterministic_across_threads_and_pieces(monkeypatch, family, sigma):
+    rng = np.random.default_rng(2)
+    cells = rng.choice(200_000, 20_100, replace=False)
+    table = SparseContingencyTable(line_schema(200_000), np.sort(cells[:20_000]), rng.integers(1, 30, 20_000),
+                                   np.sort(cells[20_000:]))
+    job = SynthesisJob(CountModelSpec(family, sigma=sigma, alpha=0.5), master_seed=77, m=2)
+    law = synthesis._escapes(table, Family.coerce(family), sigma, 0.5)
+    assert -(-law.zeros // law.width) >= 3  # several blocks of random zeros
+    base = synthesize(table, job)
+    for threads in (1, 2, 3):
+        for chunk in (7, 1000, table.num_nonzero + 1):
+            monkeypatch.setattr(synthesis, "PIECE_CELLS", chunk)
+            for a, b in zip(base, synthesize(table, job, threads=threads)):
+                assert a.table.same_contents(b.table), (threads, chunk)
 
 
 @st.composite
@@ -320,8 +399,10 @@ def _small_jobs(draw):
     counts = draw(st.lists(st.integers(1, 200), min_size=n_occ, max_size=n_occ))
     table = SparseContingencyTable(line_schema(k), idx, np.array(counts, dtype=np.int64), structural)
     family = draw(st.sampled_from(["poisson", "nbi", "pig"]))
-    sigma = 0.0 if family == "poisson" else draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 4.0, 1e3]))
     alpha = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.5, 50.0)))
+    # the escape-count CDF runs to about 80 sigma * alpha: 8e6 entries, a minute of PIG's pmf, at 1e3 * 50
+    sigmas = [0.0, 1e-3, 0.5, 1.0, 4.0] + [1e3] * (alpha < 1e-3)
+    sigma = 0.0 if family == "poisson" else draw(st.sampled_from(sigmas))
     job = SynthesisJob(CountModelSpec(family, sigma=sigma, alpha=alpha),
                        master_seed=draw(st.integers(0, 2**64 - 1)), m=2)
     return table, job, draw(st.integers(1, k + 10))
@@ -330,34 +411,40 @@ def _small_jobs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_small_jobs())
 def test_synthesis_equals_unscreened_draws_on_random_tables(case):
+    # stream v2: at every alpha an occupied cell draws from its own counter block; escapes land on random zeros
     table, job, piece_cells = case
-    k = table.num_cells
-    mu = np.full(k, job.model.alpha)
-    mu[table.structural.astype(np.int64)] = 0.0
-    mu[table.index.astype(np.int64)] = table.count
     family, sigma = job.model.family.value, job.model.sigma
-    want = [draw_counts_unscreened(family, mu, sigma, uniform_block(job.master_seed, r, 0, k))
+    want = [draw_counts_unscreened(family, table.count, sigma, uniform_rows(job.master_seed, r, table.index))
             for r in range(job.m)]
+    random_zeros = np.setdiff1d(np.arange(table.num_cells, dtype=np.uint64), np.union1d(table.index, table.structural))
+    first = None
     for threads in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synthesis, "PIECE_CELLS", piece_cells)
             reps = synthesize(table, job, threads=threads)
         for r, rep in enumerate(reps):
-            got = np.zeros(k, dtype=np.int64)
-            got[rep.table.index.astype(np.int64)] = rep.table.count
-            np.testing.assert_array_equal(got, want[r], err_msg=f"threads={threads} replicate {r}")
+            np.testing.assert_array_equal(rep.table.counts_at(table.index), want[r], err_msg=f"replicate {r}")
+            escapes = np.setdiff1d(rep.table.index, table.index)
+            assert np.isin(escapes, random_zeros).all() and (job.model.alpha > 0 or escapes.size == 0)
+        first = first or reps
+        assert all(a.table.same_contents(b.table) for a, b in zip(first, reps))
 
 
 # SHA-256 of replicate 0's (index as <u8, count as <i8) at master seed 1 on the 200,000-cell
-# stand-in table of seed 1, taken before the zero-cell pre-screen.  The alpha* values are that
-# table's match-zeros pseudocounts at the time, pinned so that only the draw path is tested.
+# stand-in table of seed 1, taken before the zero-cell pre-screen.  Stream v2 keeps every
+# alpha = 0 draw, so these pins still hold.
 _STREAM_V1_DIGESTS = [
     ("poisson", 0.0, 0.0, "aab549769bfbd6432c16dcab0db9badb188330776bf5e57f3fbe091f914a0670"),
-    ("poisson", 0.0, 0.016999376315571708, "c5d05d3f7db8261948d48758a9c7301cad27a53bac4378291c032dbac5f21938"),
     ("nbi", 1.0, 0.0, "097077b81e19ca25f2f9b0a5968423cf01802326926eac63b2f41e45ac3e0788"),
-    ("nbi", 1.0, 0.03130325542044621, "858cb95046059c55c7ee5d43e097d417d1317ab652657674225a7773ba447430"),
     ("pig", 1.0, 0.0, "8b1af68e1b45d905a5cb6de70807958230033dbf4fab9b08ab47d5dcc7646e82"),
-    ("pig", 1.0, 0.02734836268247698, "6724ee634d1589cff529da3e39d2ed495423af00f1bc9a82f44a09f3c84cfec9"),
+]
+# The same digests at alpha > 0 under stream v2, where the random zeros escape by geometric
+# skipping.  The alpha* values are that table's match-zeros pseudocounts when stream v1 was
+# pinned, so that only the draw path is tested.
+_STREAM_V2_DIGESTS = [
+    ("poisson", 0.0, 0.016999376315571708, "ddd825dbdd7d9daebbd7f2d47c768758a88ed55ef265f21a53085f15ce4dfe84"),
+    ("nbi", 1.0, 0.03130325542044621, "e042126f0785fc239f4b7982ac69a1e82542fc43daad31a797dce33ef92ad495"),
+    ("pig", 1.0, 0.02734836268247698, "cb9f3e7ad194765f5827d727683d2c5c11cff4294715783f6011384addc79c88"),
 ]
 
 
@@ -372,6 +459,16 @@ def test_stream_v1_draws_do_not_drift(stand_in_table, family, sigma, alpha, dige
     syn = synthesize(stand_in_table, job)[0].table
     got = hashlib.sha256(syn.index.astype("<u8").tobytes() + syn.count.astype("<i8").tobytes()).hexdigest()
     assert got == digest
+
+
+@pytest.mark.parametrize("family,sigma,alpha,digest", _STREAM_V2_DIGESTS)
+def test_stream_v2_draws_do_not_drift(stand_in_table, family, sigma, alpha, digest):
+    job = SynthesisJob(CountModelSpec(family, sigma=sigma, alpha=alpha), master_seed=1)
+    assert synthesis.STREAM_VERSION == 2
+    for threads in (1, 2):
+        syn = synthesize(stand_in_table, job, threads=threads)[0].table
+        got = hashlib.sha256(syn.index.astype("<u8").tobytes() + syn.count.astype("<i8").tobytes()).hexdigest()
+        assert got == digest
 
 
 def test_alpha_zero_never_fills_a_whole_chunk_of_uniforms(monkeypatch):
@@ -389,8 +486,9 @@ def test_alpha_zero_never_fills_a_whole_chunk_of_uniforms(monkeypatch):
         for threads in (1, 2):
             synthesize(table, SynthesisJob(CountModelSpec(family, sigma, 0.0), 3, m=2), threads)
     assert starts == []
+    # at alpha > 0 only the random zeros' one block (per replicate) reads uniform_block, past every cell's block
     synthesize(table, SynthesisJob(CountModelSpec("nbi", 1.0, 0.5), 3, m=2))
-    assert sorted(starts) == [0, 0, 5, 5, 10, 10, 15, 15]
+    assert starts == [2**64, 2**64]
 
 
 def _count_pieces(monkeypatch) -> list:
@@ -455,15 +553,68 @@ def test_alpha_zero_with_no_or_few_occupied_rows(monkeypatch):
     assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]  # one row a piece, none empty
 
 
-def test_alpha_above_zero_on_a_2_to_the_60_cell_table_is_a_typed_error():
-    # a list of every PIECE_CELLS range of 2**60 cells would raise MemoryError
+def _table_of_2_to_the_60_cells() -> SparseContingencyTable:
     schema = CategoricalSchema([(f"v{j}", ["0", "1"]) for j in range(60)])
-    table = SparseContingencyTable(schema, [5, 2**59], [3, 1])
-    job = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.01), master_seed=3, m=1)
-    with pytest.raises(ValidationError, match=r"2\*\*40 cells; alpha = 0 has no such limit"):
+    rng = np.random.default_rng(5)
+    idx = np.unique(rng.integers(0, 2**60, 1_000, dtype=np.uint64))
+    return SparseContingencyTable(schema, idx, rng.integers(1, 50, idx.size), [2**60 - 1])
+
+
+def test_tiny_alpha_on_a_2_to_the_60_cell_table_finishes_in_under_a_second():
+    # stream v1 drew every cell at alpha > 0, so it refused tables beyond 2**40 cells
+    table = _table_of_2_to_the_60_cells()
+    job = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=1e-15), master_seed=3)
+    synthesize(small_table(), job)  # the samplers' imports are not the table's cost
+    start = time.perf_counter()
+    syn = synthesize(table, job)[0].table
+    assert time.perf_counter() - start < 1.0
+    at_zero = synthesize(table, SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.0), master_seed=3))[0].table
+    np.testing.assert_array_equal(syn.counts_at(table.index), at_zero.counts_at(table.index))
+    escapes = np.setdiff1d(syn.index, table.index)
+    expect = table.num_random_zeros * -math.expm1(logpmf("nbi", 0, 1e-15, 1.0))  # about 1,150
+    assert abs(escapes.size - expect) < 6 * math.sqrt(expect)
+    assert escapes[-1] < 2**60 - 1  # the structural zero stays zero
+
+
+def test_a_job_expecting_more_escapes_than_the_bound_is_refused_before_it_draws(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew uniforms before refusing the job")
+
+    monkeypatch.setattr(synthesis, "uniform_rows", no_draws)
+    monkeypatch.setattr(synthesis, "uniform_block", no_draws)
+    job = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.5), master_seed=3)
+    with pytest.raises(ValidationError, match=r"alpha = 0\.5 expects 3\.8\d*e\+17 of the \d+ random zeros to escape, "
+                                              r"above the 268435456 \(2\*\*28\) a replicate may hold"):
+        synthesize(_table_of_2_to_the_60_cells(), job)
+
+
+@settings(max_examples=300, deadline=None)
+@example(p=5e-324, zeros=2**64 - 1, last=True)
+@example(p=5e-324, zeros=2**64 - 1, last=False)
+@example(p=1.0, zeros=2**64 - 1, last=True)
+@example(p=1.0 - 2**-53, zeros=1, last=False)
+@given(p=st.floats(5e-324, 1.0), zeros=st.integers(1, 2**64 - 1), last=st.booleans())
+def test_escape_gaps_never_overflow_nor_pass_the_last_rank(p, zeros, last):
+    width = math.ceil(min(2.0**62, synthesis.ZERO_BLOCK_ESCAPES / p))  # as synthesis._escapes sets it
+    with np.errstate(divide="ignore"):  # p = 1: log pmf(0) is -inf
+        law = synthesis._Escapes(zeros, float(np.log1p(-p)), np.ones(1), width)
+    block = -(-zeros // width) - 1 if last else 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN or inf cast to uint64 warns
+        ranks, counts = law.draw(7, 0, block)
+    lo, hi = block * width, min(zeros, (block + 1) * width)
+    assert ranks.dtype == np.uint64 and counts.dtype == np.int64 and ranks.size == counts.size
+    assert (counts == 1).all() and ranks.size <= hi - lo
+    if ranks.size:
+        assert lo <= int(ranks[0]) and int(ranks[-1]) < hi and (np.diff(ranks.astype(object)) > 0).all()
+
+
+@pytest.mark.parametrize("family,sigma,alpha", [("poisson", 0.0, 1e8), ("nbi", 1e6, 100.0), ("pig", 1e6, 100.0)])
+def test_an_escape_count_cdf_past_max_pmf_entries_is_a_validation_error(family, sigma, alpha):
+    table = SparseContingencyTable(line_schema(10), [3], [5])
+    job = SynthesisJob(CountModelSpec(family, sigma=sigma, alpha=alpha), master_seed=1)
+    with pytest.raises(ValidationError, match=re.escape(f"an escape's count at alpha = {alpha:g} needs over {MAX_PMF_ENTRIES}")):
         synthesize(table, job)
-    at_zero = SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=0.0), master_seed=3, m=1)
-    assert synthesize(table, at_zero)[0].table.num_cells == 2**60
 
 
 def test_full_scale_nbi_match_zeros_at_two_threads_stays_under_30_mib():
@@ -487,6 +638,19 @@ def test_full_scale_nbi_match_zeros_at_two_threads_stays_under_13_mib():
     table = generate_table(esc_like_spec(), 1)
     alpha = alpha_star_match_zeros(tau2_of_table(table), "nbi", 1.0)
     job = SynthesisJob(CountModelSpec("nbi", 1.0, alpha), master_seed=1)
+    tracemalloc.start()
+    try:
+        synthesize(table, job, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20
+
+
+def test_full_scale_nbi_at_alpha_zero_at_two_threads_stays_under_13_mib():
+    # the occupied rows' pieces of 2**15 rows; at 2**16 rows the traced peak was 14.7-18.6 MiB
+    table = generate_table(esc_like_spec(), 1)
+    job = SynthesisJob(CountModelSpec("nbi", 1.0, 0.0), master_seed=1)
     tracemalloc.start()
     try:
         synthesize(table, job, threads=2)
