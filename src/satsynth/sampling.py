@@ -16,13 +16,11 @@ Construction mirrors the mixture definitions of the families:
                quantile, one uniform for root choice), then
                Poisson(lambda).
 
-Most cells of an administrative-scale table draw 0, so one screen,
-:func:`may_draw_nonzero`, rules out from each draw's mean and uniforms the
-draws that certainly give 0.  :func:`draw_screened` runs the mixing kernel
-and the Poisson quantile on the rest; ``draw_counts`` and synthesis each
-screen a draw once, then pass the survivors to it.  The screen skips
-computation only: it never changes a value, and every cell's count is
-still a function of its own counter block.
+Each family inverts its count uniform with :func:`poisson_inverse`, which
+tests ``u >= exp(-lambda)`` before any quantile work.  NBI alone screens
+before its mixing kernel as well (:func:`_nbi_counts`): most NBI draws at
+small means are 0, and the screen rules them out before ``gammaincinv``.
+:func:`draw_counts` is the one entry point for draws.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ _POISSON_LOOP_CUT = 60.0  # accumulate term-by-term below, walk on pdtr above
 # where the walk may disagree with pdtrik (see ``_poisson_quantile_walk``)
 _WALK_TAIL, _WALK_CAP, _WALK_MARGIN = 1e-9, 2.0**20, 1e-6
 
-# Sure-zero screen (see ``may_draw_nonzero``): the first uniform is
+# NBI's sure-zero screen (see ``_nbi_counts``): the first uniform is
 # bucketed into ``_SCREEN_STEPS`` equal steps; the bound on lambda carries
 # a relative margin of ``_SCREEN_MARGIN``, and the zero threshold
 # exp(-b * mu) is shrunk by 2**-48 (32 ulp) so that the rounding of exp
@@ -53,7 +51,6 @@ _WALK_TAIL, _WALK_CAP, _WALK_MARGIN = 1e-9, 2.0**20, 1e-6
 _SCREEN_STEPS = 256
 _SCREEN_MARGIN = 1e-6
 _EXP_SLACK = 1.0 - 2.0**-48
-_COUNT_SLOT = {Family.POISSON: 0, Family.NBI: 1, Family.PIG: 2}  # the uniform the Poisson stage inverts
 
 
 def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarray:
@@ -129,7 +126,7 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     Where ``pdtrik`` fails (NaN, e.g. for lam >= ~1e12) or the quantile
     passes 2**63, the integer quantile is found by bisection on ``pdtr``.
     """
-    from scipy import special  # see draw_screened
+    from scipy import special  # here, not at import: it adds ~0.25 s to start-up, and only synthesize draws
     k = np.ceil(special.pdtrik(u, lam))
     below = np.maximum(k - 1.0, 0.0)
     k = np.where(special.pdtr(below, lam) >= u, below, k)
@@ -143,7 +140,7 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def _poisson_quantile_bisect(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Smallest k below 2**63 - 1 with ``pdtr(k, lam) >= u``; raises if there is none."""
-    from scipy import special  # see draw_screened
+    from scipy import special  # see _poisson_quantile
     hi = np.full(u.shape, np.iinfo(np.int64).max - 1, dtype=np.int64)  # hi - lo stays in int64
     if np.any(~(special.pdtr(hi.astype(np.float64), lam) >= u)):
         raise ValidationError(
@@ -169,7 +166,7 @@ def _poisson_quantile_walk(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     ``pdtr(k) - pdtr(k - 1)`` of either end take :func:`_poisson_quantile`:
     every value equals it.
     """
-    from scipy import special  # see draw_screened
+    from scipy import special  # see _poisson_quantile
     ok = (u > _WALK_TAIL) & (u < 1.0 - _WALK_TAIL) & (lam <= _WALK_CAP)
     uw, lw = u[ok], lam[ok]
     z = special.ndtri(uw)
@@ -258,7 +255,7 @@ def _inverse_gaussian_from_uniforms(mu, sigma, u_norm, u_pick):
     root is mu**2 / x.  ``u_pick`` selects between them with probability
     mu / (mu + x) for the small root.
     """
-    from scipy import special  # see draw_screened
+    from scipy import special  # see _poisson_quantile
     z = special.ndtri(u_norm)
     with np.errstate(over="ignore"):  # where h or h * (h + 4) overflows, the small root is its limit 0
         h = sigma * z * z
@@ -269,73 +266,44 @@ def _inverse_gaussian_from_uniforms(mu, sigma, u_norm, u_pick):
     return np.where(take_small, small_root, large_root)
 
 
-def _cap_table(family: Family, sigma: float) -> np.ndarray:
-    """The bound b of each screen bucket (see :func:`may_draw_nonzero`), margin included.
-
-    Entries 0 .. S hold bucket j's bound.  For PIG, entries S+1 .. 2S+1
-    hold the bound 1 of the small root, which every bucket takes when
-    u1 <= 1/2.
-    """
-    from scipy import special  # see draw_screened
-    edges = np.arange(_SCREEN_STEPS + 1) / _SCREEN_STEPS
-    if family is Family.NBI:
-        return special.gammaincinv(1.0 / sigma, edges) * sigma * (1.0 + _SCREEN_MARGIN)
-    z = np.abs(special.ndtri(edges))
-    z = np.maximum(z, np.concatenate(([np.inf], z[:-1])))
-    with np.errstate(over="ignore"):  # an overflowing bound is inf: every draw of its bucket passes
-        h = sigma * z * z
-        table = (2.0 + h + np.sqrt(h * (h + 4.0))) / 2.0 * (1.0 + _SCREEN_MARGIN)
-    return np.concatenate((table, np.ones(edges.size)))
+def _gamma_from_uniforms(mu, sigma, u_gamma):
+    """Gamma(shape 1/sigma, scale sigma*mu) by inversion: ``gammaincinv(1/sigma, u_gamma) * sigma * mu``."""
+    from scipy import special  # see _poisson_quantile
+    g = special.gammaincinv(1.0 / sigma, u_gamma)
+    with np.errstate(over="ignore"):  # near sigma = 1e308, g = 0 meets sigma * mu = inf: lambda is 0
+        return np.multiply(g, sigma * mu, out=np.zeros_like(g), where=g > 0.0)
 
 
-def _screen_bucket(family: Family, u: np.ndarray) -> np.ndarray:
-    """Each draw's entry of :func:`_cap_table`, for uniforms ``u`` in [0, 1):
-    ``j = ceil(u0 * S)`` in 0 .. S, plus S + 1 for PIG when u1 <= 1/2."""
-    j = u[:, 0] * _SCREEN_STEPS
-    np.ceil(j, out=j)
-    if family is Family.PIG:
-        j += (u[:, 1] <= 0.5) * (_SCREEN_STEPS + 1.0)
-    return j.astype(np.intp)
+def _cap_table(sigma: float) -> np.ndarray:
+    """The bound b of each NBI screen bucket (see :func:`_nbi_counts`): lambda at its upper edge, at mean 1 + margin."""
+    return _gamma_from_uniforms(1.0 + _SCREEN_MARGIN, sigma, np.arange(_SCREEN_STEPS + 1) / _SCREEN_STEPS)
 
 
-def may_draw_nonzero(family: Family, sigma: float, mu, u: np.ndarray) -> np.ndarray:
-    """Which draws may be nonzero: a boolean mask over the rows of ``u``.
+def _nbi_counts(mu: np.ndarray, sigma: float, u: np.ndarray) -> np.ndarray:
+    """NBI counts of draws with positive means, screened before ``gammaincinv``.
 
-    ``mu`` is one mean per row (a scalar serves every row); ``u`` holds
-    uniforms in [0, 1).  A draw is False only where it is certainly 0: its
-    mean is 0, or its count uniform lies below ``exp(-b * mu) * _EXP_SLACK``
-    for a factor b with lambda <= b * mu, hence below exp(-lambda), where
-    Poisson(lambda) is 0.
-
-    ``j = ceil(u0 * S)`` puts u0 = ``u[:, 0]`` in ((j-1)/S, j/S] (u0 = 0 in
-    j = 0).  Within a bucket each family's lambda is monotone in u0, so
-    its value at an edge of the bucket bounds it:
-
-    * NBI: lambda = gammaincinv(1/sigma, u0) * sigma * mu rises with u0,
-      so b = gammaincinv(1/sigma, j/S) * sigma.
-    * PIG: with h = sigma * ndtri(u0)**2, the small root is mu / R(h) and
-      the large root mu * R(h), where R(h) = (2 + h + sqrt(h*(h + 4))) / 2
-      >= 1 rises with h.  So b = R(sigma * Z_j**2), Z_j the larger
-      |ndtri| at the bucket's two edges.  The small root x is taken
-      whenever u1 = ``u[:, 1]`` <= 1/2, since x <= mu makes its
-      probability mu / (mu + x) >= 1/2, also after rounding; then b = 1.
-    * Poisson (and the Poisson limit, see :func:`~satsynth.models.effective_family`):
-      lambda = mu, so b = 1 in every bucket.
-
+    Most NBI draws at small means are 0, so a sure-zero screen rules them
+    out first.  A draw is screened out only where its count uniform
+    ``u[:, 1]`` lies below ``exp(-b * mu) * _EXP_SLACK`` for a factor b
+    with lambda <= b * mu, hence below exp(-lambda), where Poisson(lambda)
+    is 0.  ``j = ceil(u0 * S)`` puts u0 = ``u[:, 0]`` in ((j-1)/S, j/S]
+    (u0 = 0 in j = 0), and lambda = gammaincinv(1/sigma, u0) * sigma * mu
+    rises with u0, so b = gammaincinv(1/sigma, j/S) * sigma bounds it.
     The relative margin covers the special functions' rounding: scipy's
     gammaincinv exceeded its value at the upper bucket edge by at most
-    7e-12 relative over 1/sigma in [1e-9, 1e9], and ndtri and the root
-    arithmetic are good to a few ulp, against a margin of 1e-6.
+    7e-12 relative over 1/sigma in [1e-9, 1e9], against a margin of 1e-6.
+    The screen skips computation only: it never changes a value.
     """
-    family = effective_family(family, sigma)
-    with np.errstate(invalid="ignore"):  # inf * 0 at mu = 0: NaN, and mu > 0 drops it
-        b = 1.0 if family is Family.POISSON else _cap_table(family, sigma).take(_screen_bucket(family, u))
-        threshold = np.exp(-b * mu) * _EXP_SLACK
-    return (u[:, _COUNT_SLOT[family]] >= threshold) & (mu > 0.0)
+    b = _cap_table(sigma).take(np.ceil(u[:, 0] * _SCREEN_STEPS).astype(np.intp))
+    with np.errstate(over="ignore"):  # b * mu past the float range: the threshold is 0 and the draw passes
+        cells = np.flatnonzero(u[:, 1] >= np.exp(-b * mu) * _EXP_SLACK)
+    out = np.zeros(mu.size, dtype=np.int64)
+    out[cells] = poisson_inverse(u[:, 1].take(cells), _gamma_from_uniforms(mu.take(cells), sigma, u[:, 0].take(cells)))
+    return out
 
 
 def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.ndarray:
-    """Synthetic counts from per-draw uniform blocks.
+    """Synthetic counts from per-draw uniform blocks: the one entry point for draws.
 
     Parameters
     ----------
@@ -345,13 +313,11 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     mu : array of finite draw means (0 means a degenerate zero draw).
     u : ``(len(mu), SLOTS_PER_DRAW)`` uniforms in [0, 1), e.g. from
         :func:`uniform_block`.
-
-    Only the draws that pass :func:`may_draw_nonzero` reach
-    :func:`draw_screened`; the others are 0.
     """
     family = effective_family(family, sigma)
     mu = np.asarray(mu, dtype=np.float64)
-    if not np.all((mu >= 0.0) & (mu < np.inf)):  # False for NaN
+    lowest = mu.min(initial=1.0)
+    if not (lowest >= 0.0 and mu.max(initial=0.0) < np.inf):  # False for NaN
         raise ValidationError("mu must be finite and >= 0")
     if not 0.0 <= sigma < np.inf:
         raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
@@ -363,23 +329,16 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails both
         raise ValidationError("uniforms must lie in [0, 1)")
 
+    if lowest == 0.0:  # a mean of 0 draws 0 (PIG's roots are 0/0 there); occupied rows have none
+        live = np.flatnonzero(mu)
+        out = np.zeros(mu.shape, dtype=np.int64)
+        out.flat[live] = draw_counts(family, mu.flat[live], sigma, u[live])
+        return out
     flat = mu.reshape(-1)
-    cells = np.flatnonzero(may_draw_nonzero(family, sigma, flat, u))
-    out = np.zeros(flat.size, dtype=np.int64)
-    out[cells] = draw_screened(family, flat.take(cells), sigma, u.take(cells, axis=0))
-    return out.reshape(mu.shape)
-
-
-def draw_screened(family: Family, mu: np.ndarray, sigma: float, u: np.ndarray) -> np.ndarray:
-    """The counts of screened draws (see :func:`may_draw_nonzero`), unchecked: ``family`` is
-    already :func:`~satsynth.models.effective_family`'s, and ``mu`` holds one mean per row of ``u``."""
-    from scipy import special  # here, not at import: it adds ~0.25 s to start-up, and only synthesize draws
-    if family is Family.POISSON:
-        lam = mu
-    elif family is Family.NBI:
-        g = special.gammaincinv(1.0 / sigma, u[:, 0])
-        with np.errstate(over="ignore"):  # near sigma = 1e308, g = 0 meets sigma * mu = inf: lambda is 0
-            lam = np.multiply(g, sigma * mu, out=np.zeros_like(g), where=g > 0.0)
+    if family is Family.NBI:
+        counts = _nbi_counts(flat, sigma, u)
+    elif family is Family.PIG:
+        counts = poisson_inverse(u[:, 2], _inverse_gaussian_from_uniforms(flat, sigma, u[:, 0], u[:, 1]))
     else:
-        lam = _inverse_gaussian_from_uniforms(mu, sigma, u[:, 0], u[:, 1])
-    return poisson_inverse(u[:, _COUNT_SLOT[family]], lam)
+        counts = poisson_inverse(u[:, 0], flat)
+    return counts.reshape(mu.shape)

@@ -6,8 +6,8 @@ structural zeros stay zero.  Replicates are independent.  Stream v2 (see
 README, Reproducibility model) splits the Philox stream keyed by (master
 seed, replicate index) in two, so output never depends on pieces or worker
 count.  An occupied cell draws from the counter block of its flat index
-(:func:`~satsynth.sampling.uniform_rows`), screened by
-:func:`~satsynth.sampling.may_draw_nonzero`: the same count at every alpha.
+(:func:`~satsynth.sampling.uniform_rows`) through
+:func:`~satsynth.sampling.draw_counts`: the same count at every alpha.
 The random zeros, ranked in flat-index order, escape with probability
 p = 1 - pmf(0 | alpha) by geometric skipping (Devroye, *Non-Uniform Random
 Variate Generation*, 1986, ch. X) in blocks of ranks that read the counter
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .models import CountModelSpec, Family, logpmf, pmf_range
-from .sampling import draw_screened, may_draw_nonzero, uniform_block, uniform_rows
+from .sampling import draw_counts, uniform_block, uniform_rows
 from .table import SparseContingencyTable
 
 STREAM_VERSION = 2  # 1: every cell drew from its own counter block at alpha > 0
@@ -47,10 +48,13 @@ class SynthesisJob:
     m: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ValidationError(f"replicate count m must be an integer >= 1, got {self.m!r}")
-        if not isinstance(self.master_seed, int):
-            raise ValidationError("master_seed must be an integer")
+        for name in ("m", "master_seed"):  # Python ints, as the sidecar carries them; it refuses a bool
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        if self.m < 1:
+            raise ValidationError(f"replicate count m must be >= 1, got {self.m}")
         if not 0 <= self.master_seed < 2**64:
             raise ValidationError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
@@ -201,13 +205,9 @@ def _chunk_draw(
     if escapes is not None:
         return escapes.draw(master_seed, replicate, start)
     cells = table.index[start:stop]
-    mu = table.count[start:stop].astype(np.float64)
-    u = uniform_rows(master_seed, replicate, cells)
-    cand = np.flatnonzero(may_draw_nonzero(family, sigma, mu, u))
-    u = u.take(cand, axis=0)  # and drop the rows the screen rules out
-    counts = draw_screened(family, mu.take(cand), sigma, u)
+    counts = draw_counts(family, table.count[start:stop], sigma, uniform_rows(master_seed, replicate, cells))
     keep = counts > 0
-    return cells[cand[keep]], counts[keep]
+    return cells[keep], counts[keep]
 
 
 def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 1) -> list[SyntheticTable]:
@@ -218,7 +218,7 @@ def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 
     is a piece too.  With ``threads`` in 2 .. ``MAX_THREADS`` pieces go to
     a thread pool.  Output is identical for any thread count and piece size.
     """
-    if not (isinstance(threads, (int, np.integer)) and 1 <= threads <= MAX_THREADS):
+    if isinstance(threads, bool) or not (isinstance(threads, (int, np.integer)) and 1 <= threads <= MAX_THREADS):
         raise ValidationError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads!r}")
     spec = job.model
     escapes = _escapes(table, spec.effective_family, spec.sigma, spec.alpha) if spec.alpha > 0.0 else None

@@ -29,7 +29,13 @@ from satsynth.errors import ConvergenceError, FormatError, UndefinedResultError,
 from satsynth.loglin import MAX_DENSE_CELLS, LoglinFit, build_design, poisson_loglik
 from satsynth.bessel import log_bessel_k_half
 from satsynth.models import Family, _log_gamma, pig_c, pmf, pmf_range
-from satsynth.sampling import SLOTS_PER_DRAW, draw_counts
+from satsynth.sampling import (
+    SLOTS_PER_DRAW,
+    _gamma_from_uniforms,
+    _inverse_gaussian_from_uniforms,
+    draw_counts,
+    poisson_inverse,
+)
 from satsynth.schema import CategoricalSchema
 from satsynth.table import SparseContingencyTable
 
@@ -591,6 +597,92 @@ def draw_counts_unscreened(family: str, mu, sigma: float, u: np.ndarray) -> np.n
     lam, u_count = mixing_unscreened(family, mu[live], sigma, u[live])
     out[live] = poisson_inverse_unscreened(u_count, lam)
     return out
+
+
+# -- the law of each sampler, by quadrature over its uniforms -------------------------
+
+_GAUSS_LEGENDRE = [np.polynomial.legendre.leggauss(n) for n in (10, 20)]
+_TOP_UNIFORM = 1.0 - 2.0**-53
+
+
+def _first_uniform_where(pred, n: int) -> np.ndarray:
+    """For each of ``n`` conditions, the smallest double u in [0, 1] where it holds, by
+    bisection on the bits of u.  ``pred(u)`` tests condition i at ``u[i]``; each must be
+    False below some u and True from there on, and is taken True at u = 1."""
+    lo = np.full(n, -1, dtype=np.int64)  # the bits of a u below 0, taken False
+    hi = np.full(n, np.float64(1.0).view(np.int64))
+    while np.any(hi - lo > 1):
+        mid = np.where(hi - lo > 1, lo + (hi - lo) // 2, hi)  # nonnegative doubles order as their bits
+        ok = pred(mid.view(np.float64))
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+    return hi.view(np.float64)
+
+
+def _poisson_pmf(k: int, lam: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):  # inf - inf at lam = inf, where the pmf is 0
+        p = np.exp(special.xlogy(k, lam) - lam - special.gammaln(k + 1.0))
+    return np.where(lam < np.inf, p, 0.0)
+
+
+def sampler_law(family: str, k: int, mu: float, sigma: float) -> float:
+    """P(k): the probability that ``draw_counts(family, [mu], sigma, u)`` is k for uniform u,
+    computed deterministically from the package's own kernels.
+
+    Poisson: the length of the u-interval that ``poisson_inverse`` maps to k, its ends found
+    by bisection on u.  NBI and PIG: the integral over u0 of the Poisson pmf at k at the mixing
+    kernel's lambda, ``_gamma_from_uniforms`` or ``_inverse_gaussian_from_uniforms`` at both
+    roots (root-choice uniform 0 and the top uniform), weighted mu / (mu + x) and x / (mu + x)
+    by the smaller root x; their Poisson stage is taken as exact, since the Poisson family
+    checks ``poisson_inverse``.  The quadrature starts from a u0 grid over [0, 1 - 2**-53],
+    the largest uniform, geometric towards both ends and with 0.5, where PIG's roots turn, so
+    that each root's lambda is monotone on every interval.  The grid is refined until each
+    root's lambda steps by at most 2 sqrt(k + 1) wherever it meets the window
+    k +- (40 sqrt(k + 1) + 40); outside it the Poisson pmf at k is below 1e-34, and intervals
+    wholly outside are left out.  Gauss-Legendre of orders 10 and 20 on each interval,
+    bisected until they differ by at most 1e-9 of their value plus 1e-17 times its width.
+    """
+    if family == "poisson":
+        ends = _first_uniform_where(lambda u: poisson_inverse(u, np.full(2, mu)) >= [k, k + 1], 2)
+        return float(ends[1] - ends[0])
+
+    def roots(u0):  # [(weight, lambda)] at the mixing uniforms u0
+        if family == "nbi":
+            return [(1.0, _gamma_from_uniforms(mu, sigma, u0))]
+        first, second = (_inverse_gaussian_from_uniforms(mu, sigma, u0, pick) for pick in (0.0, _TOP_UNIFORM))
+        w = mu / (mu + np.minimum(first, second))
+        return [(w, first), (1.0 - w, second)]
+
+    def integrand(u0):
+        return sum(w * _poisson_pmf(k, lam) for w, lam in roots(u0))
+
+    width = math.sqrt(k + 1.0)
+    step, window = 2.0 * width, (k - 40.0 * width - 40.0, k + 40.0 * width + 40.0)
+    x = np.unique(np.concatenate((2.0 ** -np.arange(1, 70), 1.0 - 2.0 ** -np.arange(1, 54), np.arange(64) / 64.0)))
+    lam = np.array([r for _, r in roots(x)])
+    while True:
+        a, b = lam[:, :-1], lam[:, 1:]
+        near = (np.maximum(a, b) >= window[0]) & (np.minimum(a, b) <= window[1])
+        mid = 0.5 * (x[:-1] + x[1:])
+        split = (near & ~(np.abs(b - a) <= step)).any(axis=0) & (x[:-1] < mid) & (mid < x[1:])
+        if not split.any():
+            break
+        order = np.argsort(np.concatenate((x, mid[split])))
+        x = np.concatenate((x, mid[split]))[order]
+        lam = np.concatenate((lam, [r for _, r in roots(mid[split])]), axis=1)[:, order]
+    near = near.any(axis=0)
+    lo, hi, total = x[:-1][near], x[1:][near], 0.0
+    while lo.size:
+        assert lo.size < 100_000, "the quadrature does not converge"
+        half, centre = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        low, high = (
+            integrand((centre[:, None] + half[:, None] * nodes).ravel()).reshape(-1, nodes.size) @ weights * half
+            for nodes, weights in _GAUSS_LEGENDRE
+        )
+        done = (np.abs(high - low) <= 1e-9 * high + 1e-17 * (hi - lo)) | (centre <= lo) | (centre >= hi)
+        total += high[done].sum()
+        lo, hi, centre = lo[~done], hi[~done], centre[~done]
+        lo, hi = np.concatenate((lo, centre)), np.concatenate((centre, hi))
+    return total
 
 
 # -- projection through the coordinate array ------------------------------------------

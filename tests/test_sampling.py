@@ -18,9 +18,7 @@ from satsynth.sampling import (
     SLOTS_PER_DRAW,
     _cap_table,
     _inverse_gaussian_from_uniforms,
-    _screen_bucket,
     draw_counts,
-    may_draw_nonzero,
     poisson_inverse,
     uniform_block,
     uniform_rows,
@@ -33,6 +31,7 @@ from oracles import (
     moments,
     poisson_inverse_unscreened,
     sample_iid,
+    sampler_law,
     truncation_for_mass,
 )
 
@@ -373,8 +372,10 @@ def _uniforms_near_thresholds(draw, family: str, mu: np.ndarray, sigma: float) -
         # count uniforms next to the thresholds the screen and the Poisson stage test
         lam, _ = mixing_unscreened(family, mu, sigma, u)
         exact = np.exp(-lam)
-        b = _cap_table(Family(family), sigma).take(_screen_bucket(Family(family), u)) if mixture else 1.0
-        cap = np.exp(-b * mu) * _EXP_SLACK
+        if family == "nbi" and mixture:  # NBI's screen bound
+            cap = np.exp(-_cap_table(sigma).take(np.ceil(u[:, 0] * _SCREEN_STEPS).astype(np.intp)) * mu) * _EXP_SLACK
+        else:
+            cap = exact
     for i in range(n):
         u[i, slot] = _uniform(draw, [exact[i], cap[i]] if np.isfinite([exact[i], cap[i]]).all() else [0.5])
     return u
@@ -411,46 +412,35 @@ def test_screened_draws_equal_unscreened_bit_for_bit(case):
     np.testing.assert_array_equal(got[valid], want[valid])
 
 
-# -- the screen passes every draw that may be nonzero ----------------------------------
+# -- every sampler integrates to models.pmf ----------------------------------------------
 
 
 @st.composite
-def _screen_inputs(draw, common: bool):
-    """A family, sigma, uniforms near the thresholds and either one mean per row or,
-    with ``common``, one scalar mean for every row (as synthesis passes alpha)."""
+def _law_cases(draw):
+    """A family, mu in [1e-3, 1e3], sigma in [1e-3, 1e2] and k in 0..3 or within 4 SDs of
+    the mean, at most 2000 (PIG's pmf costs O(k) Bessel steps)."""
     family = draw(st.sampled_from(["poisson", "nbi", "pig"]))
-    sigma = draw(_SIGMAS)
-    n = draw(st.integers(1, 24))
-    if common:
-        mu = draw(st.one_of(st.just(0.0), st.floats(-12.0, 3.0).map(lambda e: 10.0**e)))
-        rows = np.full(n, mu)
-    else:
-        mu = rows = np.array(draw(st.lists(_MEANS, min_size=n, max_size=n)))
-    return family, mu, sigma, _uniforms_near_thresholds(draw, family, rows, sigma)
+    mu = 10.0 ** draw(st.floats(-3.0, 3.0))
+    sigma = 0.0 if family == "poisson" else 10.0 ** draw(st.floats(-3.0, 2.0))
+    sd = math.sqrt(mu + sigma * mu * mu)
+    k = draw(st.one_of(st.integers(0, 3), st.floats(-4.0, 4.0).map(lambda z: round(mu + z * sd))))
+    return family, min(max(k, 0), 2000), mu, sigma
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.booleans().flatmap(_screen_inputs))
-def test_screen_passes_every_draw_that_may_be_nonzero(case):
-    family, mu, sigma, u = case
-    passed = may_draw_nonzero(Family(family), sigma, mu, u)
-    assert passed[draw_counts_unscreened(family, np.broadcast_to(mu, len(u)), sigma, u) != 0].all()
-
-
-@settings(max_examples=200, deadline=None)
-@given(_screen_inputs(common=True))
-def test_screen_at_a_common_mean_equals_the_screen_per_row(case):
-    family, mu, sigma, u = case
-    np.testing.assert_array_equal(
-        may_draw_nonzero(Family(family), sigma, mu, u),
-        may_draw_nonzero(Family(family), sigma, np.full(len(u), mu), u),
-    )
-
-
-def test_zero_prescreen_is_empty_at_alpha_zero():
-    u = np.full((3, SLOTS_PER_DRAW), TOP)
-    for family in Family:
-        assert not may_draw_nonzero(family, 1.0, 0.0, u).any()
+@settings(max_examples=100, deadline=None)
+@example(("poisson", 740, 740.0, 0.0))  # the pdtr walk
+@example(("poisson", 60, 60.0, 0.0))  # the CDF loop's last mean
+@example(("nbi", 2000, 1e3, 1e2))
+@example(("nbi", 1000, 1e3, 1e-3))
+@example(("pig", 2000, 1e3, 1e2))
+@example(("pig", 1000, 1e3, 1e-3))
+@example(("pig", 0, 1e-3, 1e2))
+@given(_law_cases())
+def test_each_sampler_integrates_to_the_pmf(case):
+    # the chi-square tests resolve the law to about 1e-3; this checks it to 1e-7
+    family, k, mu, sigma = case
+    law, want = sampler_law(family, k, mu, sigma), float(pmf(family, k, mu, sigma))
+    assert abs(law - want) <= max(1e-7 * want, 1e-13), (law, want)
 
 
 _U64 = st.integers(0, 2**64 - 1)

@@ -231,6 +231,20 @@ def test_fractional_threads_are_refused(alpha, threads):
         synthesize(small_table(), job, threads=threads)
 
 
+@pytest.mark.parametrize("field", ["m", "master_seed"])
+def test_job_integers_are_the_ones_its_sidecar_carries(field):
+    # m=np.int64(2) synthesized, then to_json raised a raw TypeError; m=True or master_seed=True wrote
+    # a sidecar that from_json refuses; threads=True ran as one thread
+    job = SynthesisJob(CountModelSpec("poisson"), **{"master_seed": 1, field: np.int64(2)})
+    assert type(getattr(job, field)) is int
+    prov = synthesize(small_table(), job)[0].provenance
+    assert Provenance.from_json(prov.to_json()) == prov
+    with pytest.raises(ValidationError, match=f"{field} must be"):
+        SynthesisJob(CountModelSpec("poisson"), **{"master_seed": 1, field: True})
+    with pytest.raises(ValidationError, match="threads must be an integer"):
+        synthesize(small_table(), job, threads=True)
+
+
 def test_more_threads_than_the_bound_are_refused_before_a_pool_is_built(monkeypatch):
     # synthesize submitted one piece per thread, up to nnz of them, to a pool of `threads` workers
     pools = []
@@ -282,27 +296,22 @@ def test_cli_synthesize_refuses_too_many_threads(tmp_path, capsys, monkeypatch):
 
 
 def test_an_alpha_star_replicate_screens_only_the_occupied_pieces_once_each(monkeypatch):
-    # stream v1 screened every cell, in 2**16-cell pieces; v2 reaches the random zeros by skipping
-    calls = {"screen": 0, "cap": 0}
-    screen, cap = sampling.may_draw_nonzero, sampling._cap_table
+    # stream v1 screened every cell, in 2**16-cell pieces; v2 reaches the random zeros by skipping,
+    # and NBI's screen builds its bucket bounds once per piece of occupied rows
+    builds = []
+    cap = sampling._cap_table
 
-    def counted_screen(*args):
-        calls["screen"] += 1
-        return screen(*args)
+    def counted_cap(sigma):
+        builds.append(sigma)
+        return cap(sigma)
 
-    def counted_cap(*args):
-        calls["cap"] += 1
-        return cap(*args)
-
-    monkeypatch.setattr(sampling, "may_draw_nonzero", counted_screen)
-    monkeypatch.setattr(synthesis, "may_draw_nonzero", counted_screen)
     monkeypatch.setattr(sampling, "_cap_table", counted_cap)
     monkeypatch.setattr(synthesis, "PIECE_CELLS", 1 << 10)
     table = generate_table(scaled_spec(esc_like_spec(), 20_000), 1)
     alpha = alpha_star_match_zeros(tau2_of_table(table), "nbi", 1.0)
     synthesize(table, SynthesisJob(CountModelSpec("nbi", sigma=1.0, alpha=alpha), master_seed=1))
     pieces = math.ceil(table.num_nonzero / synthesis.PIECE_CELLS)
-    assert pieces == 2 and calls == {"screen": pieces, "cap": pieces}
+    assert pieces == 2 and builds == [1.0] * pieces
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -647,10 +656,11 @@ def test_full_scale_nbi_match_zeros_at_two_threads_stays_under_13_mib():
     assert peak < 13 * 2**20
 
 
-def test_full_scale_nbi_at_alpha_zero_at_two_threads_stays_under_13_mib():
-    # the occupied rows' pieces of 2**15 rows; at 2**16 rows the traced peak was 14.7-18.6 MiB
+@pytest.mark.parametrize("family", ["poisson", "nbi", "pig"])
+def test_full_scale_alpha_zero_at_two_threads_stays_under_13_mib(family):
+    # the occupied rows' pieces of 2**15 rows; at 2**16 rows the traced NBI peak was 14.7-18.6 MiB
     table = generate_table(esc_like_spec(), 1)
-    job = SynthesisJob(CountModelSpec("nbi", 1.0, 0.0), master_seed=1)
+    job = SynthesisJob(CountModelSpec(family, 1.0, 0.0), master_seed=1)
     tracemalloc.start()
     try:
         synthesize(table, job, threads=2)
