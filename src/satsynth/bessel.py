@@ -15,9 +15,16 @@ order.  Values span hundreds of orders of magnitude across the package's
 working range, so the recurrence carries a power-of-two exponent beside
 each value and returns logs; it runs on ``K * exp(t)``, so the seed's
 ``-t`` never enters the sums.
+
+A point evaluation (one argument, as each alpha of a tuning solve makes)
+takes the same steps on float64 scalars, without keys or buffer.  They stay
+numpy ufuncs: ``math.log`` differs from ``np.log`` in the last bit on some
+arguments, and would move every tuned alpha.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -27,17 +34,38 @@ _LOG_SQRT_PI_OVER_2 = 0.5 * np.log(np.pi / 2.0)
 _LN2 = np.log(2.0)
 
 
-def _log_k_half_scaled(n, t):
-    """log K_{n - 1/2}(t) + t for integer array ``n`` and array ``t >= 1e-300``.
+def _rows(t):
+    """log K_{j - 1/2}(t) + t for j = 1, 2, ... in turn, at ``t``'s elements or at one scalar.
 
     K is carried as ``exp(seed) * mantissa * 2**exponent``; the exact
     ``frexp`` rescaling leaves each step one rounding, so log K_{n-1/2} is
-    off by about n ulps of 1, not n ulps of its own size as on logs.  One
-    pass over ``t``'s own elements fills a buffer of ladder rows no larger
-    than the output, read out whenever it is full: memory is
-    O(t.size + output size), never orders x arguments.
+    off by about n ulps of 1, not n ulps of its own size as on logs.
     """
-    m = np.maximum(n, 1 - n)  # K is even in its order
+    seed = _LOG_SQRT_PI_OVER_2 - 0.5 * np.log(t)  # orders -1/2 and 1/2
+    yield seed  # order 1/2: mantissa 1, exponent 0
+    prev = cur = 1.0
+    exponent = np.int64(0)  # ladder exponents outgrow int32
+    for j in itertools.count(2):  # K_{j-1/2} = K_{j-5/2} + (2j - 3) / t * K_{j-3/2}
+        mantissa, shift = np.frexp(prev + (2 * j - 3) / t * cur)
+        prev, cur = np.ldexp(cur, -shift), mantissa
+        exponent = exponent + shift
+        yield seed + (exponent * _LN2 + np.log(cur))
+
+
+def _log_k_half_scaled(n, t):
+    """log K_{n - 1/2}(t) + t for integer array ``n`` and array ``t >= 1e-300``.
+
+    One argument keeps each order's row up to the largest.  Otherwise one
+    pass over ``t``'s own elements fills a buffer of ladder rows no larger
+    than the output, read out whenever it is full: memory is O(t.size +
+    output size), never orders x arguments.
+    """
+    if t.ndim == n.ndim == 0:  # one order at one argument: its row alone
+        return next(itertools.islice(_rows(t), max(n, 1 - n) - 1, None))  # K is even in its order
+    m = np.maximum(n, 1 - n)
+    if t.size == 1:  # one argument: every order's row up to the largest, by order
+        out = np.fromiter(_rows(t.ravel()[0]), np.float64, int(m.max(initial=1)))[m - 1]
+        return out.reshape((1,) * (t.ndim - m.ndim) + m.shape)
     # each output element's place in the (order, argument) ladder
     key = (m - 1) * t.size + np.arange(t.size).reshape(t.shape)
     shape, key = key.shape, key.ravel()
@@ -45,21 +73,11 @@ def _log_k_half_scaled(n, t):
         return np.zeros(shape)
     m_max = int(key.max()) // t.size + 1
     ladder = np.empty((min(m_max, max(1, key.size // t.size)), t.size))
-
-    t = t.ravel()
-    seed = _LOG_SQRT_PI_OVER_2 - 0.5 * np.log(t)  # orders -1/2 and 1/2
-    prev = cur = np.ones(t.size)
-    exponent = np.zeros(t.size, dtype=np.int64)
+    rows = _rows(t.ravel())
     out = np.empty(key.size)
     first = 1  # order held in the buffer's first row
-    row = seed  # order 1/2: mantissa 1, exponent 0
     for j in range(1, m_max + 1):
-        if j >= 2:  # K_{j-1/2} = K_{j-5/2} + (2j - 3) / t * K_{j-3/2}
-            mantissa, shift = np.frexp(prev + (2 * j - 3) / t * cur)
-            prev, cur = np.ldexp(cur, -shift), mantissa
-            exponent += shift
-            row = seed + (exponent * _LN2 + np.log(cur))
-        ladder[j - first] = row
+        ladder[j - first] = next(rows)
         if j - first + 1 == len(ladder) or j == m_max:
             lo, hi = (first - 1) * t.size, j * t.size
             at = slice(None) if len(ladder) == m_max else np.flatnonzero((key >= lo) & (key < hi))

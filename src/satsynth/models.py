@@ -29,6 +29,12 @@ from .bessel import _log_k_half_scaled
 from .errors import ValidationError
 
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # see LogPmf.__call__
+_LOG_2, _LOG_PI = np.log(2.0), np.log(np.pi)
+
+
+def _all(mask) -> bool:
+    """``mask.all()``, by ``bool`` when ``mask`` is one value: a numpy reduction costs a point evaluation more than its arithmetic."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
 
 
 def _log_gamma(x):
@@ -103,7 +109,7 @@ def pig_c(mu, sigma):
 def _valid_means(mu):
     """``mu`` as float64 (a 0-d one as a scalar, cheaper to compute on), refused unless finite and >= 0."""
     mu = np.asarray(mu, dtype=np.float64)[()]
-    if not ((mu >= 0.0) & (mu < np.inf)).all():
+    if not _all((mu >= 0.0) & (mu < np.inf)):
         raise ValidationError("mu must be finite and >= 0")
     return mu
 
@@ -111,7 +117,9 @@ def _valid_means(mu):
 def _pig_c(mu, sigma):
     """:func:`pig_c` at means known finite and >= 0, under the caller's errstate."""
     c = np.sqrt(1.0 / np.float64(sigma) ** 2 + 2.0 * mu / sigma)
-    if not (sigma > 0.0 and ((c > 0.0) & (c < np.inf)).all()):
+    if not (sigma > 0.0 and _all((c > 0.0) & (c < np.inf))):
+        if sigma > 0.0 and 0.0 < 1.0 / np.float64(sigma) ** 2 < np.inf:  # c is finite at mu = 0: a mean overflowed it
+            raise ValidationError(f"mu = {np.max(mu):g} overflows the PIG auxiliary c at sigma = {sigma:g}")
         raise ValidationError(f"sigma must be > 0 and keep the PIG auxiliary c in float64, got {sigma:g}")
     return c
 
@@ -135,7 +143,7 @@ def _log1p_product(x, y):
     """log1p(x * y) for x, y >= 0; where x * y overflows (under errstate
     over="ignore"), log(x) + log(y), which is within 1e-308 of it."""
     out = np.log1p(x * y)
-    return out if (out < np.inf).all() else np.where(out < np.inf, out, np.log(x) + np.log(y))
+    return out if _all(out < np.inf) else np.where(out < np.inf, out, np.log(x) + np.log(y))
 
 
 class LogPmf:
@@ -174,13 +182,13 @@ class LogPmf:
                 # exact as sigma -> 0: 1/sigma - c = -2mu / (1 + sigma c), log(c sigma) = log1p(2 mu sigma) / 2
                 c = _pig_c(mu, sigma)
                 out = (
-                    0.5 * (np.log(2.0) + np.log(c) - np.log(np.pi))
+                    0.5 * (_LOG_2 + np.log(c) - _LOG_PI)
                     + k * (np.log(mu) - 0.5 * _log1p_product(2.0 * mu, sigma))
                     - 2.0 * mu / (1.0 + sigma * c)
                     + _log_k_half_scaled(k, c)
                     - self._log_k_factorial
                 )
-        return np.where(mu > 0.0, out, self._at_zero)
+        return out if _all(mu > 0.0) else np.where(mu > 0.0, out, self._at_zero)[()]
 
 
 def logpmf(family: Family | str, k, mu, sigma: float = 0.0):

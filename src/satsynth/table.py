@@ -445,11 +445,12 @@ def _field_keys(buf: bytes, starts: np.ndarray, sizes: np.ndarray, width: int):
     return words, functools.reduce(lambda key, word: key * _FIB + word, words)
 
 
-def _spellings(cats: tuple[str, ...]):
-    """A hash table of each category's spellings, built once per read for
-    :func:`_label_ordinals`: quoted with doubled quotes, and bare where
-    :func:`_csv_field` leaves it bare.  A label over csv's field size
-    limit, which csv refuses, gets length -1 and matches nothing.
+@functools.lru_cache(maxsize=64)
+def _spellings(cats: tuple[str, ...], limit: int):
+    """A hash table of each category's spellings for :func:`_label_ordinals`,
+    built once per categories and csv field size limit: quoted with doubled
+    quotes, and bare where :func:`_csv_field` leaves it bare.  A label over
+    ``limit``, which csv refuses, gets length -1 and matches nothing.
     """
     spellings = [(s.encode(), i) for i, c in enumerate(cats)
                  for s in dict.fromkeys((_csv_field(c), '"' + c.replace('"', '""') + '"'))]
@@ -465,9 +466,11 @@ def _spellings(cats: tuple[str, ...]):
     rank = np.arange(order.size) - np.searchsorted(ranked, ranked)
     slots = np.zeros((rank.max() + 1, 2**bits), dtype=np.intp)
     slots[rank, ranked] = order
-    limit = csv.field_size_limit()
     lengths = np.where([len(cats[i]) <= limit for _, i in spellings], lengths, -1)
-    return mine, keys, home, slots, lengths, np.array([i for _, i in spellings], dtype=np.uint64)
+    ordinals = np.array([i for _, i in spellings], dtype=np.uint64)
+    for shared in (*mine, keys, slots, lengths, ordinals):  # one table serves every read
+        shared.flags.writeable = False
+    return mine, keys, home, slots, lengths, ordinals
 
 
 def _label_ordinals(buf: bytes, starts: np.ndarray, sizes: np.ndarray, spellings):
@@ -556,7 +559,7 @@ def _decode_body(fh, data: bytearray, schema: CategoricalSchema, lineno: int):
     record per row and ends on a record boundary, so csv reads the rest as
     it would read the whole body.
     """
-    tables = [_spellings(cats) for _, cats in schema.variables]
+    tables = [_spellings(cats, csv.field_size_limit()) for _, cats in schema.variables]
     parts = []
 
     def more() -> bool:  # append the file's next bytes; False at its end

@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
-from satsynth.bessel import log_bessel_k_half
+from satsynth.bessel import _log_k_half_scaled, log_bessel_k_half
 from satsynth.errors import ValidationError
 
 from oracles import log_bessel_k_quadrature
@@ -56,6 +58,26 @@ def test_ladder_matches_pointwise():
     for n in range(13):
         for j, tj in enumerate(t):
             assert grid[n, j] == log_bessel_k_half(n, tj), (n, tj)
+
+
+_ARGUMENT = st.floats(math.log(1e-300), math.log(1e6)).map(math.exp)
+
+
+@settings(max_examples=200, deadline=None)
+# arguments whose math.log differs from np.log in the last bit on x86-64 glibc
+@example(n=1, t=77.46511539248576, others=[2.0])
+@example(n=5, t=165.7208377359313, others=[2.0])
+@example(n=-3, t=3.0993778518686628, others=[2.0, 9.0])
+@given(n=st.integers(-300, 300), t=_ARGUMENT, others=st.lists(_ARGUMENT, min_size=1, max_size=4))
+def test_one_argument_is_that_argument_among_many_bit_for_bit(n, t, others):
+    many = np.array([t, *others])
+    point = _log_k_half_scaled(np.int64(n), np.float64(t))
+    assert type(point) is np.float64  # scalar steps, no 0-d arrays
+    assert point.tobytes() == _log_k_half_scaled(np.int64(n), many)[0].tobytes()
+    orders = np.array([n, 0, 1, abs(n) + 2, n // 2])[:, None]  # every order's row up to the largest
+    one = _log_k_half_scaled(orders, np.array([t]))
+    assert one.shape == (5, 1) and one.tobytes() == _log_k_half_scaled(orders, many)[:, :1].tobytes()
+    assert _log_k_half_scaled(np.int64(n), np.array([t])).tobytes() == point.tobytes()
 
 
 def test_elementwise_high_orders_stay_within_a_few_megabytes():

@@ -9,6 +9,7 @@ from satsynth.errors import ValidationError
 from satsynth.models import (
     CountModelSpec,
     Family,
+    LogPmf,
     _log_gamma,
     logpmf,
     pig_c,
@@ -123,6 +124,15 @@ def test_pig_c_refuses_infinite_mean():
     # returned inf
     with pytest.raises(ValidationError):
         pig_c(np.array([1.0, math.inf]), 1.0)
+
+
+def test_pig_c_overflowed_by_the_mean_names_the_mean():
+    # blamed sigma = 1 ("sigma must be > 0 and keep the PIG auxiliary c in float64, got 1")
+    for call in (lambda: pig_c(1e308, 1.0), lambda: logpmf("pig", 1, [1.0, 1e308], 1.0)):
+        with pytest.raises(ValidationError, match=r"^mu = 1e\+308 overflows the PIG auxiliary c at sigma = 1$"):
+            call()
+    with pytest.raises(ValidationError, match="^sigma must be > 0"):  # c overflows at every mean
+        pig_c(1.0, 1e-160)
 
 
 def test_input_validation():
@@ -264,6 +274,29 @@ def test_two_stage_logpmf_is_the_one_pass_logpmf_bit_for_bit(family, sigma, k, m
     # every k of 0..50 against the means: a sum regrouped in either stage shows up here
     ks, means = np.arange(51)[:, None], np.array(means)[None, :]
     assert _outcome(logpmf, family, ks, means, sigma) == _outcome(logpmf_v1, family, ks, means, sigma)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+# means whose math.log differs from np.log in the last bit on x86-64 glibc: a point
+# evaluation that swapped a numpy ufunc for its math twin would differ here
+@example(family=Family.POISSON, k=3, sigma=0.0, mu=165.7208377359313, others=[7.5])
+@example(family=Family.NBI, k=1, sigma=1.0, mu=3.0993778518686628, others=[7.5])
+@example(family=Family.PIG, k=1, sigma=1.0, mu=479.1466009062319, others=[7.5])
+@example(family=Family.PIG, k=2, sigma=0.5, mu=77.46511539248576, others=[0.0])
+@given(
+    family=st.sampled_from(list(Family)),
+    k=st.integers(0, 300),
+    sigma=st.one_of(st.just(0.0), _log_uniform(1e-12, 1e6)),
+    mu=st.one_of(st.just(0.0), _log_uniform(1e-300, 1e6)),
+    others=st.lists(_ANY_MEAN.filter(lambda m: m <= 1e6), min_size=1, max_size=4),
+)
+def test_point_evaluation_is_the_array_evaluation_bit_for_bit(family, k, sigma, mu, others):
+    f = LogPmf(family, k, sigma)
+    point = f(np.float64(mu))
+    assert type(point) is np.float64  # scalar steps throughout, no 0-d arrays
+    for means in ([mu], [mu, *others]):
+        assert point.tobytes() == f(np.array(means))[0].tobytes(), means
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 1 / 0.3])

@@ -428,3 +428,22 @@ def test_variable_names_with_line_breaks_are_rejected(name):
     # write_table quotes such a name in the one-line column header, which read_table cannot read back
     with pytest.raises(ValidationError, match="line break"):
         CategoricalSchema([(name, ["a", "b"])])
+
+
+def test_spelling_tables_are_built_once_per_categories_and_field_size_limit(tmp_path):
+    # a read reuses the tables an earlier read built, but not those of another field size limit
+    schema = CategoricalSchema([("A", ["a" * 200, "b"]), ("B", ["x"])])
+    table = SparseContingencyTable(schema, [0, 1], [1, 2])
+    path = tmp_path / "t.csv"
+    write_table(table, str(path))
+    table_module._spellings.cache_clear()
+    for _ in range(3):
+        assert read_table(str(path)).same_contents(table)
+    assert table_module._spellings.cache_info()[:2] == (4, 2)  # (hits, misses): one build per variable
+    old = csv.field_size_limit(100)
+    try:
+        with pytest.raises(FormatError, match="line 5: field larger than field limit"):
+            read_table(str(path))
+    finally:
+        csv.field_size_limit(old)
+    assert read_table(str(path)).same_contents(table)

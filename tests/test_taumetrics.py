@@ -234,6 +234,14 @@ def test_alpha_outside_its_domain_is_refused_at_every_evaluation(family, sigma, 
         tau_analytic(dist, family, sigma, alpha)
 
 
+def test_alpha_that_overflows_pig_c_names_the_mean_not_sigma():
+    # was "sigma must be > 0 and keep the PIG auxiliary c in float64, got 1"
+    dist = table2_reference_dist()
+    for evaluate in (lambda: tau_analytic(dist, "pig", 1.0, 1e308), lambda: TauCurve(dist, "pig", 1.0, 1).tau4(1e308)):
+        with pytest.raises(ValidationError, match=r"^mu = 1e\+308 overflows the PIG auxiliary c at sigma = 1$"):
+            evaluate()
+
+
 def test_empirical_undefined_when_every_cell_is_structural():
     schema = CategoricalSchema([("cell", ["c0", "c1"])])
     table = SparseContingencyTable.from_dict(schema, {}, structural=[(0,), (1,)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from satsynth.errors import ConvergenceError, InfeasibleError
 from satsynth.generator import esc_like_spec, generate_table
 from satsynth.table import CellSizeDistribution
-from satsynth.taumetrics import tau1_expected, tau2_of_table, tau4_expected
+from satsynth.taumetrics import tau1_expected, tau2_of_table, tau4_expected, tau_analytic
 from satsynth.tuning import TuningResult, alpha_star_match_zeros, solve_alpha_for_tau4_target
 from test_taumetrics import table2_reference_dist
 
@@ -155,6 +156,18 @@ MATCH_ZEROS_PINS = {
     ("pig", 1.0): "0.027358464858548648",
 }
 
+# SHA-256 prefix of repr(tau_analytic(..., alpha*, k_report=3).to_rows()) at each unit's
+# pinned alpha*: the report a tune unit ends with, every float to its last bit
+ANALYTIC_REPORT_PINS = {
+    ("poisson", 0.0): "8b484acee2338c3f",
+    ("nbi", 0.5): "bc83c3f94c995f72",
+    ("nbi", 1.0): "80b497e86de12410",
+    ("nbi", 2.0): "1c83e3f5aa4023b5",
+    ("pig", 0.5): "566cbf30cae5531e",
+    ("pig", 1.0): "67ba86646f0a613e",
+    ("pig", 2.0): "1c7cd29fae19d1b1",
+}
+
 
 @pytest.mark.parametrize("family,sigma", list(TAU4_PINS))
 def test_tau4_target_pins_on_full_scale_histogram(esc_full_dist, family, sigma):
@@ -165,6 +178,13 @@ def test_tau4_target_pins_on_full_scale_histogram(esc_full_dist, family, sigma):
 @pytest.mark.parametrize("family,sigma", list(MATCH_ZEROS_PINS))
 def test_match_zeros_pins_on_full_scale_histogram(esc_full_dist, family, sigma):
     assert repr(alpha_star_match_zeros(esc_full_dist, family, sigma)) == MATCH_ZEROS_PINS[family, sigma]
+
+
+@pytest.mark.parametrize("family,sigma", list(ANALYTIC_REPORT_PINS))
+def test_analytic_report_pins_on_full_scale_histogram(esc_full_dist, family, sigma):
+    alpha = float(TAU4_PINS[family, sigma][0])
+    rows = tau_analytic(esc_full_dist, family, sigma, alpha, k_report=3).to_rows()
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == ANALYTIC_REPORT_PINS[family, sigma]
 
 
 def test_tuning_result_json_bytes_with_and_without_p():
