@@ -28,6 +28,7 @@ import numpy as np
 from .bessel import _log_k_half_scaled
 from .errors import ValidationError
 
+MAX_PMF_ENTRIES = 2**26  # the largest pmf_range table a caller builds, (k_max + 1) x means: 512 MiB
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # see LogPmf.__call__
 _LOG_2, _LOG_PI = np.log(2.0), np.log(np.pi)
 
@@ -88,9 +89,12 @@ def effective_family(family: Family | str, sigma: float) -> Family:
     """The family whose law (family, sigma) follows: Poisson for the Poisson
     family, at sigma = 0, and wherever ``1 / sigma`` overflows float64
     (sigma below about 5.6e-309), where NBI and PIG agree with Poisson to
-    float precision; otherwise ``family`` itself.
+    float precision; otherwise ``family`` itself.  A sigma outside
+    [0, float max] is a ``ValidationError`` for every family.
     """
     family = Family.coerce(family)
+    if not 0 <= sigma <= sys.float_info.max:  # False for NaN, and for ints beyond the float range
+        raise ValidationError("sigma must be finite and >= 0")
     if family is Family.POISSON or sigma == 0.0 or 1.0 / float(sigma) == math.inf:
         return Family.POISSON
     return family
@@ -162,8 +166,6 @@ class LogPmf:
         self.k = k.astype(np.int64)[()]  # a 0-d k becomes a scalar, whose arithmetic costs less
         if (self.k < 0).any():
             raise ValidationError("counts must be >= 0")
-        if sigma < 0 or not math.isfinite(sigma):
-            raise ValidationError("sigma must be finite and >= 0")
         self._log_k_factorial = _log_gamma(self.k + 1.0)
         if self.family is Family.NBI:
             with np.errstate(**_QUIET):

@@ -319,8 +319,6 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     lowest = mu.min(initial=1.0)
     if not (lowest >= 0.0 and mu.max(initial=0.0) < np.inf):  # False for NaN
         raise ValidationError("mu must be finite and >= 0")
-    if not 0.0 <= sigma < np.inf:
-        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape != (mu.size, SLOTS_PER_DRAW):
         raise ValidationError(

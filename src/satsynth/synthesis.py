@@ -12,7 +12,9 @@ The random zeros, ranked in flat-index order, escape with probability
 p = 1 - pmf(0 | alpha) by geometric skipping (Devroye, *Non-Uniform Random
 Variate Generation*, 1986, ch. X) in blocks of ranks that read the counter
 blocks from 2**64 on, and an escape's count inverts the zero-truncated CDF.
-A replicate costs O(occupied cells + escapes).
+A piece of occupied rows or of ranks returns its nonzero draws' cells and
+counts; a map built once per call takes ranks to cells.  A replicate costs
+O(occupied cells + escapes).
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .models import CountModelSpec, Family, logpmf, pmf_range
+from .models import MAX_PMF_ENTRIES, CountModelSpec, Family, logpmf, pmf_range
 from .sampling import draw_counts, uniform_block, uniform_rows
 from .table import SparseContingencyTable
 
@@ -125,9 +126,10 @@ class _Escapes:
     log_q: float
     cdf: np.ndarray
     width: int  # ranks in a block: ZERO_BLOCK_ESCAPES escapes expected, and at most 2**62
+    taken: np.ndarray  # the occupied and structural cells ascending, each minus its rank: the random zeros below it
 
     def draw(self, master_seed: int, replicate: int, block: int) -> tuple[np.ndarray, np.ndarray]:
-        """The escaping ranks among [block * width, min((block + 1) * width, zeros)), ascending, and
+        """The cells of the escaping ranks among [block * width, min((block + 1) * width, zeros)), ascending, and
         their counts.  Escape i reads a gap, then a count uniform, from counter block (block + 1) * 2**64 + i // 2."""
         n = min(self.width, self.zeros - block * self.width)
         mean = n * -math.expm1(self.log_q)
@@ -145,15 +147,14 @@ class _Escapes:
             ranks.append(rank[:keep] + np.uint64(block * self.width))
             counts.append(self.cdf.searchsorted(u[:keep, 1], side="right") + 1)
             if keep < batch:
-                return np.concatenate(ranks), np.concatenate(counts)
+                ranks = np.concatenate(ranks)  # each cell is its rank plus the taken cells up to it
+                return ranks + self.taken.searchsorted(ranks, side="right").astype(np.uint64), np.concatenate(counts)
             end = int(rank[-1]) + 1
 
 
 def _escapes(table: SparseContingencyTable, family: Family, sigma: float, alpha: float) -> _Escapes | None:
     """The random zeros' law at ``alpha`` > 0, or None where none escapes; a ``ValidationError``
-    past ``MAX_ESCAPES`` expected escapes or ``taumetrics.MAX_PMF_ENTRIES`` entries of the CDF."""
-    from .taumetrics import MAX_PMF_ENTRIES  # taumetrics imports this module
-
+    past ``MAX_ESCAPES`` expected escapes or ``models.MAX_PMF_ENTRIES`` entries of the CDF."""
     zeros, log_q = table.num_random_zeros, float(logpmf(family, 0, alpha, sigma))
     if zeros * -math.expm1(log_q) > MAX_ESCAPES:
         raise ValidationError(f"alpha = {alpha:g} expects {zeros * -math.expm1(log_q):.4g} of the {zeros} random "
@@ -174,7 +175,9 @@ def _escapes(table: SparseContingencyTable, family: Family, sigma: float, alpha:
             if not log_q < 0.0:  # every term underflows, so p < 1e-300: no zero escapes
                 return None
             width = math.ceil(min(2.0**62, ZERO_BLOCK_ESCAPES / -math.expm1(log_q)))
-            return _Escapes(zeros, log_q, cdf / cdf[-1], width)
+            taken = np.insert(table.index, table.index.searchsorted(table.structural), table.structural)
+            taken -= np.arange(taken.size, dtype=np.uint64)
+            return _Escapes(zeros, log_q, cdf / cdf[-1], width, taken)
         k *= 2
 
 
@@ -185,25 +188,9 @@ def _merged(a: np.ndarray, b: np.ndarray, at: np.ndarray, rest: np.ndarray) -> n
     return out
 
 
-def _chunk_draw(
-    table: SparseContingencyTable,
-    family: Family,
-    sigma: float,
-    escapes: _Escapes | None,
-    master_seed: int,
-    replicate: int,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one piece; returns (flat indices, counts) of its nonzero draws, ascending.
-
-    Without ``escapes`` the piece is the occupied rows [start, stop) of
-    ``table.index``, each drawn from its own counter block.  With it the
-    piece is the random-zero block ``start``, whose escapes it returns by
-    rank.
-    """
-    if escapes is not None:
-        return escapes.draw(master_seed, replicate, start)
+def _occupied(table: SparseContingencyTable, family: Family, sigma: float, start: int, stop: int,
+              master_seed: int, replicate: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (cells, counts) of the nonzero draws among occupied rows [start, stop), each from its own counter block."""
     cells = table.index[start:stop]
     counts = draw_counts(family, table.count[start:stop], sigma, uniform_rows(master_seed, replicate, cells))
     keep = counts > 0
@@ -213,37 +200,32 @@ def _chunk_draw(
 def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 1) -> list[SyntheticTable]:
     """Generate ``job.m`` independent synthetic replicates of ``table``.
 
-    The occupied rows are cut into ``max(threads, ceil(nnz / PIECE_CELLS))``
-    near-equal ranges (at most one per row), and each block of random zeros
-    is a piece too.  With ``threads`` in 2 .. ``MAX_THREADS`` pieces go to
-    a thread pool.  Output is identical for any thread count and piece size.
+    A piece, ``piece(master_seed, replicate)``, returns the (cells, counts) of its nonzero draws, ascending:
+    one of ``max(threads, ceil(nnz / PIECE_CELLS))`` near-equal ranges of the occupied rows (at most one per
+    row), or a block of random zeros.  With ``threads`` in 2 .. ``MAX_THREADS`` pieces go to a thread pool.
+    Output is identical for any thread count and piece size.
     """
     if isinstance(threads, bool) or not (isinstance(threads, (int, np.integer)) and 1 <= threads <= MAX_THREADS):
         raise ValidationError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads!r}")
     spec = job.model
-    escapes = _escapes(table, spec.effective_family, spec.sigma, spec.alpha) if spec.alpha > 0.0 else None
+    family, sigma = spec.effective_family, spec.sigma
+    escapes = _escapes(table, family, sigma, spec.alpha) if spec.alpha > 0.0 else None
     nnz = table.num_nonzero
     n = max(1, min(threads, nnz), -(-nnz // PIECE_CELLS))  # one empty piece when nnz = 0
     bounds = [nnz * i // n for i in range(n + 1)]
-    blocks = range(-(-escapes.zeros // escapes.width) if escapes else 0)
-    kinds = [None] * n + [escapes] * len(blocks)
-    starts, stops = bounds[:-1] + [*blocks], bounds[1:] + [b + 1 for b in blocks]
-    draw = partial(_chunk_draw, table, spec.effective_family, spec.sigma)
+    pieces = [partial(_occupied, table, family, sigma, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    pieces += [partial(escapes.draw, block=b) for b in range(-(-escapes.zeros // escapes.width))] if escapes else []
     out: list[SyntheticTable] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # threads=1 runs the pieces on this thread: through the pool, peak RSS
         # on the full-scale table rose from 151 to about 175 MB
-        run = pool.map if threads > 1 and len(kinds) > 1 else map
+        run = pool.map if threads > 1 and len(pieces) > 1 else map
         for rep in range(job.m):
-            drawn = list(run(draw, kinds, repeat(job.master_seed), repeat(rep), starts, stops))
+            drawn = list(run(lambda piece: piece(job.master_seed, rep), pieces))
             idx, cnt = (np.concatenate([d[j] for d in drawn[:n]]) for j in (0, 1))
-            if blocks:  # map the escapes from rank to flat index and merge them into the occupied cells' draws
-                ranks, esc_cnt = (np.concatenate([d[j] for d in drawn[n:]]) for j in (0, 1))
+            if escapes:  # merge the escapes into the occupied cells' draws
+                esc, esc_cnt = (np.concatenate([d[j] for d in drawn[n:]]) for j in (0, 1))
                 del drawn  # each copy's source goes once it is copied: the peak stays near two outputs
-                taken = np.insert(table.index, table.index.searchsorted(table.structural), table.structural)
-                taken -= np.arange(taken.size, dtype=np.uint64)  # the random zeros below each taken cell
-                esc = ranks + taken.searchsorted(ranks, side="right").astype(np.uint64)
-                del taken
                 at = idx.searchsorted(esc) + np.arange(esc.size)  # their places in the merged arrays
                 rest = np.ones(idx.size + esc.size, dtype=bool)
                 rest[at] = False

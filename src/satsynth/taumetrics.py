@@ -29,13 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedResultError, ValidationError
-from .models import Family, LogPmf, pmf, pmf_range
+from .models import MAX_PMF_ENTRIES, Family, LogPmf, effective_family, pmf, pmf_range
 from .synthesis import SyntheticTable
 from .table import CellSizeDistribution, SparseContingencyTable
 
 
 MAX_K_REPORT = 2**20  # a report row per k, and k_report + 2 bins per replicate
-MAX_PMF_ENTRIES = 2**26  # tau_analytic's (k_report + 1) x (support + 1) pmf matrix: 512 MiB
 
 
 def _check_k_report(k_report: int, means: int = 1) -> None:
@@ -211,9 +210,14 @@ def tau_analytic(
     tau1 for every k is one ``(k_report + 1) x (support + 1)`` pmf matrix
     times the weights.  tau3(k) does not depend on the table: pmf(0 | alpha)
     for k = 0 (a random zero must stay zero) and pmf(k | k) for k >= 1.
+    PIG's tau3 walks K_{k-1/2} up to order k_report at each of k_report + 1
+    arguments, so for PIG a (k_report + 1)**2 above MAX_PMF_ENTRIES is refused.
     """
     family = Family.coerce(family)
     _check_k_report(k_report, dist.nonzero_sizes.size + 1)
+    if effective_family(family, sigma) is Family.PIG and (k_report + 1) ** 2 > MAX_PMF_ENTRIES:
+        raise ValidationError(f"k_report must be at most {math.isqrt(MAX_PMF_ENTRIES) - 1} for PIG, whose tau3 "
+                              f"takes O(k_report**2) Bessel steps, got {k_report}")
     ks = np.arange(k_report + 1)
     means, weights = _means_weights(dist, alpha)
     t1 = pmf_range(family, k_report, means, sigma) @ weights

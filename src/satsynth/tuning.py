@@ -64,8 +64,6 @@ def alpha_star_match_zeros(
     smaller than the available zero proportion.
     """
     family = effective_family(family, sigma_star)
-    if sigma_star < 0:
-        raise ValidationError("sigma_star must be >= 0")
     s = _shrink_weight_sum(dist, family, sigma_star)
     if s >= 1.0:
         raise InfeasibleError(
@@ -103,8 +101,6 @@ def solve_alpha_for_tau4_target(
     family = Family.coerce(family)
     if p is None or not (0.0 < p <= 1.0):
         raise ValidationError("p must lie in (0, 1]")
-    if sigma_star < 0:
-        raise ValidationError("sigma_star must be >= 0")
 
     f = TauCurve(dist, family, sigma_star, 1).tau4
     f0 = f(0.0)

@@ -16,6 +16,9 @@ from satsynth.models import (
     pmf,
     pmf_range,
 )
+from satsynth.sampling import SLOTS_PER_DRAW, draw_counts
+from satsynth.table import CellSizeDistribution
+from satsynth.tuning import alpha_star_match_zeros, solve_alpha_for_tau4_target
 
 from oracles import logpmf_v1, moments, nbi_pmf_direct, pig_pmf_quadrature, truncation_for_mass
 
@@ -92,6 +95,23 @@ def test_nbi_sigma_with_infinite_inverse_is_the_poisson_limit(sigma):
     # 1/sigma is inf here; the NBI shape factor gave [1, nan, nan]
     ks, means = [0, 1, 5], [0.0, 3.0, 740.0]
     assert np.array_equal(pmf("nbi", ks, means, sigma), pmf("poisson", ks, means))
+
+
+@pytest.mark.parametrize("sigma", [10**400, -1, -1e-300, math.nan, math.inf], ids=["10**400", "-1", "-1e-300", "nan", "inf"])
+@pytest.mark.parametrize("family", ["poisson", "nbi", "pig"])
+def test_sigma_outside_its_domain_is_refused_by_every_entry(family, sigma):
+    # effective_family owns the check; an int beyond the float range raised a raw
+    # OverflowError (int too large to convert to float) from pmf, draw_counts and alpha*
+    dist = CellSizeDistribution.from_proportions({0: 0.5, 1: 0.5})
+    entries = [
+        lambda: pmf(family, 1, 1.0, sigma),
+        lambda: draw_counts(family, [1.0], sigma, np.zeros((1, SLOTS_PER_DRAW))),
+        lambda: alpha_star_match_zeros(dist, family, sigma),
+        lambda: solve_alpha_for_tau4_target(dist, family, sigma, 0.5),
+    ]
+    for entry in entries:
+        with pytest.raises(ValidationError, match="^sigma must be finite and >= 0$"):
+            entry()
 
 
 def test_moments_values():

@@ -502,13 +502,13 @@ def test_alpha_zero_never_fills_a_whole_chunk_of_uniforms(monkeypatch):
 
 def _count_pieces(monkeypatch) -> list:
     calls = []
-    draw = synthesis._chunk_draw
+    draw = synthesis._occupied
 
     def counted(*args):
-        calls.append(args[5:7])  # (replicate, start)
+        calls.append((args[6], args[3]))  # (replicate, start)
         return draw(*args)
 
-    monkeypatch.setattr(synthesis, "_chunk_draw", counted)
+    monkeypatch.setattr(synthesis, "_occupied", counted)
     return calls
 
 
@@ -606,7 +606,8 @@ def test_a_job_expecting_more_escapes_than_the_bound_is_refused_before_it_draws(
 def test_escape_gaps_never_overflow_nor_pass_the_last_rank(p, zeros, last):
     width = math.ceil(min(2.0**62, synthesis.ZERO_BLOCK_ESCAPES / p))  # as synthesis._escapes sets it
     with np.errstate(divide="ignore"):  # p = 1: log pmf(0) is -inf
-        law = synthesis._Escapes(zeros, float(np.log1p(-p)), np.ones(1), width)
+        # no taken cells: each random zero's cell is its rank
+        law = synthesis._Escapes(zeros, float(np.log1p(-p)), np.ones(1), width, np.zeros(0, np.uint64))
     block = -(-zeros // width) - 1 if last else 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a NaN or inf cast to uint64 warns
@@ -616,6 +617,43 @@ def test_escape_gaps_never_overflow_nor_pass_the_last_rank(p, zeros, last):
     assert (counts == 1).all() and ranks.size <= hi - lo
     if ranks.size:
         assert lo <= int(ranks[0]) and int(ranks[-1]) < hi and (np.diff(ranks.astype(object)) > 0).all()
+
+
+@st.composite
+def _rank_map_tables(draw):
+    """A 1-3-variable table of occupied cells, structural zeros and random zeros: structural zeros
+    on the first or last cell and in runs, and occupied sets from empty to nearly full."""
+    levels = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    k = math.prod(levels)
+    status = np.array(draw(st.lists(st.sampled_from("ors"), min_size=k, max_size=k)))  # occupied, random, structural
+    fill = draw(st.sampled_from(["as drawn", "empty", "nearly full"]))
+    if fill == "empty":
+        status[status == "o"] = "r"
+    elif fill == "nearly full":
+        status[status == "r"] = "o"
+        status[draw(st.lists(st.integers(0, k - 1), max_size=2))] = "r"
+    for start, length in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(1, k)), max_size=3)):
+        status[start:start + length] = "s"
+    for end in (0, -1):
+        if draw(st.booleans()):
+            status[end] = "s"
+    schema = CategoricalSchema([(f"v{j}", [str(i) for i in range(n)]) for j, n in enumerate(levels)])
+    occupied = np.flatnonzero(status == "o")
+    return SparseContingencyTable(schema, occupied, np.ones(occupied.size, np.int64), np.flatnonzero(status == "s"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_rank_map_tables(), block_escapes=st.integers(1, 8))
+def test_every_random_zero_escapes_to_its_own_cell_at_poisson_alpha_50(table, block_escapes):
+    # a random zero stays zero with probability e**-50, so the escapes are exactly the random zeros
+    # and any slip of the rank-to-cell map shows; blocks of a few ranks cut the runs at their edges
+    want = np.setdiff1d(np.arange(table.num_cells, dtype=np.uint64), np.union1d(table.index, table.structural))
+    job = SynthesisJob(CountModelSpec("poisson", alpha=50.0), master_seed=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "ZERO_BLOCK_ESCAPES", block_escapes)
+        for threads in (1, 3):
+            rep = synthesize(table, job, threads=threads)[0].table
+            np.testing.assert_array_equal(np.setdiff1d(rep.index, table.index), want, err_msg=f"threads {threads}")
 
 
 @pytest.mark.parametrize("family,sigma,alpha", [("poisson", 0.0, 1e8), ("nbi", 1e6, 100.0), ("pig", 1e6, 100.0)])

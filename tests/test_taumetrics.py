@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from satsynth import taumetrics
 from satsynth.errors import UndefinedResultError, ValidationError
 from satsynth.generator import ESC_LIKE_CELL_SIZE_FREQUENCIES, ESC_LIKE_TAIL
 from satsynth.models import CountModelSpec
@@ -216,6 +217,24 @@ def test_analytic_pmf_matrix_above_its_limit_is_refused():
     tau_analytic(dist, "poisson", 0.0, 0.1, k_report=0)
     with pytest.raises(ValidationError, match=f"at most the limit {limit}, got {limit + 1}"):
         tau_analytic(dist, "poisson", 0.0, 0.1, k_report=limit + 1)
+
+
+def test_pig_k_report_above_its_bessel_bound_is_refused_before_any_pmf(monkeypatch):
+    # PIG's tau3 runs K_{k-1/2} over k_report + 1 arguments, each through every order: O(k_report**2)
+    # work, 0.6-0.7 s at 8,000 and hours at the 2**20 that the pmf matrix's own limit allows on 3 sizes
+    def no_pmf(*args):
+        raise AssertionError("evaluated a pmf")
+
+    dist = CellSizeDistribution.from_counts({0: 50, 1: 5, 2: 3, 7: 1})
+    limit = math.isqrt(MAX_PMF_ENTRIES) - 1  # 8,191: (limit + 1)**2 fits, (limit + 2)**2 does not
+    monkeypatch.setattr(taumetrics, "pmf_range", no_pmf)
+    monkeypatch.setattr(taumetrics, "pmf", no_pmf)
+    for k_report in (limit + 1, MAX_K_REPORT):
+        with pytest.raises(ValidationError, match=f"^k_report must be at most {limit} for PIG, .* got {k_report}$"):
+            tau_analytic(dist, "pig", 1.0, 0.5, k_report=k_report)
+    for family, sigma, k_report in (("pig", 1.0, limit), ("nbi", 1.0, limit + 1), ("pig", 1e-320, limit + 1)):
+        with pytest.raises(AssertionError, match="evaluated a pmf"):  # PIG at its bound; NBI and PIG's Poisson limit have none
+            tau_analytic(dist, family, sigma, 0.5, k_report=k_report)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, -1.0, math.inf])
