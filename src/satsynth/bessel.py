@@ -16,9 +16,11 @@ working range, so the recurrence carries a power-of-two exponent beside
 each value and returns logs; it runs on ``K * exp(t)``, so the seed's
 ``-t`` never enters the sums.
 
-A point evaluation (one argument, as each alpha of a tuning solve makes)
-takes the same steps on float64 scalars, without keys or buffer.  They stay
-numpy ufuncs: ``math.log`` differs from ``np.log`` in the last bit on some
+One order takes its row of the ladder alone, at one argument or many; many
+orders at many arguments sort their places in the ladder once and fill one
+slice per row.  A point evaluation (one argument, as each alpha of a tuning
+solve makes) takes the same steps on float64 scalars.  They stay numpy
+ufuncs: ``math.log`` differs from ``np.log`` in the last bit on some
 arguments, and would move every tuned alpha.
 """
 
@@ -55,12 +57,12 @@ def _rows(t):
 def _log_k_half_scaled(n, t):
     """log K_{n - 1/2}(t) + t for integer array ``n`` and array ``t >= 1e-300``.
 
-    One argument keeps each order's row up to the largest.  Otherwise one
-    pass over ``t``'s own elements fills a buffer of ladder rows no larger
-    than the output, read out whenever it is full: memory is O(t.size +
-    output size), never orders x arguments.
+    One order takes its row alone; one argument keeps every order's row up to
+    the largest; otherwise each output element's place in the (order,
+    argument) ladder is sorted once and each row fills its slice: memory is
+    O(t.size + output size), never orders x arguments.
     """
-    if t.ndim == n.ndim == 0:  # one order at one argument: its row alone
+    if n.ndim == 0 and t.size:  # one order: its row alone, at one argument or many (at none, no row)
         return next(itertools.islice(_rows(t), max(n, 1 - n) - 1, None))  # K is even in its order
     m = np.maximum(n, 1 - n)
     if t.size == 1:  # one argument: every order's row up to the largest, by order
@@ -69,20 +71,12 @@ def _log_k_half_scaled(n, t):
     # each output element's place in the (order, argument) ladder
     key = (m - 1) * t.size + np.arange(t.size).reshape(t.shape)
     shape, key = key.shape, key.ravel()
-    if key.size == 0:
-        return np.zeros(shape)
-    m_max = int(key.max()) // t.size + 1
-    ladder = np.empty((min(m_max, max(1, key.size // t.size)), t.size))
-    rows = _rows(t.ravel())
+    order = key.argsort(kind="stable")
+    bounds = key.searchsorted(np.arange(key.max(initial=-1) // max(t.size, 1) + 2) * t.size, sorter=order)
     out = np.empty(key.size)
-    first = 1  # order held in the buffer's first row
-    for j in range(1, m_max + 1):
-        ladder[j - first] = next(rows)
-        if j - first + 1 == len(ladder) or j == m_max:
-            lo, hi = (first - 1) * t.size, j * t.size
-            at = slice(None) if len(ladder) == m_max else np.flatnonzero((key >= lo) & (key < hi))
-            out[at] = ladder.ravel()[key[at] - lo]
-            first = j + 1
+    for j, row in enumerate(itertools.islice(_rows(t.ravel()), bounds.size - 1)):
+        at = order[bounds[j] : bounds[j + 1]]
+        out[at] = row[key[at] - j * t.size]
     return out.reshape(shape)
 
 
@@ -92,8 +86,8 @@ def log_bessel_k_half(n, t):
     Parameters
     ----------
     n : int or array of int
-        Order index; the Bessel order is ``n - 1/2``.  Negative indices are
-        folded by the symmetry of K in its order.
+        Order index in (1 - 2**63, 2**63); the Bessel order is ``n - 1/2``.
+        Negative indices are folded by the symmetry of K in its order.
     t : float or array of float
         Argument, at least 1e-300, below which a recurrence step can
         overflow.  NaN is refused.
@@ -105,8 +99,8 @@ def log_bessel_k_half(n, t):
     """
     t = np.asarray(t, dtype=np.float64)
     n = np.asarray(n)
-    if not np.issubdtype(n.dtype, np.integer) and np.any(n != np.floor(n)):
-        raise ValidationError("order index must be an integer")
+    if not np.all((n == np.floor(n)) & (n > 1 - 2**63) & (n < 2**63)):  # before the cast; keeps the fold 1 - n in int64
+        raise ValidationError("order index must be an integer above 1 - 2**63 and below 2**63")
     n = n.astype(np.int64)  # ladder keys reach orders x arguments
     if not np.all(t >= 1e-300):
         raise ValidationError("Bessel argument t must be >= 1e-300")

@@ -163,9 +163,9 @@ class LogPmf:
         k = np.asarray(k)
         if (k != np.floor(k)).any():  # array methods: the np.any/np.all wrappers cost more per call
             raise ValidationError("counts must be integers")
+        if not ((k >= 0) & (k < 2**63)).all():  # before the cast, which has no int64 for inf or 2**70
+            raise ValidationError("counts must be >= 0 and below 2**63")
         self.k = k.astype(np.int64)[()]  # a 0-d k becomes a scalar, whose arithmetic costs less
-        if (self.k < 0).any():
-            raise ValidationError("counts must be >= 0")
         self._log_k_factorial = _log_gamma(self.k + 1.0)
         if self.family is Family.NBI:
             with np.errstate(**_QUIET):
@@ -210,12 +210,15 @@ def pmf_range(family: Family | str, k_max: int, mu, sigma: float = 0.0) -> np.nd
     A scalar ``mu`` gives a vector of length ``k_max + 1``.  An array of
     means gives a ``(k_max + 1, len(mu))`` matrix whose column j is the
     pmf at ``mu[j]``, so a mixture over means is one matrix-vector
-    product.  ``mu = 0`` is degenerate at zero.
+    product.  ``mu = 0`` is degenerate at zero.  A table of more than
+    ``MAX_PMF_ENTRIES`` entries is refused before any is computed.
     """
-    if k_max < 0:
-        raise ValidationError("k_max must be >= 0")
     mu = np.asarray(mu, dtype=np.float64)
     if mu.ndim > 1:
         raise ValidationError("mu must be a scalar or a 1-D array of means")
+    if k_max >= MAX_PMF_ENTRIES // max(mu.size, 1):  # (k_max + 1) x means entries, without an overflow; inf too
+        raise ValidationError(f"a pmf_range table of (k_max + 1) x {mu.size} means tops {MAX_PMF_ENTRIES} entries")
+    if not (k_max >= 0 and k_max == int(k_max)):  # NaN too
+        raise ValidationError("k_max must be an integer >= 0")
     out = pmf(family, np.arange(k_max + 1)[:, None], np.atleast_1d(mu), sigma)
     return out[:, 0] if mu.ndim == 0 else out

@@ -514,11 +514,13 @@ def _decode_rows(body: bytes, schema: CategoricalSchema, tables: list):
         quoted = np.logical_xor.accumulate(b == ord('"'))
         lf &= ~quoted
         delimiters &= ~quoted
+        del quoted
     rows, extra = divmod(int(np.count_nonzero(delimiters)), p + 2)
     # each row's last delimiter is an LF, and no other one is
     if extra or (b.size and not delimiters[-1]) or np.count_nonzero(lf) != rows:
         return None
     at = np.flatnonzero(delimiters)
+    del lf, delimiters  # the offsets replace the masks: each is as long as the block
     ends = at.reshape(rows, p + 2).T.copy()  # one row per field
     if not (b[ends[-1]] == ord("\n")).all():
         return None

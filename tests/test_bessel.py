@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from satsynth import bessel
 from satsynth.bessel import _log_k_half_scaled, log_bessel_k_half
 from satsynth.errors import ValidationError
 
@@ -80,6 +81,41 @@ def test_one_argument_is_that_argument_among_many_bit_for_bit(n, t, others):
     assert _log_k_half_scaled(np.int64(n), np.array([t])).tobytes() == point.tobytes()
 
 
+_SHAPES = [  # (orders, arguments) at sizes a and b: one order, one argument, sorted slices, empty
+    lambda a, b: ((), ()),
+    lambda a, b: ((), (b,)),
+    lambda a, b: ((), (a, b)),
+    lambda a, b: ((a, 1), (1, b)),
+    lambda a, b: ((b,), (b,)),
+    lambda a, b: ((a, b), (a, b)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes=st.sampled_from(_SHAPES), a=st.integers(0, 4), b=st.integers(0, 4), data=st.data())
+def test_each_element_of_a_ladder_is_its_point_evaluation_bit_for_bit(shapes, a, b, data):
+    n_shape, t_shape = shapes(a, b)
+    n = np.array(data.draw(st.lists(st.integers(-300, 300), min_size=math.prod(n_shape), max_size=math.prod(n_shape))))
+    t = np.array(data.draw(st.lists(_ARGUMENT, min_size=math.prod(t_shape), max_size=math.prod(t_shape))))
+    n, t = n.astype(np.int64).reshape(n_shape), t.reshape(t_shape)
+    out = _log_k_half_scaled(n, t)
+    assert np.shape(out) == np.broadcast_shapes(n_shape, t_shape)
+    orders, arguments = np.broadcast_arrays(n, t)
+    for at in np.ndindex(np.shape(out)):
+        assert np.float64(out[at]).tobytes() == _log_k_half_scaled(orders[at], arguments[at]).tobytes(), at
+
+
+def test_no_arguments_step_no_ladder_rows(monkeypatch):
+    # one order's row stepped over no arguments all the same: order 10**6 took 12 s
+    def no_rows(t):
+        pytest.fail("a ladder row was stepped for no arguments")
+        yield
+
+    monkeypatch.setattr(bessel, "_rows", no_rows)
+    for n in (np.int64(10**6), np.array([[1], [10**6]])):
+        assert _log_k_half_scaled(n, np.empty(0)).shape == np.broadcast_shapes(n.shape, (0,))
+
+
 def test_elementwise_high_orders_stay_within_a_few_megabytes():
     # 20,000 (order, argument) pairs with orders up to 2,000: a ladder of
     # every order at every argument would hold about 320 MB
@@ -124,3 +160,17 @@ def test_rejects_arguments_below_the_overflow_floor():
     assert np.isfinite(log_bessel_k_half(400, 1e-300))
     with pytest.raises(ValidationError):
         log_bessel_k_half(2, 1e-301)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "n", [math.inf, 1e300, -(2**63), 1 - 2**63, 2**63, 2**70, [1, -(2**63)]],
+    ids=["inf", "1e300", "-2**63", "1-2**63", "2**63", "2**70", "[1, -2**63]"],
+)
+def test_orders_outside_int64_are_refused_before_the_cast(n):
+    # inf, 1e300 and -2**63 raised a raw ValueError from islice, the floats after an
+    # invalid cast; 2**70 a raw OverflowError; [1, -2**63] returned a wrong second value,
+    # as the fold 1 - n wrapped
+    t = np.array([1.0, 2.0]) if np.ndim(n) else 1.0
+    with pytest.raises(ValidationError, match="order index must be an integer"):
+        log_bessel_k_half(n, t)

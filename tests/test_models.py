@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from satsynth import models
 from satsynth.errors import ValidationError
 from satsynth.models import (
+    MAX_PMF_ENTRIES,
     CountModelSpec,
     Family,
     LogPmf,
@@ -112,6 +114,38 @@ def test_sigma_outside_its_domain_is_refused_by_every_entry(family, sigma):
     for entry in entries:
         with pytest.raises(ValidationError, match="^sigma must be finite and >= 0$"):
             entry()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [math.inf, 1e300, 2**63, 2**70, [1, 2**70]], ids=["inf", "1e300", "2**63", "2**70", "[1, 2**70]"])
+@pytest.mark.parametrize("family", ["poisson", "nbi", "pig"])
+def test_counts_outside_int64_are_refused_before_the_cast(family, k):
+    # inf and 1e300 were cast to int64 (RuntimeWarning: invalid value) and called
+    # negative, 2**63 wrapped to -2**63, and 2**70 raised a raw OverflowError
+    with pytest.raises(ValidationError, match=r"^counts must be >= 0 and below 2\*\*63$"):
+        logpmf(family, k, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("k_max", [2.5, 2**70, math.inf, math.nan], ids=["2.5", "2**70", "inf", "nan"])
+def test_pmf_range_refuses_a_k_max_it_cannot_tabulate(k_max):
+    # 2.5 gave the pmf over 0..3; 2**70, inf and nan raised numpy's raw ValueError from arange
+    with pytest.raises(ValidationError, match="k_max"):
+        pmf_range("poisson", k_max, 1.0)
+
+
+def test_pmf_range_refuses_a_table_over_max_pmf_entries_before_any_pmf(monkeypatch):
+    def no_pmf(*args):
+        raise AssertionError("pmf evaluated")
+
+    monkeypatch.setattr(models, "pmf", no_pmf)
+    means = np.ones(2**13 + 1)
+    for k_max in (2**13 - 1, 2**13):  # (k_max + 1) x means: 2**26 + 2**13 and 2**26 + 2**14 + 1 entries
+        with pytest.raises(ValidationError, match=f"tops {MAX_PMF_ENTRIES} entries"):
+            pmf_range("poisson", k_max, means)
+    with pytest.raises(ValidationError, match=f"tops {MAX_PMF_ENTRIES} entries"):
+        pmf_range("poisson", MAX_PMF_ENTRIES, 1.0)
+    with pytest.raises(AssertionError, match="pmf evaluated"):  # 8,191 x 8,193 entries, just under the bound
+        pmf_range("poisson", 2**13 - 2, means)
 
 
 def test_moments_values():

@@ -187,6 +187,18 @@ def test_analytic_report_pins_on_full_scale_histogram(esc_full_dist, family, sig
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == ANALYTIC_REPORT_PINS[family, sigma]
 
 
+# the same digest for PIG at k_report = 200, where tau1 reads the Bessel ladder at
+# 201 orders x every mean of the histogram and tau3 at 201 (order, argument) pairs
+PIG_REPORT_200_PINS = {0.5: "4b6f616e963554bc", 1.0: "f361082ba9c275bb", 2.0: "16d9b63c3d431461"}
+
+
+@pytest.mark.parametrize("sigma", list(PIG_REPORT_200_PINS))
+def test_pig_analytic_report_pins_at_k_report_200(esc_full_dist, sigma):
+    alpha = float(TAU4_PINS["pig", sigma][0])
+    rows = tau_analytic(esc_full_dist, "pig", sigma, alpha, k_report=200).to_rows()
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == PIG_REPORT_200_PINS[sigma]
+
+
 def test_tuning_result_json_bytes_with_and_without_p():
     # `satsynth tune` prints these bytes; p is left out when it is None
     with_p = TuningResult("nbi", 1.0, "tau4-equals", 0.25, -1e-12, 31, 0.3).to_json()
