@@ -27,8 +27,7 @@ from .table import (
     read_table,
     write_table,
 )
-from .bessel import log_bessel_k_half
-from .models import CountModelSpec, Family, pig_c, pmf, pmf_range
+from .models import CountModelSpec, Family, log_bessel_k_half, pig_c, pmf, pmf_range
 from .synthesis import Provenance, SynthesisJob, SyntheticTable, expected_grand_total, synthesize
 from .taumetrics import (
     TauReport,

@@ -9,6 +9,7 @@ risk-utility frontier (utility = mean CI overlap, privacy = 1 - tau4(1)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
@@ -131,8 +132,8 @@ def raab_variance(mean_within_variance: float, n: int, n_syn: int, m: int) -> fl
     ``mean_within_variance`` is the average of the m within-replicate
     variance estimates; the total is v * (n_syn / n + 1 / m).
     """
-    if mean_within_variance <= 0 or n <= 0 or n_syn <= 0 or m <= 0:
-        raise ValidationError("all inputs must be positive")
+    if not all(0 < x <= sys.float_info.max for x in (mean_within_variance, n, n_syn, m)):  # False for NaN and huge ints
+        raise ValidationError("all inputs must be positive and finite")
     return mean_within_variance * (n_syn / n + 1.0 / m)
 
 

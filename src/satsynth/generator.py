@@ -228,12 +228,12 @@ def _tail_counts(tail: TailSpec) -> np.ndarray:
 def generate_table(spec: HistogramSpec, seed: int) -> SparseContingencyTable:
     """Random table realizing the spec's histogram exactly.
 
-    Deterministic given (spec, seed in [0, 2**64)).  Nonzero cells are placed uniformly
+    Deterministic given (spec, integer seed in [0, 2**64)).  Nonzero cells are placed uniformly
     at random; bucket sizes are met exactly, and the tail's grand total
     is exact.
     """
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed!r}")
     schema = spec.resolved_schema()
     k = spec.total_cells
     pieces = [

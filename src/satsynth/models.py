@@ -14,23 +14,31 @@ Poisson limit: :func:`effective_family` decides it, for the pmf and the
 samplers alike.  All mass functions are evaluated in log space; the PIG
 pmf mixes factorially large and exponentially small factors and would
 overflow otherwise.
+
+PIG's Bessel K at the orders ``n - 1/2`` (:func:`log_bessel_k_half`) climbs from
+``K_{1/2}(t) = sqrt(pi / (2 t)) exp(-t)`` by ``K_{v+1} = K_{v-1} + (2 v / t) K_v``,
+stable as K grows with its order, on ``K exp(t)`` (the seed's ``-t`` never enters
+the sums) with a power-of-two exponent beside each value, whose span is hundreds of
+orders of magnitude.  Its scalar steps stay numpy ufuncs: ``math.log`` differs from
+``np.log`` in the last bit on some arguments, and would move every tuned alpha.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _log_k_half_scaled
 from .errors import ValidationError
 
-MAX_PMF_ENTRIES = 2**26  # the largest pmf_range table a caller builds, (k_max + 1) x means: 512 MiB
+MAX_PMF_ENTRIES = 2**26  # most pmf_range entries, (k_max + 1) x means (512 MiB), and Bessel ladder (order, argument) cells
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # see LogPmf.__call__
 _LOG_2, _LOG_PI = np.log(2.0), np.log(np.pi)
+_LOG_SQRT_PI_OVER_2 = 0.5 * np.log(np.pi / 2.0)
 
 
 def _all(mask) -> bool:
@@ -75,14 +83,19 @@ class CountModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family.coerce(self.family))
-        for name in ("sigma", "alpha"):
-            if not 0.0 <= getattr(self, name) <= sys.float_info.max:  # False for NaN, and huge ints
-                raise ValidationError(f"{name} must be finite and >= 0")
+        check_parameter("sigma", self.sigma)
+        check_parameter("alpha", self.alpha)
 
     @property
     def effective_family(self) -> Family:
         """Family actually used for evaluation; see :func:`effective_family`."""
         return effective_family(self.family, self.sigma)
+
+
+def check_parameter(name: str, value: float) -> None:
+    """Refuse sigma or alpha unless finite and >= 0, by a Python comparison: False for NaN and huge ints."""
+    if not 0 <= value <= sys.float_info.max:
+        raise ValidationError(f"{name} must be finite and >= 0")
 
 
 def effective_family(family: Family | str, sigma: float) -> Family:
@@ -93,8 +106,7 @@ def effective_family(family: Family | str, sigma: float) -> Family:
     [0, float max] is a ``ValidationError`` for every family.
     """
     family = Family.coerce(family)
-    if not 0 <= sigma <= sys.float_info.max:  # False for NaN, and for ints beyond the float range
-        raise ValidationError("sigma must be finite and >= 0")
+    check_parameter("sigma", sigma)
     if family is Family.POISSON or sigma == 0.0 or 1.0 / float(sigma) == math.inf:
         return Family.POISSON
     return family
@@ -107,12 +119,15 @@ def pig_c(mu, sigma):
     mu = 0, above about 1e154 (c underflows to 0) is refused.
     """
     with np.errstate(**_QUIET):
-        return _pig_c(_valid_means(mu), sigma)
+        return _pig_c(valid_means(mu), sigma)
 
 
-def _valid_means(mu):
+def valid_means(mu):
     """``mu`` as float64 (a 0-d one as a scalar, cheaper to compute on), refused unless finite and >= 0."""
-    mu = np.asarray(mu, dtype=np.float64)[()]
+    try:
+        mu = np.asarray(mu, dtype=np.float64)[()]
+    except (OverflowError, TypeError, ValueError):
+        mu = np.float64(np.nan)  # refused below
     if not _all((mu >= 0.0) & (mu < np.inf)):
         raise ValidationError("mu must be finite and >= 0")
     return mu
@@ -148,6 +163,92 @@ def _log1p_product(x, y):
     over="ignore"), log(x) + log(y), which is within 1e-308 of it."""
     out = np.log1p(x * y)
     return out if _all(out < np.inf) else np.where(out < np.inf, out, np.log(x) + np.log(y))
+
+
+def _rows(t):
+    """log K_{j - 1/2}(t) + t for j = 1, 2, ... in turn, at ``t``'s elements or at one scalar.
+
+    K is carried as ``exp(seed) * mantissa * 2**exponent``; the exact
+    ``frexp`` rescaling leaves each step one rounding, so log K_{n-1/2} is
+    off by about n ulps of 1, not n ulps of its own size as on logs.
+    """
+    seed = _LOG_SQRT_PI_OVER_2 - 0.5 * np.log(t)  # orders -1/2 and 1/2
+    yield seed  # order 1/2: mantissa 1, exponent 0
+    prev = cur = 1.0
+    exponent = np.int64(0)  # ladder exponents outgrow int32
+    for j in itertools.count(2):  # K_{j-1/2} = K_{j-5/2} + (2j - 3) / t * K_{j-3/2}
+        mantissa, shift = np.frexp(prev + (2 * j - 3) / t * cur)
+        prev, cur = np.ldexp(cur, -shift), mantissa
+        exponent = exponent + shift
+        yield seed + (exponent * _LOG_2 + np.log(cur))
+
+
+def _too_many_cells(orders, arguments) -> ValidationError:
+    return ValidationError(f"the Bessel ladder would step {orders} orders at {arguments} arguments, "
+                           f"above {MAX_PMF_ENTRIES} (order, argument) cells")
+
+
+def _log_k_half_scaled(n, t):
+    """log K_{n - 1/2}(t) + t for integer array ``n`` and array ``t >= 1e-300``.
+
+    One order takes its row alone; one argument keeps every order's row up to
+    the largest; otherwise each output element's place in the (order,
+    argument) ladder is sorted once and each row fills its slice: memory is
+    O(t.size + output size), never orders x arguments.  A ladder of more
+    than ``MAX_PMF_ENTRIES`` (order, argument) cells is refused before any
+    row is stepped.
+    """
+    if n.ndim == 0 and t.size:  # one order: its row alone, at one argument or many (at none, no row)
+        m = max(n, 1 - n)  # K is even in its order
+        if m > MAX_PMF_ENTRIES // t.size:  # a Python int bound: no int64 product to wrap
+            raise _too_many_cells(m, t.size)
+        return next(itertools.islice(_rows(t), m - 1, None))
+    m = np.maximum(n, 1 - n)
+    orders = int(m.max(initial=1))
+    if t.size and orders > MAX_PMF_ENTRIES // t.size:
+        raise _too_many_cells(orders, t.size)
+    if t.size == 1:  # one argument: every order's row up to the largest, by order
+        out = np.fromiter(_rows(t.ravel()[0]), np.float64, orders)[m - 1]
+        return out.reshape((1,) * (t.ndim - m.ndim) + m.shape)
+    # each output element's place in the (order, argument) ladder
+    key = (m - 1) * t.size + np.arange(t.size).reshape(t.shape)
+    shape, key = key.shape, key.ravel()
+    order = key.argsort(kind="stable")
+    bounds = key.searchsorted(np.arange(key.max(initial=-1) // max(t.size, 1) + 2) * t.size, sorter=order)
+    out = np.empty(key.size)
+    for j, row in enumerate(itertools.islice(_rows(t.ravel()), bounds.size - 1)):
+        at = order[bounds[j] : bounds[j + 1]]
+        out[at] = row[key[at] - j * t.size]
+    return out.reshape(shape)
+
+
+def log_bessel_k_half(n, t):
+    """log K_{n - 1/2}(t) for integer ``n`` (scalar or array) and t > 0.
+
+    Parameters
+    ----------
+    n : int or array of int
+        Order index in (1 - 2**63, 2**63); the Bessel order is ``n - 1/2``.
+        Negative indices are folded by the symmetry of K in its order.  The
+        largest ``max(n, 1 - n)`` times the arguments is at most ``MAX_PMF_ENTRIES``.
+    t : float or array of float
+        Argument, at least 1e-300, below which a recurrence step can
+        overflow.  NaN is refused.
+
+    Returns
+    -------
+    float or ndarray
+        Natural log of K.  Broadcasts ``n`` against ``t``.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    n = np.asarray(n)
+    if not np.all((n == np.floor(n)) & (n > 1 - 2**63) & (n < 2**63)):  # before the cast; keeps the fold 1 - n in int64
+        raise ValidationError("order index must be an integer above 1 - 2**63 and below 2**63")
+    n = n.astype(np.int64)
+    if not np.all(t >= 1e-300):
+        raise ValidationError("Bessel argument t must be >= 1e-300")
+    out = _log_k_half_scaled(n, t) - t
+    return float(out) if out.ndim == 0 else out
 
 
 class LogPmf:
@@ -195,7 +296,7 @@ class LogPmf:
 
 def logpmf(family: Family | str, k, mu, sigma: float = 0.0):
     """log p(count = k | mean mu) for the given family; see :class:`LogPmf`."""
-    out = LogPmf(family, k, sigma)(_valid_means(mu))
+    out = LogPmf(family, k, sigma)(valid_means(mu))
     return float(out) if out.ndim == 0 else out
 
 
@@ -213,7 +314,7 @@ def pmf_range(family: Family | str, k_max: int, mu, sigma: float = 0.0) -> np.nd
     product.  ``mu = 0`` is degenerate at zero.  A table of more than
     ``MAX_PMF_ENTRIES`` entries is refused before any is computed.
     """
-    mu = np.asarray(mu, dtype=np.float64)
+    mu = valid_means(mu)
     if mu.ndim > 1:
         raise ValidationError("mu must be a scalar or a 1-D array of means")
     if k_max >= MAX_PMF_ENTRIES // max(mu.size, 1):  # (k_max + 1) x means entries, without an overflow; inf too

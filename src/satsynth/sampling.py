@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ValidationError
-from .models import Family, effective_family
+from .models import Family, effective_family, valid_means
 
 SLOTS_PER_DRAW = 4  # one Philox counter block of 4 raw 64-bit words
 
@@ -59,22 +59,28 @@ def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarr
     Returns an ``(n, SLOTS_PER_DRAW)`` array in [0, 1).  Draw i always
     occupies counter block ``start + i`` of the Philox stream keyed by
     (master_seed, stream), independent of how calls are chunked.  Both
-    key words must lie in [0, 2**64), so that distinct seeds never share
-    a stream.  Each uniform is the top 53 bits of one raw Philox word
-    times 2**-53, the same bits as ``random_raw`` shifted and scaled.
+    key words must be integers in [0, 2**64), so that distinct seeds never
+    share a stream, and start and n integers >= 0.  Each uniform is the top
+    53 bits of one raw Philox word times 2**-53, the same bits as
+    ``random_raw`` shifted and scaled.
     """
-    if start < 0 or n < 0:
-        raise ValidationError(f"block start and length must be >= 0, got {start} and {n}")
+    if not (_is_int(start) and _is_int(n) and start >= 0 and n >= 0):
+        raise ValidationError(f"block start and length must be >= 0 integers, got {start!r} and {n!r}")
     _check_key(master_seed, stream)
     key = np.array([master_seed, stream], dtype=np.uint64)
     # an int counter is read as little-endian 64-bit words: [start mod 2**64, start >> 64, 0, 0]
     return Generator(Philox(key=key, counter=start)).random((n, SLOTS_PER_DRAW))
 
 
+def _is_int(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_key(master_seed: int, stream: int) -> None:
     for name, word in (("master seed", master_seed), ("stream", stream)):
-        if not 0 <= word <= _U64_MASK:
-            raise ValidationError(f"{name} must be in [0, 2**64), got {word}")
+        if not (_is_int(word) and 0 <= word <= _U64_MASK):
+            raise ValidationError(f"{name} must be in [0, 2**64), got {word!r}")
 
 
 def _mulhi(a: np.ndarray, m: int) -> np.ndarray:
@@ -87,7 +93,7 @@ def _mulhi(a: np.ndarray, m: int) -> np.ndarray:
 
 def uniform_rows(master_seed: int, stream: int, blocks: np.ndarray) -> np.ndarray:
     """The rows ``uniform_block(master_seed, stream, b, 1)`` for each counter
-    block ``b`` of the uint64 array ``blocks``, in order.
+    block ``b`` of the integer array ``blocks`` (uint64, or signed and >= 0), in order.
 
     Philox is counter-based, so each block is computed directly: this is
     Philox4x64-10 (Salmon et al., SC'11) in vectorised uint64 arithmetic
@@ -95,11 +101,14 @@ def uniform_rows(master_seed: int, stream: int, blocks: np.ndarray) -> np.ndarra
     each block), ``2**14`` counters at a time.
     """
     _check_key(master_seed, stream)
-    blocks = np.asarray(blocks, dtype=np.uint64).reshape(-1)
+    blocks = np.asarray(blocks)
+    if blocks.size and (blocks.dtype.kind not in "iu" or blocks.dtype.kind == "i" and blocks.min() < 0):  # uint64: no pass
+        raise ValidationError(f"counter blocks must be integers >= 0, got an array of {blocks.dtype}")
+    blocks = blocks.astype(np.uint64, copy=False).reshape(-1)
     # Python ints: np.uint64 scalar arithmetic warns on the wrap-around
     keys = [
-        (np.uint64((master_seed + r * _PHILOX_W0) & _U64_MASK),
-         np.uint64((stream + r * _PHILOX_W1) & _U64_MASK))
+        (np.uint64((int(master_seed) + r * _PHILOX_W0) & _U64_MASK),
+         np.uint64((int(stream) + r * _PHILOX_W1) & _U64_MASK))
         for r in range(_PHILOX_ROUNDS)
     ]
     out = np.empty((blocks.size, SLOTS_PER_DRAW))
@@ -315,10 +324,7 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
         :func:`uniform_block`.
     """
     family = effective_family(family, sigma)
-    mu = np.asarray(mu, dtype=np.float64)
-    lowest = mu.min(initial=1.0)
-    if not (lowest >= 0.0 and mu.max(initial=0.0) < np.inf):  # False for NaN
-        raise ValidationError("mu must be finite and >= 0")
+    mu = np.asarray(valid_means(mu))
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape != (mu.size, SLOTS_PER_DRAW):
         raise ValidationError(
@@ -327,7 +333,7 @@ def draw_counts(family: Family | str, mu, sigma: float, u: np.ndarray) -> np.nda
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails both
         raise ValidationError("uniforms must lie in [0, 1)")
 
-    if lowest == 0.0:  # a mean of 0 draws 0 (PIG's roots are 0/0 there); occupied rows have none
+    if not mu.all():  # a mean of 0 draws 0 (PIG's roots are 0/0 there); occupied rows have none
         live = np.flatnonzero(mu)
         out = np.zeros(mu.shape, dtype=np.int64)
         out.flat[live] = draw_counts(family, mu.flat[live], sigma, u[live])

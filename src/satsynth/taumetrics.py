@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedResultError, ValidationError
-from .models import MAX_PMF_ENTRIES, Family, LogPmf, effective_family, pmf, pmf_range
+from .models import MAX_PMF_ENTRIES, Family, LogPmf, check_parameter, pmf, pmf_range
 from .synthesis import SyntheticTable
 from .table import CellSizeDistribution, SparseContingencyTable
 
@@ -38,22 +38,17 @@ MAX_K_REPORT = 2**20  # a report row per k, and k_report + 2 bins per replicate
 
 
 def _check_k_report(k_report: int, means: int = 1) -> None:
-    """Refuse, before anything of its size is built, a k_report below 0, above
-    MAX_K_REPORT or whose pmf matrix over ``means`` means tops MAX_PMF_ENTRIES."""
+    """Refuse, before anything of its size is built, a k_report that is not an integer (a bool is not), below 0,
+    above MAX_K_REPORT or whose pmf matrix over ``means`` means tops MAX_PMF_ENTRIES."""
     limit = min(MAX_K_REPORT, MAX_PMF_ENTRIES // means - 1)
-    if not 0 <= k_report <= limit:
-        raise ValidationError(f"k_report must be >= 0 and at most the limit {limit}, got {k_report}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < math.inf:  # False for NaN
-        raise ValidationError("alpha must be finite and >= 0")
+    if isinstance(k_report, bool) or not (isinstance(k_report, (int, np.integer)) and 0 <= k_report <= limit):
+        raise ValidationError(f"k_report must be >= 0 and at most the limit {limit}, got {k_report!r}")
 
 
 def _means_weights(dist: CellSizeDistribution, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """``means = [alpha, sizes...]``, ``weights = [tau2(0), proportions...]``:
     the synthesis mean of each original cell group and its share of cells."""
-    _check_alpha(alpha)
+    check_parameter("alpha", alpha)
     means = np.concatenate(([float(alpha)], dist.nonzero_sizes.astype(np.float64)))
     weights = np.concatenate(([dist.proportion(0)], dist.nonzero_proportions))
     return means, weights
@@ -80,7 +75,7 @@ class TauCurve:
 
     def _at(self, alpha: float) -> tuple[float, float]:
         """(pmf(k | alpha), tau1(k)) at this alpha."""
-        _check_alpha(alpha)
+        check_parameter("alpha", alpha)
         p_alpha = float(np.exp(self._logpmf(np.float64(alpha))))
         return p_alpha, float(np.concatenate(([p_alpha], self._sizes)) @ self._weights)
 
@@ -210,21 +205,16 @@ def tau_analytic(
     tau1 for every k is one ``(k_report + 1) x (support + 1)`` pmf matrix
     times the weights.  tau3(k) does not depend on the table: pmf(0 | alpha)
     for k = 0 (a random zero must stay zero) and pmf(k | k) for k >= 1.
-    PIG's tau3 walks K_{k-1/2} up to order k_report at each of k_report + 1
-    arguments, so for PIG a (k_report + 1)**2 above MAX_PMF_ENTRIES is refused.
     """
     family = Family.coerce(family)
     _check_k_report(k_report, dist.nonzero_sizes.size + 1)
-    if effective_family(family, sigma) is Family.PIG and (k_report + 1) ** 2 > MAX_PMF_ENTRIES:
-        raise ValidationError(f"k_report must be at most {math.isqrt(MAX_PMF_ENTRIES) - 1} for PIG, whose tau3 "
-                              f"takes O(k_report**2) Bessel steps, got {k_report}")
     ks = np.arange(k_report + 1)
     means, weights = _means_weights(dist, alpha)
+    t3 = pmf(family, ks, np.where(ks == 0, alpha, ks), sigma)  # before the matrix: a refused Bessel ladder stops it
     t1 = pmf_range(family, k_report, means, sigma) @ weights
     t2 = np.zeros(ks.size)
     reported = dist.sizes <= k_report
     t2[dist.sizes[reported]] = dist.proportions[reported]
-    t3 = pmf(family, ks, np.where(ks == 0, alpha, ks), sigma)
     t4 = np.divide(t3 * t2, t1, out=np.full(ks.size, np.nan), where=t1 > 0.0)
     return TauReport("analytic", family.value, float(sigma), float(alpha), ks, t1, t2, t3, t4)
 

@@ -2,12 +2,13 @@
 
 These deliberately avoid the package's own evaluation routes: Bessel
 values come from direct adaptive quadrature of the integral definition,
-mixture pmfs from numerical integration over the mixing density, the
-canonical table CSV from a row-at-a-time :mod:`csv` writer and reader,
-analytic tau1 and tau4 from a full pmf vector rebuilt for every alpha,
-tau4 also as a ratio with the k-only factors cancelled, empirical tau and
-within-p% from per-size set operations, and log-linear fits from IRLS on
-the dense design matrix and from iterative proportional fitting.  The
+mixture pmfs from numerical integration over the mixing density, every
+pmf exactly in 50-digit decimal arithmetic, the canonical table CSV
+from a row-at-a-time :mod:`csv` writer and reader, analytic tau1 and
+tau4 from a full pmf vector rebuilt for every alpha, tau4 also as a
+ratio with the k-only factors cancelled, empirical tau and within-p%
+from per-size set operations, and log-linear fits from IRLS on the
+dense design matrix and from iterative proportional fitting.  The
 samplers' statistical tests take the pmf's moments and truncation points
 from here too.
 """
@@ -15,6 +16,7 @@ from here too.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import itertools
 import math
@@ -27,8 +29,7 @@ from scipy import integrate, linalg, optimize, special
 
 from satsynth.errors import ConvergenceError, FormatError, UndefinedResultError, ValidationError
 from satsynth.loglin import MAX_DENSE_CELLS, LoglinFit, build_design, poisson_loglik
-from satsynth.bessel import log_bessel_k_half
-from satsynth.models import Family, _log_gamma, pig_c, pmf, pmf_range
+from satsynth.models import Family, _log_gamma, log_bessel_k_half, pig_c, pmf, pmf_range
 from satsynth.sampling import (
     SLOTS_PER_DRAW,
     _gamma_from_uniforms,
@@ -115,6 +116,44 @@ def nbi_pmf_direct(k: int, mu: float, sigma: float) -> float:
         - inv * math.log(1.0 + sigma * mu)
     )
     return math.exp(log_p)
+
+
+# -- the exact pmf in decimal -----------------------------------------------------------
+
+_EXACT = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def pmf_exact(family: str, k: int, mu: float, sigma: float = 0.0) -> decimal.Decimal:
+    """p(count = k | mean mu > 0) to 50 digits, from the exact values of the float inputs.
+
+    Poisson is ``exp(-mu) mu**k / k!``.  NBI, with r = 1/sigma, is the rising
+    product ``r (r + 1) ... (r + k - 1) / k!`` times
+    ``(1 + sigma mu)**-r (sigma mu / (1 + sigma mu))**k``.  PIG is
+    ``exp(-2 mu / (1 + sigma c)) S_n(c) mu**k / ((c sigma)**k k!)`` with
+    ``c**2 = 1/sigma**2 + 2 mu / sigma`` and n = max(k - 1, 0), where
+    ``S_n(c) = sum_{j <= n} (n + j)! / (j! (n - j)! (2c)**j)``, a finite sum of
+    positive terms, is ``sqrt(2c / pi) exp(c) K_{n+1/2}(c)`` (DLMF 10.49.12).
+    sigma = 0 is Poisson for every family.  Only :mod:`decimal` and
+    :mod:`math`: no float rounding enters but the inputs'.
+    """
+    with decimal.localcontext(_EXACT):
+        mu, sigma, one = decimal.Decimal(mu), decimal.Decimal(sigma), decimal.Decimal(1)
+        poisson_terms = mu**k / math.factorial(k)
+        if family == "poisson" or sigma == 0:
+            return (-mu).exp() * poisson_terms
+        if family == "nbi":
+            r, rising = one / sigma, one
+            for i in range(k):
+                rising *= r + i
+            odds = sigma * mu / (one + sigma * mu)
+            return rising / math.factorial(k) * (-r * (one + sigma * mu).ln()).exp() * odds**k
+        c = (one / sigma**2 + 2 * mu / sigma).sqrt()
+        n = max(k - 1, 0)
+        term = total = one
+        for j in range(1, n + 1):  # the ratio of consecutive terms is (n + j) (n - j + 1) / (2c j)
+            term = term * (n + j) * (n - j + 1) / (2 * c * j)
+            total += term
+        return (-2 * mu / (one + sigma * c)).exp() * total * poisson_terms / (c * sigma) ** k
 
 
 # -- the one-stage log pmf, frozen as the bit-identity reference -----------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from satsynth.bessel import log_bessel_k_half
+from satsynth import log_bessel_k_half
 from satsynth.evaluation import Interval, ci_overlap, frontier_point, raab_variance
 from satsynth.generator import esc_like_spec, generate_table, scaled_spec
 from satsynth.loglin import build_design, fit_loglinear, poisson_loglik

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from satsynth import bessel
-from satsynth.bessel import _log_k_half_scaled, log_bessel_k_half
+from satsynth import models
+from satsynth.models import _log_k_half_scaled, log_bessel_k_half, pmf
 from satsynth.errors import ValidationError
 
 from oracles import log_bessel_k_quadrature
@@ -111,9 +111,47 @@ def test_no_arguments_step_no_ladder_rows(monkeypatch):
         pytest.fail("a ladder row was stepped for no arguments")
         yield
 
-    monkeypatch.setattr(bessel, "_rows", no_rows)
+    monkeypatch.setattr(models, "_rows", no_rows)
     for n in (np.int64(10**6), np.array([[1], [10**6]])):
         assert _log_k_half_scaled(n, np.empty(0)).shape == np.broadcast_shapes(n.shape, (0,))
+
+
+class _Stepped(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "reached,refused,t",
+    [
+        (2**26, 2**26 + 1, [1.0]),  # one order at one argument
+        (2**25, 2**25 + 1, [1.0, 2.0]),  # one order at two arguments
+        ([2**25, 1], [2**25 + 1, 1], [1.0, 2.0]),  # elementwise orders at two arguments
+    ],
+    ids=["one-order-one-argument", "one-order-two-arguments", "elementwise"],
+)
+def test_ladder_of_more_than_max_pmf_entries_cells_is_refused_before_any_row(monkeypatch, reached, refused, t):
+    # the largest order times the argument count: exactly MAX_PMF_ENTRIES (order, argument) cells are stepped
+    def stepped(t):
+        raise _Stepped
+        yield
+
+    monkeypatch.setattr(models, "_rows", stepped)
+    with pytest.raises(_Stepped):
+        log_bessel_k_half(reached, t)
+    with pytest.raises(ValidationError, match=f"^the Bessel ladder would step {2**26 // len(t) + 1} orders at {len(t)} "):
+        log_bessel_k_half(refused, t)
+
+
+def test_orders_whose_ladder_wraps_int64_are_refused(monkeypatch):
+    # the ladder key (order - 1) x arguments wrapped int64 here, and the first element came back as
+    # np.empty's leftover; one order 2**62 at four arguments would step 2**62 rows, and never returned
+    monkeypatch.setattr(models, "_rows", lambda t: pytest.fail("a ladder row was stepped"))
+    with pytest.raises(ValidationError, match="^the Bessel ladder would step 4611686018427387904 orders at 4 "):
+        log_bessel_k_half(np.array([2**62, 1, 2, 3]), np.array([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ValidationError, match="^the Bessel ladder would step 4611686018427387904 orders at 4 "):
+        pmf("pig", 2**62, [1.0, 2.0, 3.0, 4.0], 1.0)
+    with pytest.raises(ValidationError, match="^the Bessel ladder would step 1000000000 orders at 1 "):
+        pmf("pig", 10**9, 1.0, 1.0)
 
 
 def test_elementwise_high_orders_stay_within_a_few_megabytes():

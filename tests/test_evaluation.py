@@ -193,6 +193,15 @@ def test_raab_variance_monotonicity():
         raab_variance(1.0, 10, 10, 0)
 
 
+@pytest.mark.parametrize(
+    "args", [(1.0, 1, math.nan, 1), (math.nan, 1, 1, 1), (1.0, math.inf, 1, 1), (math.inf, 1, 1, 1), (1.0, 10**400, 1, 1)]
+)
+def test_raab_variance_refuses_inputs_that_are_not_finite(args):
+    # nan came back as nan, and n = inf or 10**400 as 1.0
+    with pytest.raises(ValidationError, match="^all inputs must be positive and finite$"):
+        raab_variance(*args)
+
+
 # -- trimmed mean percentage difference -----------------------------------------------
 
 

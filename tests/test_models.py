@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -20,9 +21,10 @@ from satsynth.models import (
 )
 from satsynth.sampling import SLOTS_PER_DRAW, draw_counts
 from satsynth.table import CellSizeDistribution
+from satsynth.taumetrics import tau1_expected, tau4_expected, tau_analytic
 from satsynth.tuning import alpha_star_match_zeros, solve_alpha_for_tau4_target
 
-from oracles import logpmf_v1, moments, nbi_pmf_direct, pig_pmf_quadrature, truncation_for_mass
+from oracles import logpmf_v1, moments, nbi_pmf_direct, pig_pmf_quadrature, pmf_exact, truncation_for_mass
 
 
 def test_poisson_pmf_one_given_one():
@@ -367,3 +369,57 @@ def test_log_gamma_matches_scipy_gammaln_to_rounding(r):
     assert ours.dtype == np.float64 and ours.shape == x.shape
     assert np.all(np.abs(ours - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
     assert [_log_gamma(v) for v in x[::10_007].tolist()] == ours[::10_007].tolist()  # the scalar path
+
+
+_MU_ENTRY_POINTS = {
+    "logpmf": lambda mu: logpmf("pig", 1, mu, 1.0),
+    "pmf": lambda mu: pmf("nbi", 1, mu, 1.0),
+    "pmf_range": lambda mu: pmf_range("poisson", 3, mu),
+    "pig_c": lambda mu: pig_c(mu, 1.0),
+    "draw_counts": lambda mu: draw_counts("poisson", mu, 0.0, np.zeros((np.size(mu), SLOTS_PER_DRAW))),
+}
+_DIST = CellSizeDistribution.from_counts({0: 5, 1: 2, 3: 1})
+_ALPHA_ENTRY_POINTS = {
+    "tau1_expected": lambda alpha: tau1_expected(_DIST, "pig", 1.0, alpha, 1),
+    "tau4_expected": lambda alpha: tau4_expected(_DIST, "pig", 1.0, alpha, 1),
+    "tau_analytic": lambda alpha: tau_analytic(_DIST, "pig", 1.0, alpha),
+}
+
+
+@pytest.mark.parametrize("mu", [10**400, -(10**400), [1.0, 10**400]], ids=["1e400", "-1e400", "[1, 1e400]"])
+@pytest.mark.parametrize("entry", _MU_ENTRY_POINTS)
+def test_a_mean_beyond_the_float_range_is_refused(entry, mu):
+    # each raised a raw OverflowError from its float cast
+    with pytest.raises(ValidationError, match="^mu must be finite and >= 0$"):
+        _MU_ENTRY_POINTS[entry](mu)
+
+
+@pytest.mark.parametrize("entry", _ALPHA_ENTRY_POINTS)
+def test_an_alpha_beyond_the_float_range_is_refused(entry):
+    # each raised a raw OverflowError from its float cast, after a check that 10**400 passed
+    with pytest.raises(ValidationError, match="^alpha must be finite and >= 0$"):
+        _ALPHA_ENTRY_POINTS[entry](10**400)
+
+
+PMF_ERROR_BUDGET = 2e-11  # the worst of about 90,000 random cases in the domain below was 8.1e-12 (NBI)
+
+
+@settings(max_examples=1000, deadline=None)
+@example(family="nbi", sigma=391.5253620876532, mu=107.13759874464569, at=1.0)  # 8.1e-12, k = 1905
+@example(family="pig", sigma=219.55854992071738, mu=14.289672308184164, at=1.0)  # 5.7e-12, k = 2000
+@example(family="poisson", sigma=20.163093040970782, mu=981.2871762042336, at=0.4)  # 2.1e-12, k = 1219
+@given(
+    family=st.sampled_from(["poisson", "nbi", "pig"]),
+    sigma=st.one_of(st.just(0.0), st.floats(math.log(1e-6), math.log(1e3)).map(math.exp)),
+    mu=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+    at=st.floats(0.0, 1.0),
+)
+def test_pmf_is_within_its_error_budget_of_the_exact_pmf(family, sigma, mu, at):
+    # k up to the mean plus 10 SD, at most 2,000; pmf values below 1e-300 are left out
+    sd = math.sqrt(mu + (0.0 if family == "poisson" else sigma * mu * mu))
+    k = round(at * min(2000, int(mu + 10.0 * sd)))
+    exact = pmf_exact(family, k, mu, sigma)
+    if exact < decimal.Decimal("1e-300"):
+        reject()
+    error = abs(decimal.Decimal(pmf(family, k, mu, sigma)) - exact) / exact
+    assert error <= PMF_ERROR_BUDGET, (family, k, mu, sigma, float(error))

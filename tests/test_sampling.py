@@ -210,6 +210,24 @@ def test_uniform_block_refuses_a_negative_start_or_length(start, n):
         uniform_block(3, 0, start, n)
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((1.5, 0, 0, 2), "master seed must be in"),  # seed 1's uniforms
+        ((True, 0, 0, 2), "master seed must be in"),  # seed 1's uniforms
+        ((0, 2.5, 0, 2), "stream must be in"),  # stream 2's uniforms
+        ((1, 0, 0.5, 2), "block start and length must be >= 0"),  # block 0's uniforms
+        ((1, 0, True, 2), "block start and length must be >= 0"),  # block 1's uniforms
+        ((1, 0, 0, 2.5), "block start and length must be >= 0"),  # a raw TypeError
+    ],
+)
+def test_uniform_block_refuses_keys_and_blocks_that_are_not_integers(args, message):
+    with pytest.raises(ValidationError, match=message):
+        uniform_block(*args)
+    numpy_ints = (np.uint64(1), np.int64(0), np.int32(3), np.uint8(2))
+    np.testing.assert_array_equal(uniform_block(*numpy_ints), uniform_block(1, 0, 3, 2))
+
+
 def _is_quantile(k: int, u: float, lam: float) -> bool:
     return k >= 0 and special.pdtr(k, lam) >= u and (k == 0 or special.pdtr(k - 1, lam) < u)
 
@@ -472,3 +490,21 @@ def test_uniform_rows_refuse_key_words_outside_64_bits(seed):
         uniform_rows(seed, 0, blocks)
     with pytest.raises(ValidationError, match="stream must be in"):
         uniform_rows(0, seed, blocks)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((1.5, 0, [0]), "master seed must be in"),  # a raw TypeError
+        ((1, True, [0]), "stream must be in"),  # stream 1's uniforms
+        ((1, 0, np.array([-1])), "counter blocks must be integers >= 0"),  # block 2**64 - 1
+        ((1, 0, np.array([1.5])), "counter blocks must be integers >= 0"),  # block 1
+        ((1, 0, [True]), "counter blocks must be integers >= 0"),  # block 1
+    ],
+)
+def test_uniform_rows_refuse_keys_and_blocks_that_are_not_integers(args, message):
+    with pytest.raises(ValidationError, match=message):
+        uniform_rows(*args)
+    signed = uniform_rows(np.int64(3), np.uint32(8), np.array([4, 0, 2**40], dtype=np.int64))
+    np.testing.assert_array_equal(signed, uniform_rows(3, 8, np.array([4, 0, 2**40], dtype=np.uint64)))
+    assert uniform_rows(3, 8, []).shape == (0, SLOTS_PER_DRAW)  # no block is not a non-integer one

@@ -272,6 +272,15 @@ def test_master_seed_outside_64_bits_is_refused(seed):
     SynthesisJob(CountModelSpec("poisson"), master_seed=2**64 - 1)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, np.float64(3.0)])
+def test_generate_table_refuses_a_seed_that_is_not_an_integer(seed):
+    # 2.5 raised a raw TypeError, and True gave seed 1's table
+    spec = scaled_spec(esc_like_spec(), 1_000)
+    with pytest.raises(ValidationError, match="seed must be in"):
+        generate_table(spec, seed)
+    assert generate_table(spec, np.uint64(3)).same_contents(generate_table(spec, 3))
+
+
 def test_cli_synthesize_refuses_a_negative_seed(tmp_path, capsys):
     from satsynth.table import write_table
 

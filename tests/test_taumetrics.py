@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from satsynth import taumetrics
+from satsynth import models, taumetrics
 from satsynth.errors import UndefinedResultError, ValidationError
 from satsynth.generator import ESC_LIKE_CELL_SIZE_FREQUENCIES, ESC_LIKE_TAIL
 from satsynth.models import CountModelSpec
@@ -199,6 +199,17 @@ def test_empirical_rejects_negative_k_report():
         tau_empirical(table, table, k_report=-1)
 
 
+@pytest.mark.parametrize("k_report", [2.5, True, np.float64(3.0)])
+def test_k_report_that_is_not_an_integer_is_refused(k_report):
+    # 2.5 raised a raw TypeError from np.bincount, and True was taken as 1
+    table = grid_table(10, {0: 5, 1: 1})
+    with pytest.raises(ValidationError, match="^k_report must be >= 0 and at most the limit"):
+        tau_empirical(table, table, k_report=k_report)
+    with pytest.raises(ValidationError, match="^k_report must be >= 0 and at most the limit"):
+        tau_analytic(HALF_ZERO_HALF_ONE, "nbi", 1.0, 0.1, k_report=k_report)
+    assert tau_empirical(table, table, k_report=np.int64(2)).ks.tolist() == [0, 1, 2]
+
+
 @pytest.mark.parametrize("k_report", [MAX_K_REPORT + 1, 10**18])
 def test_k_report_above_its_limit_is_refused_before_allocation(k_report):
     # 10**18 reports would ask numpy for an 8-EB array: the check runs first
@@ -219,22 +230,31 @@ def test_analytic_pmf_matrix_above_its_limit_is_refused():
         tau_analytic(dist, "poisson", 0.0, 0.1, k_report=limit + 1)
 
 
-def test_pig_k_report_above_its_bessel_bound_is_refused_before_any_pmf(monkeypatch):
-    # PIG's tau3 runs K_{k-1/2} over k_report + 1 arguments, each through every order: O(k_report**2)
-    # work, 0.6-0.7 s at 8,000 and hours at the 2**20 that the pmf matrix's own limit allows on 3 sizes
-    def no_pmf(*args):
-        raise AssertionError("evaluated a pmf")
+def test_pig_k_report_above_its_bessel_bound_is_refused_before_any_ladder_row(monkeypatch):
+    # PIG's tau3 steps K_{k-1/2} up to order k_report at k_report + 1 arguments; the ladder's own bound of
+    # MAX_PMF_ENTRIES (order, argument) cells keeps 8,191 x 8,192 and refuses 8,192 x 8,193, where the pmf
+    # matrix's limit on 4 sizes would allow 2**20: hours of rows
+    def no_rows(t):
+        raise AssertionError("stepped a ladder row")
+        yield
+
+    def no_pmf_range(*args):
+        raise AssertionError("built the pmf matrix")
 
     dist = CellSizeDistribution.from_counts({0: 50, 1: 5, 2: 3, 7: 1})
-    limit = math.isqrt(MAX_PMF_ENTRIES) - 1  # 8,191: (limit + 1)**2 fits, (limit + 2)**2 does not
-    monkeypatch.setattr(taumetrics, "pmf_range", no_pmf)
-    monkeypatch.setattr(taumetrics, "pmf", no_pmf)
+    limit = 8191
+    assert limit * (limit + 1) <= MAX_PMF_ENTRIES < (limit + 1) * (limit + 2)
+    monkeypatch.setattr(models, "_rows", no_rows)
+    monkeypatch.setattr(taumetrics, "pmf_range", no_pmf_range)
     for k_report in (limit + 1, MAX_K_REPORT):
-        with pytest.raises(ValidationError, match=f"^k_report must be at most {limit} for PIG, .* got {k_report}$"):
+        message = f"^the Bessel ladder would step {k_report} orders at {k_report + 1} arguments, above {MAX_PMF_ENTRIES} "
+        with pytest.raises(ValidationError, match=message):
             tau_analytic(dist, "pig", 1.0, 0.5, k_report=k_report)
-    for family, sigma, k_report in (("pig", 1.0, limit), ("nbi", 1.0, limit + 1), ("pig", 1e-320, limit + 1)):
-        with pytest.raises(AssertionError, match="evaluated a pmf"):  # PIG at its bound; NBI and PIG's Poisson limit have none
-            tau_analytic(dist, family, sigma, 0.5, k_report=k_report)
+    with pytest.raises(AssertionError, match="stepped a ladder row"):  # PIG at its bound
+        tau_analytic(dist, "pig", 1.0, 0.5, k_report=limit)
+    for family, sigma in (("nbi", 1.0), ("pig", 1e-320)):  # NBI and PIG's Poisson limit step no ladder
+        with pytest.raises(AssertionError, match="built the pmf matrix"):
+            tau_analytic(dist, family, sigma, 0.5, k_report=limit + 1)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, -1.0, math.inf])
