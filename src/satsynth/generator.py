@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .schema import CategoricalSchema
 from .table import SparseContingencyTable
 
@@ -63,8 +63,9 @@ class TailSpec:
     total: int
 
     def __post_init__(self):
-        if self.start < 1 or self.cells < 0 or self.total < 0:
-            raise ValidationError("tail start must be >= 1 and counts nonnegative")
+        for name, low in (("start", 1), ("cells", 0), ("total", 0)):
+            value = integer(getattr(self, name), low, None, f"tail {name} must be an integer >= {low}")
+            object.__setattr__(self, name, value)
         if self.cells and self.total < self.cells * self.start:
             raise ValidationError(
                 f"tail total {self.total} cannot give {self.cells} cells a count >= {self.start}"
@@ -81,17 +82,17 @@ class HistogramSpec:
     num_cells: int | None = None
 
     def __post_init__(self):
-        for k, c in self.cells_per_size.items():
-            if k < 0 or c < 0:
-                raise ValidationError("sizes and cell counts must be nonnegative")
+        rule = "sizes and cell counts must be nonnegative integers"
+        object.__setattr__(self, "cells_per_size", {
+            integer(s, 0, None, rule): integer(c, 0, None, rule) for s, c in self.cells_per_size.items()})
         if self.schema is None and self.num_cells is None:
             raise ValidationError("spec needs a schema or num_cells")
-        n = self.num_cells
-        if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer))):
-            raise ValidationError(f"num_cells must be an integer, got {n!r}")
-        k = self.schema.num_cells if self.schema is not None else self.num_cells
-        if self.schema is None and k > MAX_LINE_CELLS:
-            raise ValidationError(f"num_cells without a schema must be <= 2**20 (one label per cell), got {k}")
+        if self.num_cells is not None:
+            high = MAX_LINE_CELLS if self.schema is None else None
+            n = integer(self.num_cells, 1, high, "num_cells must be an integer >= 1, and num_cells without a schema "
+                                                 "must be <= 2**20 (one label per cell)")
+            object.__setattr__(self, "num_cells", n)
+        k = self.total_cells
         if self.num_cells is not None and self.schema is not None and self.schema.num_cells != self.num_cells:
             raise ValidationError("num_cells disagrees with the schema's cell count")
         declared = sum(c for s, c in self.cells_per_size.items())
@@ -131,10 +132,12 @@ class HistogramSpec:
     def from_json(cls, text: str) -> "HistogramSpec":
         try:
             data = json.loads(text)
-            cells = {int(k): int(v) for k, v in data["cells_per_size"].items()}
-            tail = None
-            if data.get("tail"):
-                tail = TailSpec(**{k: int(v) for k, v in data["tail"].items()})
+            if unknown := sorted(data.keys() - cls.__dataclass_fields__.keys()):
+                raise ValidationError(f"malformed histogram spec: unknown keys {unknown}")
+            cells = {int(k): v for k, v in data["cells_per_size"].items()}  # JSON keys are strings
+            if len(cells) < len(data["cells_per_size"]):
+                raise ValidationError("malformed histogram spec: two cells_per_size keys name one size")
+            tail = TailSpec(**data["tail"]) if data.get("tail") else None
             schema = None
             if data.get("schema"):
                 schema = CategoricalSchema([(n, c) for n, c in data["schema"]["variables"]])
@@ -167,8 +170,7 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 def scaled_spec(base: HistogramSpec, num_cells: int) -> HistogramSpec:
     """Shrink or grow a spec to a new cell count, preserving proportions."""
-    if num_cells < 1:
-        raise ValidationError("num_cells must be >= 1")
+    num_cells = integer(num_cells, 1, None, "num_cells must be >= 1")
     sizes = sorted(s for s in base.cells_per_size if s > 0)
     weights = np.array([base.cells_per_size[s] for s in sizes], dtype=np.float64)
     tail_cells_w = float(base.tail.cells) if base.tail else 0.0
@@ -232,8 +234,7 @@ def generate_table(spec: HistogramSpec, seed: int) -> SparseContingencyTable:
     at random; bucket sizes are met exactly, and the tail's grand total
     is exact.
     """
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
-        raise ValidationError(f"seed must be in [0, 2**64), got {seed!r}")
+    seed = integer(seed, 0, 2**64 - 1, "seed must be in [0, 2**64)")
     schema = spec.resolved_schema()
     k = spec.total_cells
     pieces = [

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, integer
 from .evaluation import Interval
 from .schema import CategoricalSchema
 from .table import SparseContingencyTable
@@ -167,8 +167,7 @@ def fit_loglinear(
     """
     if not 0.0 < cap < math.inf:  # False for NaN
         raise ValidationError(f"cap must be positive and finite, got {cap}")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
+    max_iter = integer(max_iter, 1, None, "max_iter must be >= 1")
     if table.n == 0:
         raise ValidationError("cannot fit an empty table")
     y = table.to_dense().astype(np.float64).ravel()

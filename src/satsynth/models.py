@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, integers
 
 MAX_PMF_ENTRIES = 2**26  # most pmf_range entries, (k_max + 1) x means (512 MiB), and Bessel ladder (order, argument) cells
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # see LogPmf.__call__
@@ -241,10 +241,8 @@ def log_bessel_k_half(n, t):
         Natural log of K.  Broadcasts ``n`` against ``t``.
     """
     t = np.asarray(t, dtype=np.float64)
-    n = np.asarray(n)
-    if not np.all((n == np.floor(n)) & (n > 1 - 2**63) & (n < 2**63)):  # before the cast; keeps the fold 1 - n in int64
-        raise ValidationError("order index must be an integer above 1 - 2**63 and below 2**63")
-    n = n.astype(np.int64)
+    # bounds that keep the fold 1 - n in int64
+    n = integers(n, 2 - 2**63, 2**63 - 1, "order index must be an integer above 1 - 2**63 and below 2**63")
     if not np.all(t >= 1e-300):
         raise ValidationError("Bessel argument t must be >= 1e-300")
     out = _log_k_half_scaled(n, t) - t
@@ -261,12 +259,8 @@ class LogPmf:
 
     def __init__(self, family: Family | str, k, sigma: float = 0.0):
         self.family, self.sigma = effective_family(family, sigma), sigma
-        k = np.asarray(k)
-        if (k != np.floor(k)).any():  # array methods: the np.any/np.all wrappers cost more per call
-            raise ValidationError("counts must be integers")
-        if not ((k >= 0) & (k < 2**63)).all():  # before the cast, which has no int64 for inf or 2**70
-            raise ValidationError("counts must be >= 0 and below 2**63")
-        self.k = k.astype(np.int64)[()]  # a 0-d k becomes a scalar, whose arithmetic costs less
+        # a 0-d k becomes a scalar, whose arithmetic costs less
+        self.k = integers(k, 0, 2**63 - 1, "counts must be integers >= 0 and below 2**63")
         self._log_k_factorial = _log_gamma(self.k + 1.0)
         if self.family is Family.NBI:
             with np.errstate(**_QUIET):
@@ -317,9 +311,8 @@ def pmf_range(family: Family | str, k_max: int, mu, sigma: float = 0.0) -> np.nd
     mu = valid_means(mu)
     if mu.ndim > 1:
         raise ValidationError("mu must be a scalar or a 1-D array of means")
-    if k_max >= MAX_PMF_ENTRIES // max(mu.size, 1):  # (k_max + 1) x means entries, without an overflow; inf too
-        raise ValidationError(f"a pmf_range table of (k_max + 1) x {mu.size} means tops {MAX_PMF_ENTRIES} entries")
-    if not (k_max >= 0 and k_max == int(k_max)):  # NaN too
-        raise ValidationError("k_max must be an integer >= 0")
+    limit = MAX_PMF_ENTRIES // max(mu.size, 1) - 1
+    k_max = integer(k_max, 0, limit, f"k_max must be an integer in [0, {limit}]: a larger one's pmf_range table "
+                                     f"of (k_max + 1) x {mu.size} means tops {MAX_PMF_ENTRIES} entries")
     out = pmf(family, np.arange(k_max + 1)[:, None], np.atleast_1d(mu), sigma)
     return out[:, 0] if mu.ndim == 0 else out

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .models import Family, effective_family, valid_means
 
 SLOTS_PER_DRAW = 4  # one Philox counter block of 4 raw 64-bit words
@@ -64,23 +64,16 @@ def uniform_block(master_seed: int, stream: int, start: int, n: int) -> np.ndarr
     53 bits of one raw Philox word times 2**-53, the same bits as
     ``random_raw`` shifted and scaled.
     """
-    if not (_is_int(start) and _is_int(n) and start >= 0 and n >= 0):
-        raise ValidationError(f"block start and length must be >= 0 integers, got {start!r} and {n!r}")
-    _check_key(master_seed, stream)
-    key = np.array([master_seed, stream], dtype=np.uint64)
+    start, n = (integer(v, 0, None, "block start and length must be >= 0 integers") for v in (start, n))
+    key = np.array(_key(master_seed, stream), dtype=np.uint64)
     # an int counter is read as little-endian 64-bit words: [start mod 2**64, start >> 64, 0, 0]
     return Generator(Philox(key=key, counter=start)).random((n, SLOTS_PER_DRAW))
 
 
-def _is_int(value) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_key(master_seed: int, stream: int) -> None:
-    for name, word in (("master seed", master_seed), ("stream", stream)):
-        if not (_is_int(word) and 0 <= word <= _U64_MASK):
-            raise ValidationError(f"{name} must be in [0, 2**64), got {word!r}")
+def _key(master_seed: int, stream: int) -> tuple[int, int]:
+    """The two key words as Python ints, each refused unless an integer in [0, 2**64)."""
+    return (integer(master_seed, 0, _U64_MASK, "master seed must be in [0, 2**64)"),
+            integer(stream, 0, _U64_MASK, "stream must be in [0, 2**64)"))
 
 
 def _mulhi(a: np.ndarray, m: int) -> np.ndarray:
@@ -100,15 +93,14 @@ def uniform_rows(master_seed: int, stream: int, blocks: np.ndarray) -> np.ndarra
     on the counter ``b + 1`` (numpy's Philox increments its counter before
     each block), ``2**14`` counters at a time.
     """
-    _check_key(master_seed, stream)
+    master_seed, stream = _key(master_seed, stream)
     blocks = np.asarray(blocks)
     if blocks.size and (blocks.dtype.kind not in "iu" or blocks.dtype.kind == "i" and blocks.min() < 0):  # uint64: no pass
         raise ValidationError(f"counter blocks must be integers >= 0, got an array of {blocks.dtype}")
     blocks = blocks.astype(np.uint64, copy=False).reshape(-1)
     # Python ints: np.uint64 scalar arithmetic warns on the wrap-around
     keys = [
-        (np.uint64((int(master_seed) + r * _PHILOX_W0) & _U64_MASK),
-         np.uint64((int(stream) + r * _PHILOX_W1) & _U64_MASK))
+        (np.uint64((master_seed + r * _PHILOX_W0) & _U64_MASK), np.uint64((stream + r * _PHILOX_W1) & _U64_MASK))
         for r in range(_PHILOX_ROUNDS)
     ]
     out = np.empty((blocks.size, SLOTS_PER_DRAW))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 _U64_MAX = 2**64 - 1
 
@@ -114,17 +114,12 @@ class CategoricalSchema:
             )
         flat = 0
         for c, size in zip(coords, shape):
-            c = int(c)
-            if not 0 <= c < size:
-                raise ValidationError(f"coordinate {c} out of range [0, {size})")
-            flat = flat * size + c
+            flat = flat * size + integer(c, 0, size - 1, f"coordinate out of range [0, {size})")
         return flat
 
     def coords_of(self, flat: int) -> Coords:
         """Inverse of :meth:`flat_of`."""
-        flat = int(flat)
-        if not 0 <= flat < self.num_cells:
-            raise ValidationError(f"flat index {flat} out of range [0, {self.num_cells})")
+        flat = integer(flat, 0, self.num_cells - 1, f"flat index out of range [0, {self.num_cells})")
         out = []
         for size in reversed(self.shape):
             out.append(flat % size)

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, integer
 from .models import MAX_PMF_ENTRIES, CountModelSpec, Family, logpmf, pmf_range
 from .sampling import draw_counts, uniform_block, uniform_rows
 from .table import SparseContingencyTable
@@ -48,16 +47,10 @@ class SynthesisJob:
     master_seed: int
     m: int = 1
 
-    def __post_init__(self):
-        for name in ("m", "master_seed"):  # Python ints, as the sidecar carries them; it refuses a bool
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
-        if self.m < 1:
-            raise ValidationError(f"replicate count m must be >= 1, got {self.m}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValidationError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+    def __post_init__(self):  # Python ints, as the sidecar carries them
+        object.__setattr__(self, "m", integer(self.m, 1, None, "replicate count m must be an integer >= 1"))
+        seed = integer(self.master_seed, 0, 2**64 - 1, "master_seed must be in [0, 2**64)")
+        object.__setattr__(self, "master_seed", seed)
 
 
 @dataclass(frozen=True)
@@ -205,8 +198,7 @@ def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 
     row), or a block of random zeros.  With ``threads`` in 2 .. ``MAX_THREADS`` pieces go to a thread pool.
     Output is identical for any thread count and piece size.
     """
-    if isinstance(threads, bool) or not (isinstance(threads, (int, np.integer)) and 1 <= threads <= MAX_THREADS):
-        raise ValidationError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads!r}")
+    threads = integer(threads, 1, MAX_THREADS, f"threads must be an integer in [1, {MAX_THREADS}]")
     spec = job.model
     family, sigma = spec.effective_family, spec.sigma
     escapes = _escapes(table, family, sigma, spec.alpha) if spec.alpha > 0.0 else None

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, integer
 from .schema import CategoricalSchema, Coords
 
 _I64_MAX = 2**63 - 1
@@ -97,9 +97,10 @@ class SparseContingencyTable:
         structural: Iterable[Coords] = (),
     ) -> "SparseContingencyTable":
         """Build from ``{coordinate tuple: count}``; zero entries are dropped."""
-        items = [(schema.flat_of(c), int(v)) for c, v in counts.items() if int(v) != 0]
-        idx = [f for f, _ in items]
-        cnt = [v for _, v in items]
+        items = [(schema.flat_of(c), integer(v, 0, _I64_MAX, "cell counts must be integers in [0, 2**63)"))
+                 for c, v in counts.items()]
+        idx = [f for f, v in items if v]
+        cnt = [v for _, v in items if v]
         st = [schema.flat_of(c) for c in structural]
         return cls(schema, idx, cnt, st)
 
@@ -139,12 +140,10 @@ class SparseContingencyTable:
         return np.where(self.index[pos] == flat, self.count[pos], 0)
 
     def __getitem__(self, cell: Coords | int) -> int:
-        if isinstance(cell, (int, np.integer)):
-            if not 0 <= cell < self.num_cells:
-                raise ValidationError(f"flat index {cell} out of range [0, {self.num_cells})")
-            flat = cell
-        else:
+        if hasattr(cell, "__len__"):  # coordinates
             flat = self.schema.flat_of(cell)
+        else:
+            flat = integer(cell, 0, self.num_cells - 1, f"flat index out of range [0, {self.num_cells})")
         return int(self.counts_at([flat])[0])
 
     def check_replicate(self, synthetic: "SparseContingencyTable") -> None:
@@ -299,21 +298,19 @@ class CellSizeDistribution:
     @classmethod
     def from_proportions(cls, props: Mapping[int, float]) -> "CellSizeDistribution":
         """Build directly from ``{size: proportion}`` (must sum to 1)."""
-        ks = sorted(int(k) for k in props)
+        ks = sorted(integer(k, 0, _I64_MAX, "cell sizes must be nonnegative integers below 2**63") for k in props)
         if not ks or ks[0] != 0:
             ks = [0] + ks
-        sizes = np.array(ks, dtype=np.int64)
-        return cls(sizes, np.array([float(props.get(int(k), 0.0)) for k in sizes]))
+        return cls(np.array(ks, dtype=np.int64), np.array([float(props.get(k, 0.0)) for k in ks]))
 
     @classmethod
     def from_counts(cls, cells_per_size: Mapping[int, int]) -> "CellSizeDistribution":
         """Build from ``{size: number of cells}``."""
-        if not all(float(c).is_integer() and c >= 0 for c in cells_per_size.values()):  # refuses NaN
-            raise ValidationError("cell numbers must be nonnegative integers")
-        total = sum(int(c) for c in cells_per_size.values())
+        cells = {k: integer(c, 0, None, "cell numbers must be nonnegative integers") for k, c in cells_per_size.items()}
+        total = sum(cells.values())
         if total <= 0:
             raise ValidationError("cell numbers must have a positive total")
-        return cls.from_proportions({k: int(c) / total for k, c in cells_per_size.items()})
+        return cls.from_proportions({k: c / total for k, c in cells.items()})
 
 
 # -- structural zeros ---------------------------------------------------------------

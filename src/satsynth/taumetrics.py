@@ -28,21 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UndefinedResultError, ValidationError
+from .errors import UndefinedResultError, ValidationError, integer
 from .models import MAX_PMF_ENTRIES, Family, LogPmf, check_parameter, pmf, pmf_range
 from .synthesis import SyntheticTable
 from .table import CellSizeDistribution, SparseContingencyTable
 
 
 MAX_K_REPORT = 2**20  # a report row per k, and k_report + 2 bins per replicate
-
-
-def _check_k_report(k_report: int, means: int = 1) -> None:
-    """Refuse, before anything of its size is built, a k_report that is not an integer (a bool is not), below 0,
-    above MAX_K_REPORT or whose pmf matrix over ``means`` means tops MAX_PMF_ENTRIES."""
-    limit = min(MAX_K_REPORT, MAX_PMF_ENTRIES // means - 1)
-    if isinstance(k_report, bool) or not (isinstance(k_report, (int, np.integer)) and 0 <= k_report <= limit):
-        raise ValidationError(f"k_report must be >= 0 and at most the limit {limit}, got {k_report!r}")
 
 
 def _means_weights(dist: CellSizeDistribution, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -66,6 +58,7 @@ class TauCurve:
     """
 
     def __init__(self, dist: CellSizeDistribution, family: Family | str, sigma: float, k: int):
+        k = integer(k, 0, 2**63 - 1, "counts must be integers >= 0 and below 2**63")
         self._logpmf, self.k = LogPmf(family, k, sigma), k
         means, self._weights = _means_weights(dist, 0.0)
         self._sizes = np.exp(self._logpmf(means[1:]))  # occupied sizes: finite and > 0
@@ -207,7 +200,8 @@ def tau_analytic(
     for k = 0 (a random zero must stay zero) and pmf(k | k) for k >= 1.
     """
     family = Family.coerce(family)
-    _check_k_report(k_report, dist.nonzero_sizes.size + 1)
+    limit = min(MAX_K_REPORT, MAX_PMF_ENTRIES // (dist.nonzero_sizes.size + 1) - 1)  # the pmf matrix's rows
+    k_report = integer(k_report, 0, limit, f"k_report must be >= 0 and at most the limit {limit}")
     ks = np.arange(k_report + 1)
     means, weights = _means_weights(dist, alpha)
     t3 = pmf(family, ks, np.where(ks == 0, alpha, ks), sigma)  # before the matrix: a refused Bessel ladder stops it
@@ -260,7 +254,7 @@ def tau_empirical(
     every bucket.  A bucket with no qualifying cells in any replicate
     reports NaN.
     """
-    _check_k_report(k_report)
+    k_report = integer(k_report, 0, MAX_K_REPORT, f"k_report must be >= 0 and at most the limit {MAX_K_REPORT}")
     if isinstance(synthetic, (SyntheticTable, SparseContingencyTable)):
         synthetic = [synthetic]
     if not synthetic:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .models import Family, effective_family, pmf
+from .models import Family, check_parameter, effective_family, pmf
 from .table import CellSizeDistribution
 from .taumetrics import TauCurve
 
@@ -99,8 +99,9 @@ def solve_alpha_for_tau4_target(
     midpoint no longer splits it before the target is met.
     """
     family = Family.coerce(family)
-    if p is None or not (0.0 < p <= 1.0):
+    if np.asarray(p).dtype.kind not in "iuf" or not 0.0 < p <= 1.0:  # a bool, None or str is no share
         raise ValidationError("p must lie in (0, 1]")
+    check_parameter("tol", tol)
 
     f = TauCurve(dist, family, sigma_star, 1).tau4
     f0 = f(0.0)

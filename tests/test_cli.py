@@ -525,12 +525,31 @@ def test_generate_escsub_seed_outside_64_bits_is_a_typed_error(tmp_path, capsys,
     ('"num_cells": 5, "tail": 5', "malformed histogram spec"),
     ('"num_cells": 5, "tail": {"start": 3}', "malformed histogram spec"),
     ('"schema": {"vars": []}', "malformed histogram spec"),
+    # a misspelled tail was ignored: the table came out without it
+    ('"num_cells": 5, "tails": {"start": 2, "cells": 1, "total": 3}', "malformed histogram spec: unknown keys ['tails']"),
 ])
 def test_malformed_spec_is_a_typed_error(tmp_path, capsys, extra, message):
     spec = tmp_path / "spec.json"
     spec.write_text('{"cells_per_size": {"1": 2}, %s}' % extra)
     assert run("generate-escsub", "--spec", spec, "--seed", 1, "--out", tmp_path / "t.csv") == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"cells_per_size": {"1": 2.5}, "num_cells": 5}', "sizes and cell counts must be nonnegative integers, got 2.5"),
+    ('{"cells_per_size": {"1": true}, "num_cells": 5}', "sizes and cell counts must be nonnegative integers, got True"),
+    ('{"cells_per_size": {"1": 2, "01": 1}, "num_cells": 5}',
+     "malformed histogram spec: two cells_per_size keys name one size"),
+    ('{"cells_per_size": {}, "tail": {"start": 2.7, "cells": 1, "total": 3.9}, "num_cells": 5}',
+     "tail start must be an integer >= 1, got 2.7"),
+])
+def test_spec_values_that_are_not_json_integers_are_refused(tmp_path, capsys, text, message):
+    # 2.5 and true were cut to 2 and 1 cells, a tail of start 2.7 and total 3.9 to 2 and 3, and "01" overwrote "1":
+    # each run exited 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert run("generate-escsub", "--spec", spec, "--seed", 1, "--out", tmp_path / "t.csv") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_generate_escsub_zero_cells_is_refused(tmp_path, capsys):
@@ -555,7 +574,8 @@ def test_generate_escsub_refuses_a_schema_less_table_above_2_to_the_20_cells(tmp
     out = tmp_path / "t.csv"
     assert run("generate-escsub", *argv, "--seed", 1, "--out", out) == 1
     assert capsys.readouterr().err == (
-        "error: num_cells without a schema must be <= 2**20 (one label per cell), got 1048577\n"
+        "error: num_cells must be an integer >= 1, and num_cells without a schema must be <= 2**20 "
+        "(one label per cell), got 1048577\n"
     )
     assert not out.exists()
     HistogramSpec({1: 2}, None, num_cells=2**20)

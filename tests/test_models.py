@@ -124,7 +124,7 @@ def test_sigma_outside_its_domain_is_refused_by_every_entry(family, sigma):
 def test_counts_outside_int64_are_refused_before_the_cast(family, k):
     # inf and 1e300 were cast to int64 (RuntimeWarning: invalid value) and called
     # negative, 2**63 wrapped to -2**63, and 2**70 raised a raw OverflowError
-    with pytest.raises(ValidationError, match=r"^counts must be >= 0 and below 2\*\*63$"):
+    with pytest.raises(ValidationError, match=r"^counts must be integers >= 0 and below 2\*\*63$"):
         logpmf(family, k, 1.0, 1.0)
 
 

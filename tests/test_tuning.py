@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from satsynth.errors import ConvergenceError, InfeasibleError
+from satsynth.errors import ConvergenceError, InfeasibleError, ValidationError
 from satsynth.generator import esc_like_spec, generate_table
 from satsynth.table import CellSizeDistribution
 from satsynth.taumetrics import tau1_expected, tau2_of_table, tau4_expected, tau_analytic
@@ -127,6 +127,21 @@ def test_tau4_target_met_when_alpha_star_is_tiny(sigma):
     res = solve_alpha_for_tau4_target(table2_reference_dist(), "nbi", sigma, 0.3)
     assert abs(res.residual) <= 1e-10
     assert res.alpha_star > 0.0
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_tau4_target_refuses_a_tolerance_outside_its_domain(tol):
+    # inf returned alpha* = 0 with a residual of 0.43 as a success; nan and -1 bisected to float
+    # resolution and raised a ConvergenceError
+    with pytest.raises(ValidationError, match="^tol must be finite and >= 0$"):
+        solve_alpha_for_tau4_target(table2_reference_dist(), "nbi", 1.0, 0.3, tol=tol)
+
+
+@pytest.mark.parametrize("p", [True, np.True_, "0.3", None])
+def test_tau4_target_refuses_a_p_that_is_not_a_number(p):
+    # True was taken as p = 1 and written to the result's JSON as "p": true; "0.3" raised a raw TypeError
+    with pytest.raises(ValidationError, match=r"^p must lie in \(0, 1\]$"):
+        solve_alpha_for_tau4_target(HALF, "poisson", 0.0, p)
 
 
 def test_tau4_target_out_of_float_reach_is_a_convergence_error():
