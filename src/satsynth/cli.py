@@ -192,14 +192,12 @@ def cmd_metrics(args) -> int:
     synthetics = [_load_synthetic(p) for p in args.synthetic]
     emp = tau_empirical(table, synthetics, k_report=args.k_max)
 
-    family, sigma, alpha = args.family, args.sigma, args.alpha
-    if family is None and emp.family is not None:
-        family, sigma, alpha = emp.family, emp.sigma, emp.alpha
-    if family is None:
+    model = CountModelSpec(args.family, args.sigma or 0.0, args.alpha or 0.0) if args.family else emp.model
+    if model is None:
         raise ValidationError(
             "no provenance sidecar found; pass --family/--sigma/--alpha for the analytic table"
         )
-    ana = tau_analytic(tau2_of_table(table), family, sigma or 0.0, alpha or 0.0, k_report=args.k_max)
+    ana = tau_analytic(tau2_of_table(table), model.family, model.sigma, model.alpha, k_report=args.k_max)
 
     header = _provenance_header(args, {"replicates": len(synthetics)})
     for name, report in (("analytic", ana), ("empirical", emp)):

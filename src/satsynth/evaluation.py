@@ -41,8 +41,8 @@ def within_p_percent(
     if isinstance(synthetic, SyntheticTable):
         synthetic = synthetic.table
     original.check_replicate(synthetic)
-    if not all(p > 0 for p in p_list):  # also refuses NaN
-        raise ValidationError("p values must be positive percentages")
+    if not all(0 < p < math.inf for p in p_list):  # also refuses NaN
+        raise ValidationError("p values must be positive finite percentages")
 
     k_eff = original.num_cells - original.num_structural_zeros
     syn_at_orig = synthetic.counts_at(original.index)

@@ -131,7 +131,7 @@ class HistogramSpec:
     @classmethod
     def from_json(cls, text: str) -> "HistogramSpec":
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
             if unknown := sorted(data.keys() - cls.__dataclass_fields__.keys()):
                 raise ValidationError(f"malformed histogram spec: unknown keys {unknown}")
             cells = {int(k): v for k, v in data["cells_per_size"].items()}  # JSON keys are strings
@@ -144,6 +144,14 @@ class HistogramSpec:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             raise ValidationError(f"malformed histogram spec: {exc!r}") from exc
         return cls(cells, tail, schema, data.get("num_cells"))
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A spec's JSON object as a dict, refused where a key repeats: ``json.loads`` alone keeps the last."""
+    if len(out := dict(pairs)) < len(pairs):
+        keys = [k for k, _ in pairs]  # counted only here: a quadratic count on the error path alone
+        raise ValidationError(f"malformed histogram spec: repeated keys {sorted(k for k in out if keys.count(k) > 1)}")
+    return out
 
 
 def esc_like_spec() -> HistogramSpec:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError, integer
 from .evaluation import Interval
+from .models import check_parameter
 from .schema import CategoricalSchema
 from .table import SparseContingencyTable
 
@@ -167,11 +168,11 @@ def fit_loglinear(
     """
     if not 0.0 < cap < math.inf:  # False for NaN
         raise ValidationError(f"cap must be positive and finite, got {cap}")
-    max_iter = integer(max_iter, 1, None, "max_iter must be >= 1")
+    max_iter, tol = integer(max_iter, 1, None, "max_iter must be >= 1"), check_parameter("tol", tol)
     if table.n == 0:
         raise ValidationError("cannot fit an empty table")
+    slots, labels = _design_slots(table.schema, terms)  # before to_dense: it refuses above MAX_DENSE_CELLS cells
     y = table.to_dense().astype(np.float64).ravel()
-    slots, labels = _design_slots(table.schema, terms)
     k, p = slots.shape[0], len(labels)
     on = slots >= 0
     rows, which = np.nonzero(on)

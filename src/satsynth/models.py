@@ -81,10 +81,10 @@ class CountModelSpec:
     sigma: float = 0.0
     alpha: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # Python floats, as sidecars and reports carry them
         object.__setattr__(self, "family", Family.coerce(self.family))
-        check_parameter("sigma", self.sigma)
-        check_parameter("alpha", self.alpha)
+        object.__setattr__(self, "sigma", check_parameter("sigma", self.sigma))
+        object.__setattr__(self, "alpha", check_parameter("alpha", self.alpha))
 
     @property
     def effective_family(self) -> Family:
@@ -92,10 +92,16 @@ class CountModelSpec:
         return effective_family(self.family, self.sigma)
 
 
-def check_parameter(name: str, value: float) -> None:
-    """Refuse sigma or alpha unless finite and >= 0, by a Python comparison: False for NaN and huge ints."""
-    if not 0 <= value <= sys.float_info.max:
-        raise ValidationError(f"{name} must be finite and >= 0")
+def check_parameter(name: str, value: float) -> float:
+    """``value`` as a Python float where it is an int or float (numpy's too), not a bool, in [0, float max] by
+    a Python comparison (False for NaN and huge ints); else a ``ValidationError``."""
+    if type(value) is float and 0.0 <= value <= sys.float_info.max:  # each solver step's alpha: one test
+        return value
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()  # a Python int or float: a float32 compared with float max would overflow
+    if type(value) in (float, int) and 0 <= value <= sys.float_info.max:
+        return float(value)
+    raise ValidationError(f"{name} must be finite and >= 0")
 
 
 def effective_family(family: Family | str, sigma: float) -> Family:
@@ -105,9 +111,8 @@ def effective_family(family: Family | str, sigma: float) -> Family:
     float precision; otherwise ``family`` itself.  A sigma outside
     [0, float max] is a ``ValidationError`` for every family.
     """
-    family = Family.coerce(family)
-    check_parameter("sigma", sigma)
-    if family is Family.POISSON or sigma == 0.0 or 1.0 / float(sigma) == math.inf:
+    family, sigma = Family.coerce(family), check_parameter("sigma", sigma)
+    if family is Family.POISSON or sigma == 0.0 or 1.0 / sigma == math.inf:
         return Family.POISSON
     return family
 

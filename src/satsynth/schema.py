@@ -96,7 +96,8 @@ class CategoricalSchema:
 
     def ordinal(self, var: int | str, label: str) -> int:
         """Category ordinal of ``label`` within a variable."""
-        i = var if isinstance(var, int) else self.variable_index(var)
+        i = self.variable_index(var) if isinstance(var, str) else integer(
+            var, 0, len(self.variables) - 1, "variable index must be an integer in [0, number of variables)")
         try:
             return self._label_maps[i][label]
         except KeyError:

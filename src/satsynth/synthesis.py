@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -37,6 +37,7 @@ PIECE_CELLS = 1 << 15  # occupied rows a piece draws: 1 MiB of uniforms
 ZERO_BLOCK_ESCAPES = 1 << 14  # expected escapes in a block of random-zero ranks
 MAX_ESCAPES = 1 << 28  # expected escapes a replicate may hold: 4 GiB of (index, count)
 MAX_THREADS = 256  # a pool may start one OS thread per piece
+_SIDECAR_KEYS = ("family", "sigma", "alpha", "m", "master_seed", "replicate", "stream")  # a Provenance's JSON
 
 
 @dataclass(frozen=True)
@@ -55,42 +56,36 @@ class SynthesisJob:
 
 @dataclass(frozen=True)
 class Provenance:
-    """How a synthetic table was produced; serialised as the JSON sidecar."""
+    """How a synthetic table was produced: replicate ``replicate`` of ``job``; serialised as the JSON sidecar."""
 
-    family: str
-    sigma: float
-    alpha: float
-    m: int
-    master_seed: int
+    job: SynthesisJob
     replicate: int
     stream: int = STREAM_VERSION
 
     @property
     def label(self) -> str:
         """The model, as frontier points and reports name it."""
-        return f"{self.family} sigma={self.sigma:g} alpha={self.alpha:g}"
+        model = self.job.model
+        return f"{model.family.value} sigma={model.sigma:g} alpha={model.alpha:g}"
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        job, model = self.job, self.job.model
+        values = (model.family.value, model.sigma, model.alpha, job.m, job.master_seed, self.replicate, self.stream)
+        return json.dumps(dict(zip(_SIDECAR_KEYS, values)), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Provenance":
         try:
             f = json.loads(text)
             f = {"stream": 1, **f} if isinstance(f, dict) else f  # a sidecar without it was written by stream 1
-            if not isinstance(f, dict) or f.keys() != cls.__dataclass_fields__.keys():
-                raise ValidationError(f"fields must be {', '.join(cls.__dataclass_fields__)}")
-            for name, kinds in zip(cls.__dataclass_fields__, [(str,)] + [(int, float)] * 2 + [(int,)] * 4):
-                if type(f[name]) not in kinds:  # type, not isinstance: true is no number
-                    raise ValidationError(f"{name} must be {'/'.join(k.__name__ for k in kinds)}, got {f[name]!r}")
+            if not isinstance(f, dict) or f.keys() != set(_SIDECAR_KEYS):
+                raise ValidationError(f"fields must be {', '.join(_SIDECAR_KEYS)}")
             job = SynthesisJob(CountModelSpec(f["family"], f["sigma"], f["alpha"]), f["master_seed"], f["m"])
-            if not 0 <= f["replicate"] < job.m:
-                raise ValidationError(f"replicate must be in [0, m), got {f['replicate']}")
-            if not 1 <= f["stream"] <= STREAM_VERSION:
-                raise ValidationError(f"stream must be in [1, {STREAM_VERSION}], got {f['stream']}")
+            replicate = integer(f["replicate"], 0, job.m - 1, "replicate must be in [0, m)")
+            stream = integer(f["stream"], 1, STREAM_VERSION, f"stream must be in [1, {STREAM_VERSION}]")
         except (ValueError, ValidationError) as exc:  # not JSON, or a field of the wrong type or domain
             raise FormatError(f"malformed provenance sidecar: {exc}") from None
-        return cls(**{**f, "family": job.model.family.value})
+        return cls(job, replicate, stream)
 
 
 @dataclass(frozen=True)
@@ -224,13 +219,5 @@ def synthesize(table: SparseContingencyTable, job: SynthesisJob, threads: int = 
                 idx = _merged(idx, esc, at, rest)  # np.insert's temporaries took 3 MiB more
                 cnt = _merged(cnt, esc_cnt, at, rest)
             syn = SparseContingencyTable(table.schema, idx, cnt, table.structural)
-            prov = Provenance(
-                family=spec.family.value,
-                sigma=float(spec.sigma),
-                alpha=float(spec.alpha),
-                m=job.m,
-                master_seed=job.master_seed,
-                replicate=rep,
-            )
-            out.append(SyntheticTable(syn, prov))
+            out.append(SyntheticTable(syn, Provenance(job, rep)))
     return out

@@ -281,6 +281,7 @@ class CellSizeDistribution:
             raise ValidationError(f"proportions sum to {total}, expected 1")
 
     def proportion(self, k: int) -> float:
+        k = integer(k, 0, 2**63 - 1, "a cell size must be an integer in [0, 2**63)")
         pos = int(np.searchsorted(self.sizes, k))
         if pos < self.sizes.size and int(self.sizes[pos]) == k:
             return float(self.proportions[pos])

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedResultError, ValidationError, integer
-from .models import MAX_PMF_ENTRIES, Family, LogPmf, check_parameter, pmf, pmf_range
+from .models import MAX_PMF_ENTRIES, CountModelSpec, Family, LogPmf, check_parameter, pmf, pmf_range
 from .synthesis import SyntheticTable
 from .table import CellSizeDistribution, SparseContingencyTable
 
@@ -40,8 +40,7 @@ MAX_K_REPORT = 2**20  # a report row per k, and k_report + 2 bins per replicate
 def _means_weights(dist: CellSizeDistribution, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """``means = [alpha, sizes...]``, ``weights = [tau2(0), proportions...]``:
     the synthesis mean of each original cell group and its share of cells."""
-    check_parameter("alpha", alpha)
-    means = np.concatenate(([float(alpha)], dist.nonzero_sizes.astype(np.float64)))
+    means = np.concatenate(([check_parameter("alpha", alpha)], dist.nonzero_sizes.astype(np.float64)))
     weights = np.concatenate(([dist.proportion(0)], dist.nonzero_proportions))
     return means, weights
 
@@ -132,9 +131,7 @@ class TauReport:
     """
 
     mode: str  # "analytic" | "empirical"
-    family: str | None
-    sigma: float | None
-    alpha: float | None
+    model: CountModelSpec | None  # None: empirical replicates without provenance
     ks: np.ndarray
     tau1: np.ndarray
     tau2: np.ndarray
@@ -160,8 +157,8 @@ class TauReport:
         for line in header_comments:
             buf.write(f"# {line}\n")
         buf.write(f"# mode: {self.mode}\n")
-        if self.family is not None:
-            buf.write(f"# model: family={self.family} sigma={self.sigma} alpha={self.alpha}\n")
+        if (m := self.model) is not None:
+            buf.write(f"# model: family={m.family.value} sigma={m.sigma} alpha={m.alpha}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["k", "tau1", "tau2", "tau3", "tau4"])
         for row in self.to_rows():
@@ -171,12 +168,13 @@ class TauReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        m = self.model  # None: each model key is null
         return json.dumps(
             {
                 "mode": self.mode,
-                "family": self.family,
-                "sigma": self.sigma,
-                "alpha": self.alpha,
+                "family": m and m.family.value,
+                "sigma": m and m.sigma,
+                "alpha": m and m.alpha,
                 "values": [
                     {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()}
                     for row in self.to_rows()
@@ -199,18 +197,19 @@ def tau_analytic(
     times the weights.  tau3(k) does not depend on the table: pmf(0 | alpha)
     for k = 0 (a random zero must stay zero) and pmf(k | k) for k >= 1.
     """
-    family = Family.coerce(family)
+    model = CountModelSpec(family, sigma, alpha)
     limit = min(MAX_K_REPORT, MAX_PMF_ENTRIES // (dist.nonzero_sizes.size + 1) - 1)  # the pmf matrix's rows
     k_report = integer(k_report, 0, limit, f"k_report must be >= 0 and at most the limit {limit}")
     ks = np.arange(k_report + 1)
-    means, weights = _means_weights(dist, alpha)
-    t3 = pmf(family, ks, np.where(ks == 0, alpha, ks), sigma)  # before the matrix: a refused Bessel ladder stops it
-    t1 = pmf_range(family, k_report, means, sigma) @ weights
+    means, weights = _means_weights(dist, model.alpha)
+    # tau3 before the matrix: a refused Bessel ladder stops it
+    t3 = pmf(model.family, ks, np.where(ks == 0, model.alpha, ks), model.sigma)
+    t1 = pmf_range(model.family, k_report, means, model.sigma) @ weights
     t2 = np.zeros(ks.size)
     reported = dist.sizes <= k_report
     t2[dist.sizes[reported]] = dist.proportions[reported]
     t4 = np.divide(t3 * t2, t1, out=np.full(ks.size, np.nan), where=t1 > 0.0)
-    return TauReport("analytic", family.value, float(sigma), float(alpha), ks, t1, t2, t3, t4)
+    return TauReport("analytic", model, ks, t1, t2, t3, t4)
 
 
 # -- empirical ------------------------------------------------------------------
@@ -260,12 +259,10 @@ def tau_empirical(
     if not synthetic:
         raise ValidationError("need at least one synthetic table")
     tables = [s.table if isinstance(s, SyntheticTable) else s for s in synthetic]
-    models = {(s.provenance.family, s.provenance.sigma, s.provenance.alpha)
-              for s in synthetic if isinstance(s, SyntheticTable)}
+    models = {s.provenance.job.model for s in synthetic if isinstance(s, SyntheticTable)}
     if len(models) > 1:  # their average would be reported under one model
-        models = ", ".join(sorted(map(str, models)))
+        models = ", ".join(sorted(str((m.family.value, m.sigma, m.alpha)) for m in models))
         raise ValidationError(f"replicates of different models (family, sigma, alpha): {models}")
-    family, sigma, alpha = models.pop() if models else (None, None, None)
     for t in tables:
         original.check_replicate(t)
     if original.num_cells == original.num_structural_zeros:
@@ -274,7 +271,7 @@ def tau_empirical(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN buckets stay NaN
         t1, t2, t3, t4 = np.nanmean(per_rep, axis=0)
-    return TauReport("empirical", family, sigma, alpha, np.arange(k_report + 1), t1, t2, t3, t4)
+    return TauReport("empirical", models.pop() if models else None, np.arange(k_report + 1), t1, t2, t3, t4)
 
 
 def tau2_of_table(table: SparseContingencyTable) -> CellSizeDistribution:

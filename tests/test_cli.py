@@ -433,6 +433,16 @@ def test_evaluate_p_list_that_is_not_numbers_is_a_typed_error(tmp_path, capsys):
     assert "error: --p-list must be comma-separated numbers, got 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p_list", ["1,inf", "1e309"])
+def test_evaluate_p_that_is_not_finite_is_one_error_line(tmp_path, capsys, p_list):
+    # inf was taken, and the report's .json sidecar held "p": Infinity, which is not JSON
+    path = _small_table(tmp_path)
+    assert run("evaluate", "--table", path, "--synthetic", path, "--p-list", p_list,
+               "--out", tmp_path / "within.csv") == 1
+    assert capsys.readouterr().err == "error: p values must be positive finite percentages\n"
+    assert not (tmp_path / "within.csv.json").exists()
+
+
 def test_evaluate_empty_p_list_is_a_typed_error(tmp_path, capsys):
     # wrote a report with a header and no rows, and exited 0
     path = _small_table(tmp_path)
@@ -542,10 +552,13 @@ def test_malformed_spec_is_a_typed_error(tmp_path, capsys, extra, message):
      "malformed histogram spec: two cells_per_size keys name one size"),
     ('{"cells_per_size": {}, "tail": {"start": 2.7, "cells": 1, "total": 3.9}, "num_cells": 5}',
      "tail start must be an integer >= 1, got 2.7"),
+    ('{"cells_per_size": {"1": 2, "1": 3}, "num_cells": 5}', "malformed histogram spec: repeated keys ['1']"),
+    ('{"cells_per_size": {"1": 2}, "num_cells": 5, "num_cells": 6}',
+     "malformed histogram spec: repeated keys ['num_cells']"),
 ])
 def test_spec_values_that_are_not_json_integers_are_refused(tmp_path, capsys, text, message):
-    # 2.5 and true were cut to 2 and 1 cells, a tail of start 2.7 and total 3.9 to 2 and 3, and "01" overwrote "1":
-    # each run exited 0
+    # 2.5 and true were cut to 2 and 1 cells, a tail of start 2.7 and total 3.9 to 2 and 3, "01" overwrote "1",
+    # and json.loads kept the last of two equal keys: each run exited 0
     spec = tmp_path / "spec.json"
     spec.write_text(text)
     assert run("generate-escsub", "--spec", spec, "--seed", 1, "--out", tmp_path / "t.csv") == 1

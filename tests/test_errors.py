@@ -1,4 +1,7 @@
-"""The integer rule of ``satsynth.errors``, at every entry point that takes an integer."""
+"""The integer rule of ``satsynth.errors`` at every entry point that takes an integer, and the float rule of
+``models.check_parameter`` at every entry point that takes sigma, alpha or a tolerance."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from satsynth.schema import CategoricalSchema
 from satsynth.synthesis import SynthesisJob, synthesize
 from satsynth.table import CellSizeDistribution, SparseContingencyTable
 from satsynth.taumetrics import MAX_K_REPORT, tau1_expected, tau_analytic, tau_empirical
+from satsynth.tuning import solve_alpha_for_tau4_target
 
 SCHEMA = CategoricalSchema([("A", ["a", "b", "c"]), ("B", ["x", "y"])])
 TABLE = SparseContingencyTable.from_dict(SCHEMA, {(0, 0): 3, (1, 1): 1, (2, 0): 2})
@@ -49,6 +53,8 @@ ENTRY_POINTS = {
     "from_proportions size": (lambda v: CellSizeDistribution.from_proportions({0: 0.5, v: 0.5}), 0, 2**63 - 1),
     "from_counts size": (lambda v: CellSizeDistribution.from_counts({0: 1, v: 1}), 0, 2**63 - 1),
     "from_counts cell number": (lambda v: CellSizeDistribution.from_counts({0: 1, 1: v}), 0, None),
+    "proportion size": (lambda v: DIST.proportion(v), 0, 2**63 - 1),
+    "ordinal variable index": (lambda v: SCHEMA.ordinal(v, "x"), 0, 1),
 }
 
 
@@ -88,3 +94,34 @@ def test_array_entry_points_refuse_bools_strings_and_none(call, value):
     # each was a raw OverflowError (k < 2**63 on a bool array) or TypeError (np.floor of a str or None)
     with pytest.raises(ValidationError):
         call(value)
+
+
+# entry point: call on one sigma, alpha or tolerance
+PARAMETER_ENTRY_POINTS = {
+    "CountModelSpec sigma": lambda v: CountModelSpec("nbi", sigma=v),
+    "CountModelSpec alpha": lambda v: CountModelSpec("nbi", alpha=v),
+    "pmf sigma": lambda v: pmf("nbi", 1, 1.0, v),
+    "tau_analytic sigma": lambda v: tau_analytic(DIST, "nbi", v, 0.1),
+    "tau_analytic alpha": lambda v: tau_analytic(DIST, "nbi", 1.0, v),
+    "tau1_expected alpha": lambda v: tau1_expected(DIST, "nbi", 1.0, v, 1),
+    "solve_alpha_for_tau4_target tol": lambda v: solve_alpha_for_tau4_target(DIST, "nbi", 1.0, 0.3, tol=v),
+    "fit_loglinear tol": lambda v: fit_loglinear(TABLE, [["A"]], tol=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, [1.0], -1, math.nan, math.inf, 10**400],
+                         ids=["True", "np.True_", "'1'", "None", "[1.0]", "-1", "nan", "inf", "10**400"])
+@pytest.mark.parametrize("call", PARAMETER_ENTRY_POINTS.values(), ids=PARAMETER_ENTRY_POINTS)
+def test_every_parameter_entry_point_refuses_what_is_not_a_finite_number_at_least_0(call, value):
+    # CountModelSpec("nbi", sigma=True) was stored as True and synthesized NBI at sigma = 1; "1", None and
+    # [1.0] raised a raw TypeError from the comparison
+    with pytest.raises(ValidationError, match=r"^(sigma|alpha|tol) must be finite and >= 0$"):
+        call(value)
+
+
+@pytest.mark.parametrize("sigma,alpha", [(1, 0), (np.int64(2), np.float32(0.5)), (np.float64(0.25), 3)])
+def test_a_model_stores_sigma_and_alpha_as_python_floats(sigma, alpha):
+    spec = CountModelSpec("nbi", sigma, alpha)
+    assert (type(spec.sigma), type(spec.alpha)) == (float, float)
+    assert (spec.sigma, spec.alpha) == (float(sigma), float(alpha))
+    assert spec == CountModelSpec("nbi", float(sigma), float(alpha))

@@ -256,6 +256,26 @@ def test_cap_must_be_positive_and_finite():
             fit_loglinear(two_by_two(10, 20, 30, 40), [("A",), ("B",)], cap=cap)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, "x", True])
+def test_tol_outside_its_domain_is_refused_before_any_step(tol):
+    # -1 and nan ran 200 IRLS steps into a ConvergenceError, "x" raised a raw UFuncTypeError and True was taken as 1
+    with pytest.raises(ValidationError, match="^tol must be finite and >= 0$"):
+        fit_loglinear(two_by_two(10, 20, 30, 40), [("A",), ("B",)], tol=tol)
+
+
+def test_the_dense_cap_is_checked_before_the_dense_table_is_formed(monkeypatch):
+    # frontier without --variables on the full-scale table traced 55.5 MB in to_dense before the cap refused it
+    schema = CategoricalSchema([("A", [str(i) for i in range(400)]), ("B", [str(i) for i in range(400)])])
+    table = SparseContingencyTable.from_dict(schema, {(0, 0): 1})
+
+    def refuse():
+        raise AssertionError("to_dense ran before the cap")
+
+    monkeypatch.setattr(SparseContingencyTable, "to_dense", lambda self: refuse())
+    with pytest.raises(ValidationError, match="^160000 cells exceeds the dense design cap 100000$"):
+        fit_loglinear(table, [("A",), ("B",)])
+
+
 def test_margin_spec_closure_and_validation():
     spec = MarginSpec([("A", "B"), ("B", "C")])
     got = set(spec.model_terms())

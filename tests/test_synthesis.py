@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -164,7 +165,18 @@ def test_provenance_roundtrip_and_fields():
     assert [r.provenance.replicate for r in reps] == [0, 1, 2]
     p = reps[1].provenance
     assert Provenance.from_json(p.to_json()) == p
-    assert p.family == "pig" and p.m == 3 and p.master_seed == 4
+    assert p.job == job and p.job.model.family is Family.PIG and p.job.m == 3 and p.job.master_seed == 4
+
+
+def test_provenance_is_its_job_and_replicate_and_writes_the_sidecar_bytes_as_before():
+    job = SynthesisJob(CountModelSpec("pig", sigma=2.0, alpha=0.02), master_seed=4, m=3)
+    prov = synthesize(small_table(), job)[1].provenance
+    assert [f.name for f in dataclasses.fields(Provenance)] == ["job", "replicate", "stream"]
+    assert prov == Provenance(job, 1) and prov.job is job and prov.label == "pig sigma=2 alpha=0.02"
+    sidecar = '{"alpha": 0.02, "family": "pig", "m": 3, "master_seed": 4, "replicate": 1, "sigma": 2.0, "stream": 2}'
+    assert prov.to_json() == sidecar and Provenance.from_json(sidecar).to_json() == sidecar
+    # a hand-written int sigma or alpha reads as the model's float
+    assert Provenance.from_json(sidecar.replace("2.0", "2")) == prov
 
 
 def test_sidecar_names_stream_2_and_one_without_stream_reads_as_stream_1():
@@ -172,7 +184,7 @@ def test_sidecar_names_stream_2_and_one_without_stream_reads_as_stream_1():
     fields = json.loads(prov.to_json())
     assert fields["stream"] == synthesis.STREAM_VERSION == 2 and Provenance.from_json(prov.to_json()) == prov
     del fields["stream"]
-    assert Provenance.from_json(json.dumps(fields)) == Provenance(**fields, stream=1)
+    assert Provenance.from_json(json.dumps(fields)) == Provenance(prov.job, prov.replicate, stream=1)
 
 
 @pytest.mark.parametrize("stream", [3, 0, "2", 2.0, None])
@@ -200,9 +212,10 @@ def test_provenance_sidecar_field_parses_into_its_domain_or_is_a_format_error(fi
     except FormatError as exc:
         assert re.match(rf"malformed provenance sidecar: .*\b{field}\b", str(exc)), exc
         return
-    SynthesisJob(CountModelSpec(p.family, p.sigma, p.alpha), master_seed=p.master_seed, m=p.m)
-    assert p.family == (value.lower() if field == "family" else "nbi")
-    assert type(p.replicate) is int and 0 <= p.replicate < p.m
+    model = p.job.model
+    assert type(model.sigma) is float and type(model.alpha) is float and type(p.job.m) is int
+    assert model.family.value == (value.lower() if field == "family" else "nbi")
+    assert type(p.replicate) is int and 0 <= p.replicate < p.job.m
 
 
 def test_job_validation():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -326,3 +327,19 @@ def test_report_serialization_roundtrip():
     assert "tau4" in text.splitlines()[3]
     parsed = rep.to_json()
     assert '"mode": "analytic"' in parsed
+
+
+def test_a_report_carries_its_model_and_writes_it_as_before():
+    dist = table2_reference_dist()
+    ana = tau_analytic(dist, "NBI", 1, np.float64(0.5), k_report=1)  # spelled as a caller may spell it
+    assert ana.model == CountModelSpec("nbi", 1.0, 0.5) and type(ana.model.sigma) is float
+    assert "# mode: analytic\n# model: family=nbi sigma=1.0 alpha=0.5\nk,tau1," in ana.to_csv()
+    assert list(json.loads(ana.to_json())) == ["mode", "family", "sigma", "alpha", "values"]
+    assert ana.to_json().startswith('{\n  "mode": "analytic",\n  "family": "nbi",\n  "sigma": 1.0,\n  "alpha": 0.5,')
+    schema = CategoricalSchema([("A", ["a", "b"]), ("B", ["x", "y"])])
+    table = SparseContingencyTable.from_dict(schema, {(0, 0): 3, (1, 1): 1})
+    job = SynthesisJob(CountModelSpec("pig", 2.0, 0.25), master_seed=3, m=2)
+    assert tau_empirical(table, synthesize(table, job)).model is job.model
+    bare = tau_empirical(table, table)  # no provenance: no model line and null model keys
+    assert bare.model is None and "# model:" not in bare.to_csv()
+    assert json.loads(bare.to_json())["family"] is json.loads(bare.to_json())["sigma"] is None
